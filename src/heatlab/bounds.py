@@ -309,52 +309,107 @@ def u_integral(rate: RateFunction, x: float) -> float:
     return _u_numeric(rate, x)
 
 
+def _bisect_inverse(rate: RateFunction, t: float) -> float:
+    """U^{-1}(t) by bisection on the strictly decreasing U (relative tolerance
+    1e-12); inf when U stays >= t at every doubling point up to ~1e250."""
+    m = rate.domain_floor
+    hi = max(1.0, 2.0 * m)
+    while u_integral(rate, hi) >= t:
+        hi *= 2.0
+        if hi > _X_CAP:
+            return math.inf
+    lo = m
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if u_integral(rate, mid) > t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _UINV_REL_TOL * max(abs(hi), 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _cap_point(rate: RateFunction) -> float:
+    """The last point max(1, 2M) 2^k <= ~1e250 of the bisection's doubling."""
+    h = max(1.0, 2.0 * rate.domain_floor)
+    while 2.0 * h <= _X_CAP:
+        h *= 2.0
+    return h
+
+
+def _power_inverse(meta: dict, t: float) -> float:
+    c, r = meta["coefficient"], meta["exponent"]
+    return (c * (r - 1.0) * t) ** (1.0 / (1.0 - r))
+
+
+def _log_power_inverse(meta: dict, t: float) -> float:
+    c, p = meta["coefficient"], meta["exponent"]
+    return math.exp((c * (p - 1.0) * t) ** (1.0 / (1.0 - p)))
+
+
+def _envelope_inverse(meta: dict, t: float) -> float:
+    shift, r = meta["c_shift"], 1.0 / meta["lam"]
+    return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
+
+
+#: Explicit inverses of the closed-form tail integrals in ``u_integral``.
+_CLOSED_INVERSES = {
+    "power": _power_inverse,
+    "log_power": _log_power_inverse,
+    "empirical_envelope": _envelope_inverse,
+}
+
+
 @dataclass(frozen=True)
 class KProfile:
     """Decay profile K(t) = sqrt(U^{-1}(t)) for t < U(M), sqrt(M) afterwards.
 
-    U^{-1} is found by bisection on the strictly decreasing U (relative
-    tolerance 1e-12).  Arguments where U^{-1} would exceed ~1e250 return
-    inf rather than overflowing.
+    The closed-form kinds (power, log-power, fitted envelope) invert U
+    explicitly; the numeric kinds bisect the strictly decreasing U
+    (relative tolerance 1e-12).  U^{-1}(t) is inf, rather than an overflow,
+    where the bisection's doubling would pass ~1e250: for the closed-form
+    kinds that is exactly t <= ``u_at_cap``, U at the last doubling point;
+    for the numeric kinds ``u_at_cap`` is 0 and the bisection applies the
+    cap itself.
     """
 
     rate: RateFunction
     u_at_floor: float
+    u_at_cap: float
 
     def evaluate(self, t: float) -> float:
         if not t > 0:
             raise ValueError(f"profile argument must be positive, got {t}")
-        m = self.rate.domain_floor
         if t >= self.u_at_floor:
-            return math.sqrt(m)
-        return math.sqrt(self._invert(t))
+            return math.sqrt(self.rate.domain_floor)
+        return math.sqrt(self.inverse(t))
 
     __call__ = evaluate
 
-    def _invert(self, t: float) -> float:
-        rate, m = self.rate, self.rate.domain_floor
-        hi = max(1.0, 2.0 * m)
-        while u_integral(rate, hi) >= t:
-            hi *= 2.0
-            if hi > _X_CAP:
-                return math.inf
-        lo = m
-        for _ in range(400):
-            mid = 0.5 * (lo + hi)
-            if u_integral(rate, mid) > t:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _UINV_REL_TOL * max(abs(hi), 1.0):
-                break
-        return 0.5 * (lo + hi)
+    def inverse(self, t: float) -> float:
+        """U^{-1}(t) for 0 < t < U(M)."""
+        if t <= self.u_at_cap:
+            return math.inf
+        closed = _CLOSED_INVERSES.get(self.rate.kind)
+        if closed is None:
+            return _bisect_inverse(self.rate, t)
+        try:
+            return closed(self.rate.meta, t)
+        except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
+            return math.inf
 
 
 def k_profile(rate: RateFunction) -> KProfile:
     """Build the decay profile of a rate; raises IntegrabilityError when
     1/phi is not integrable at infinity (no profile exists)."""
     _require_integrable(rate)
-    return KProfile(rate=rate, u_at_floor=u_integral(rate, rate.domain_floor))
+    closed = rate.kind in _CLOSED_INVERSES
+    return KProfile(
+        rate=rate,
+        u_at_floor=u_integral(rate, rate.domain_floor),
+        u_at_cap=u_integral(rate, _cap_point(rate)) if closed else 0.0,
+    )
 
 
 # ----------------------------------------------------------------------

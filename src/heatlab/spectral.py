@@ -165,10 +165,15 @@ def kernel(dec: SpectralDecomposition, t: float, i: int, j: int) -> float:
     return float(np.sum(np.exp(-dec.eigenvalues * t) * (ef[i] * ef[j])))
 
 
-def kernel_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Full kernel table p_t(x_i, x_j); symmetrized so p(i,j) == p(j,i) exactly."""
+def kernel_matrix(dec: SpectralDecomposition, t: float, nodes=None) -> np.ndarray:
+    """Kernel table p_t(x_i, x_j); symmetrized so p(i,j) == p(j,i) exactly.
+
+    With ``nodes`` (an index array) only the ``nodes x nodes`` block is
+    synthesized, from the eigenfunction rows at those nodes; it equals the
+    same block of the full table up to rounding.
+    """
     _check_time(dec, t)
-    ef = dec.eigenfunctions
+    ef = dec.eigenfunctions if nodes is None else dec.eigenfunctions[nodes]
     raw = (ef * np.exp(-dec.eigenvalues * t)) @ ef.T
     return 0.5 * (raw + raw.T)
 

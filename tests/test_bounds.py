@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import heatlab as hl
+from heatlab import bounds
 from heatlab.errors import CalibrationError, IntegrabilityError, NumericError
 
 
@@ -134,6 +135,37 @@ def test_k_profile_flat_after_u_floor():
     assert math.isfinite(kp.u_at_floor)
     assert kp.evaluate(kp.u_at_floor * 1.5) == pytest.approx(math.sqrt(math.e), rel=1e-14)
     assert kp.evaluate(kp.u_at_floor * 0.5) > math.sqrt(math.e)
+
+
+def test_k_profile_closed_inverse_matches_bisection(mua_pipeline):
+    # log_rate(2.5, 2.0) has U = 0.70 at the bisection's last doubling point,
+    # so the log grid covers its inf region and the step out of it
+    _, _, _, empirical, _, _, _ = mua_pipeline
+    capped = hl.log_rate(2.5, 2.0)
+    rates = [
+        hl.power_rate(1.0, 2.0),
+        hl.power_rate(2.0, 1.8),
+        hl.classical_nash_rate(3.0),
+        capped,
+        hl.log_rate(3.0, 0.5),
+        empirical,
+    ]
+    ts = np.geomspace(1e-6, 1e3, 181)
+    for rate in rates:
+        kp = hl.k_profile(rate)
+        grid = list(ts[ts < kp.u_at_floor])
+        if kp.u_at_cap > 0.0:
+            grid += [kp.u_at_cap, float(np.nextafter(kp.u_at_cap, np.inf))]
+        for t in grid:
+            closed = kp.inverse(t)
+            bisected = bounds._bisect_inverse(rate, t)
+            assert math.isinf(closed) == math.isinf(bisected), (rate.kind, t)
+            if math.isfinite(closed):
+                assert abs(closed - bisected) <= 1e-10 * max(bisected, 1.0), (rate.kind, t)
+    kp = hl.k_profile(capped)
+    assert 0.69 < kp.u_at_cap < 0.71
+    assert kp.evaluate(0.5) == math.inf
+    assert math.isfinite(kp.evaluate(1.0))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import heatlab as hl
 from heatlab import cli
 
 
@@ -171,6 +172,54 @@ def test_kernel_table_mu_a_pipeline_bound(tmp_path):
     for line in lines[1:]:
         vals = [float(v) for v in line.split(",")]
         assert vals[5] >= -1e-9
+
+
+def test_kernel_table_matches_entrywise_reference():
+    cfg = cli.ExperimentConfig.from_mapping(
+        {"a": 1.5, "n_points": 300, "times": [0.25, 1.0], "train_size": 30, "seed": 4}
+    )
+    _, files = cli.run_kernel(cfg)
+    lines = files["kernel_table.csv"].strip().split("\n")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+    model = cli._build_model(cfg)
+    grid, op, dec = cli._decompose(cfg, model)
+    _, cert, _, _, kp, _, _ = cli._pipeline(cfg, model, grid, op)
+    x = grid.points
+    nodes = cli._kernel_sample_nodes(grid, cfg.kernel_half_width)
+    ref = []
+    for t in cfg.times:
+        pmat = hl.kernel_matrix(dec, t)
+        for i in nodes:
+            for j in nodes:
+                bound = hl.kernel_bound(kp, cert, t / 2.0, x[i], x[j])
+                ref.append([t, x[i], x[j], pmat[i, j], bound])
+    ref = np.array(ref)
+    assert table.shape == (len(ref), 6)
+    assert np.array_equal(table[:, :3], ref[:, :3])
+    assert np.max(np.abs(table[:, 3] - ref[:, 3])) <= 1e-13 * np.max(ref[:, 3])
+    # V on an array may round its exp/log differently from V on a scalar
+    assert np.allclose(table[:, 4], ref[:, 4], rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal(table[:, 5], table[:, 4] - table[:, 3])
+
+
+def test_kernel_ou_small_time_relative_checks(tmp_path):
+    # at t = 1e-3 the Mehler kernel between distant nodes underflows to 0 and
+    # the spectral sum there is rounding noise; relative checks floor both at
+    # eps / sqrt(m_i m_j).  h = 0.01 does not resolve sqrt(t) ~ 0.03, so the
+    # Mehler match still fails, with a finite deviation.
+    cfg = write_config(tmp_path / "cfg.txt", "family = ou\nn_points = 1600\ntimes = 0.001\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = read_report(out, "kernel_report.json")
+    assert report["checks"]["bound_dominates"]["violations"] == 0
+    assert report["checks"]["bound_dominates"]["pass"]
+    dev = report["checks"]["mehler_match"]["value"]
+    assert isinstance(dev, float) and 1e-2 < dev < 1e2
+    assert not report["checks"]["mehler_match"]["pass"]
+    lines = open(os.path.join(out, "kernel_table.csv")).read().strip().split("\n")
+    rel = np.array([float(line.split(",")[7]) for line in lines[1:]])
+    assert np.all(np.isfinite(rel))
 
 
 def test_converse_from_sample_file(tmp_path):

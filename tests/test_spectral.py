@@ -94,6 +94,19 @@ def test_kernel_symmetry_and_positivity(mua_setup):
     assert hl.kernel(dec, 0.5, i, j) == hl.kernel(dec, 0.5, j, i)
 
 
+def test_kernel_matrix_sub_block(ou_setup, mua_setup):
+    rng = np.random.default_rng(5)
+    for grid, _, dec in (ou_setup, mua_setup):
+        nodes = [hl.bulk_indices(grid), rng.choice(grid.n_points, 37, replace=False)]
+        for t in (1e-3, 0.25, 1.0):
+            full = hl.kernel_matrix(dec, t)
+            for idx in nodes:
+                block = hl.kernel_matrix(dec, t, idx)
+                assert np.array_equal(block, block.T)
+                ref = full[np.ix_(idx, idx)]
+                assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_kernel_ergodic_limit(mua_setup):
     grid, _, dec = mua_setup
     idx = hl.bulk_indices(grid, 2.0)
