@@ -41,10 +41,12 @@ from .spectral import (
     hs_norm_sq,
     kernel,
     kernel_matrix,
+    kernel_tail,
     l2_norm,
     make_grid,
     stochasticity_defect,
     trace,
+    trace_tail,
     weighted_l1,
 )
 from .bounds import (

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -290,3 +292,75 @@ def test_seed_flag_overrides_config(tmp_path):
     q2 = open(os.path.join(outs[2], "nash_quotients.csv"), "rb").read()
     assert q1 != q0
     assert q1 == q2
+
+
+def test_verify_kernel_scan_matches_full_table(monkeypatch):
+    # a truncated decomposition, so the scan also carries the certified tail
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+    cfg = cli.ExperimentConfig.from_mapping({"n_points": 800, "train_size": 40, "seed": 3})
+    model = cli._build_model(cfg)
+    grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
+    assert math.isfinite(dec.tail_rate)
+    _, cert, _, _, kp, _, _ = cli._pipeline(cfg, model, grid, op)
+    x = grid.points
+    unit = types.SimpleNamespace(evaluate=lambda s: 1.0)
+    for t in cfg.times:
+        p = hl.kernel_matrix(dec, 2.0 * t) + hl.kernel_tail(dec, 2.0 * t)
+        # the calibrated profile, then one that about half the pairs violate
+        k_half = math.sqrt(np.median(p / hl.kernel_bound(unit, cert, t, x[:, None], x[None, :])))
+        for prof in (kp, types.SimpleNamespace(evaluate=lambda s: k_half)):
+            slack = hl.kernel_bound(prof, cert, t, x[:, None], x[None, :]) - p
+            min_slack, violations = cli._kernel_scan(dec, prof, cert, t)
+            assert min_slack == pytest.approx(float(slack.min()), rel=1e-12)
+            assert violations == int(np.sum(slack < -1e-9))
+        assert violations > grid.n_points
+
+
+LOG_RATE = VERIFY_SMALL + "rate = log\n"
+
+
+def test_log_rate_honours_log_a(tmp_path):
+    cfg = write_config(tmp_path / "cfg.txt", LOG_RATE)
+    for command in ("kernel", "verify"):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+        report = read_report(out, f"{command}_report.json")
+        assert all(chk["pass"] for chk in report["checks"].values()), command
+
+    # phi(x) = C x (log x)^{2(1-1/a)} with a = 1.5 < 2 is not integrable
+    bad = write_config(tmp_path / "bad.txt", LOG_RATE + "log_a = 1.5\n")
+    for command in ("kernel", "verify"):
+        out = str(tmp_path / f"bad-{command}")
+        assert cli.main([command, "--config", bad, "--out", out]) == 5
+        assert not os.path.exists(out)
+
+
+def test_verify_memory_at_n3200():
+    # the truncated decomposition and the streamed kernel scan keep verify at
+    # O(n * block) memory; three full 3200 x 3200 tables would need 234 MiB
+    cfg = cli.ExperimentConfig.from_mapping({"n_points": 3200})
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        record, _ = cli.run_verify(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(chk["pass"] for chk in record.checks.values())
+    assert peak < 64 * 2**20
+
+
+def test_verify_checks_carry_the_tail(monkeypatch):
+    # on a truncated decomposition, a tail larger than any bound must turn
+    # every spectral check into violations
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+    monkeypatch.setattr(hl.SpectralDecomposition, "tail", lambda self, t: 1e100)
+    cfg = cli.ExperimentConfig.from_mapping(
+        {"radius": 10.0, "n_points": 300, "times": [0.5, 1.0], "train_size": 40, "seed": 5}
+    )
+    record, _ = cli.run_verify(cfg)
+    for name in ("l2_domination", "kernel_domination", "trace_domination"):
+        assert record.checks[name]["violations"] > 0, name
+    assert record.consistent()
+    record, _ = cli.run_kernel(cfg)
+    assert record.checks["bound_dominates"]["violations"] > 0

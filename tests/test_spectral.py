@@ -226,3 +226,117 @@ def test_gaussian_bump_family_determinism(mua_setup):
     b = hl.gaussian_bump_family(grid, 5, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert a.shape == (5, grid.n_points)
+
+
+def _truncated(op, t_first, monkeypatch):
+    # take the subset solve whatever fraction of the modes it keeps, so the
+    # certificate is tested on every model, not only where it pays off
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+    return hl.eigendecompose(op, t_first=t_first)
+
+
+def test_sturm_count_matches_eigenvalues(mua_setup, ou_fine_setup):
+    for _, op, dec in (mua_setup, ou_fine_setup):
+        lam = dec.eigenvalues
+        for x in (-1.0, 0.5 * (lam[0] + lam[1]), 10.0, 144.0, 1e4, 2.0 * lam[-1]):
+            assert hl.spectral._sturm_count(op.sym_diag, op.sym_offdiag, x) == np.sum(lam < x)
+
+
+def test_truncated_tail_certificate(mua_setup, ou_fine_setup, monkeypatch):
+    """The certified tail dominates what the dropped modes add, and the
+    truncated sums match the full ones up to tail plus solver rounding."""
+    eps = np.finfo(float).eps
+    for grid, op, full in (mua_setup, ou_fine_setup):
+        part = _truncated(op, 0.25, monkeypatch)
+        n, k = grid.n_points, part.eigenvalues.size
+        assert 1 <= k < n / 4
+        assert part.tail_rate == 52.0 * math.log(2.0) / 0.25 and part.t_min == 0.25
+        assert full.eigenvalues[k - 1] <= part.tail_rate < full.eigenvalues[k]
+
+        m = grid.node_masses
+        inv_sqrt = 1.0 / np.sqrt(np.outer(m, m))
+        norm_t = np.max(np.abs(op.sym_diag)) + 2.0 * np.max(np.abs(op.sym_offdiag))
+        f = hl.gaussian_bump_family(grid, 20, np.random.default_rng(7))
+        f_norm = np.sqrt((f * f) @ m)
+        ef_drop = full.eigenfunctions[:, k:]
+        for t in (0.25, 1.0):
+            # exactly what the dropped modes contribute, from the full eigenbasis
+            decay = np.exp(-full.eigenvalues[k:] * t)
+            tail = hl.kernel_tail(part, t)
+            assert np.all(np.abs((ef_drop * decay) @ ef_drop.T) <= tail)
+            assert np.sum(decay) <= hl.trace_tail(part, t)
+            pf_drop = ((f * m) @ ef_drop * decay) @ ef_drop.T
+            assert np.all(np.sqrt((pf_drop * pf_drop) @ m) <= part.tail(t) * f_norm)
+
+            # full vs truncated: the tail plus the eigensolvers' rounding,
+            # eps ||T|| per eigenpair (it exceeds the tail at t = t_first)
+            diff = np.abs(hl.kernel_matrix(full, t) - hl.kernel_matrix(part, t))
+            assert np.all(diff <= tail + eps * norm_t * inv_sqrt)
+            tr_diff = abs(hl.trace(full, t) - hl.trace(part, t))
+            assert tr_diff <= hl.trace_tail(part, t) + k * eps * norm_t
+            pf_diff = hl.apply_semigroup(full, f, t) - hl.apply_semigroup(part, f, t)
+            pf_bound = (part.tail(t) + math.sqrt(k) * eps * norm_t) * f_norm
+            assert np.all(np.sqrt((pf_diff * pf_diff) @ m) <= pf_bound)
+
+
+def test_truncated_refuses_times_below_t_first(ou_fine_setup):
+    grid, op, _ = ou_fine_setup
+    part = hl.eigendecompose(op, t_first=0.25)
+    assert math.isfinite(part.tail_rate)
+    f = np.ones(grid.n_points)
+    for t in (0.0, 1e-3, 0.2):
+        with pytest.raises(ValueError):
+            hl.kernel_matrix(part, t)
+        with pytest.raises(ValueError):
+            hl.apply_semigroup(part, f, t)
+    assert np.max(np.abs(hl.apply_semigroup(part, f, 0.25) - 1.0)) < 1e-10
+    with pytest.raises(ValueError):
+        hl.eigendecompose(op, t_first=0.0)
+
+
+def test_full_solve_fallback_is_bit_identical(mua_setup, ou_fine_setup):
+    from scipy.linalg import eigh_tridiagonal
+
+    for grid, op, _ in (mua_setup, ou_fine_setup):
+        w, v = eigh_tridiagonal(op.sym_diag, op.sym_offdiag)
+        ef = v / np.sqrt(grid.node_masses)[:, None]
+        # t_first = 1e-3 keeps more than the subset threshold of the modes
+        for dec in (hl.eigendecompose(op), hl.eigendecompose(op, t_first=1e-3)):
+            assert np.array_equal(dec.eigenvalues, w)
+            assert np.array_equal(dec.eigenfunctions, ef)
+            assert dec.tail_rate == math.inf and dec.t_min == hl.DEFAULT_T_MIN
+            assert dec.tail(0.0) == 0.0 and hl.trace_tail(dec, 1.0) == 0.0
+            assert not np.any(hl.kernel_tail(dec, 1.0, [0, 1], slice(None)))
+
+
+def test_apply_semigroup_on_stacks(mua_setup, ou_fine_setup, rng):
+    for grid, op, full in (mua_setup, ou_fine_setup):
+        part = hl.eigendecompose(op, t_first=0.25)
+        fam = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
+        for dec in (full, part):
+            for t in (0.25, 1.0):
+                batched = hl.apply_semigroup(dec, fam, t)
+                assert batched.shape == fam.shape
+                rows = np.array([[hl.apply_semigroup(dec, f, t) for f in grp] for grp in fam])
+                # in L2(mu): edge nodes amplify the GEMM/GEMV summation-order
+                # difference by 1/sqrt(m_i), as they do all eigenbasis rounding
+                diff = batched - rows
+                m = grid.node_masses
+                assert np.all(np.sqrt((diff * diff) @ m) <= 1e-13 * np.sqrt((fam * fam) @ m))
+    with pytest.raises(ValueError):
+        hl.apply_semigroup(full, np.ones((3, 7)), 0.5)
+
+
+def test_kernel_matrix_rectangular_blocks(mua_setup, ou_fine_setup):
+    for grid, op, full in (mua_setup, ou_fine_setup):
+        part = hl.eigendecompose(op, t_first=0.25)
+        rows = np.arange(5, 40, 3)
+        for dec in (full, part):
+            table = hl.kernel_matrix(dec, 0.5)
+            block = hl.kernel_matrix(dec, 0.5, rows, slice(None))
+            assert block.shape == (rows.size, grid.n_points)
+            assert np.max(np.abs(block - table[rows])) <= 1e-13 * np.max(np.abs(table))
+            cols = hl.kernel_matrix(dec, 0.5, None, rows)
+            assert np.max(np.abs(cols - table[:, rows])) <= 1e-13 * np.max(np.abs(table))
+            tail = hl.kernel_tail(dec, 0.5, rows, slice(None))
+            assert np.array_equal(tail, hl.kernel_tail(dec, 0.5)[rows])
