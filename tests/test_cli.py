@@ -294,14 +294,15 @@ def test_seed_flag_overrides_config(tmp_path):
     assert q1 == q2
 
 
-def test_verify_kernel_scan_matches_full_table(monkeypatch):
-    # a truncated decomposition, so the scan also carries the certified tail
-    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+def _scan_setup():
     cfg = cli.ExperimentConfig.from_mapping({"n_points": 800, "train_size": 40, "seed": 3})
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
-    assert math.isfinite(dec.tail_rate)
     _, cert, _, _, kp, _, _ = cli._pipeline(cfg, model, grid, op)
+    return cfg, grid, dec, cert, kp
+
+
+def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
     x = grid.points
     unit = types.SimpleNamespace(evaluate=lambda s: 1.0)
     for t in cfg.times:
@@ -314,6 +315,47 @@ def test_verify_kernel_scan_matches_full_table(monkeypatch):
             assert min_slack == pytest.approx(float(slack.min()), rel=1e-12)
             assert violations == int(np.sum(slack < -1e-9))
         assert violations > grid.n_points
+
+
+def test_verify_kernel_scan_matches_full_table(monkeypatch):
+    # a truncated decomposition, so the scan also carries the certified tail
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+    cfg, grid, dec, cert, kp = _scan_setup()
+    assert math.isfinite(dec.tail_rate)
+    _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp)
+
+
+def test_verify_kernel_scan_full_decomposition(monkeypatch):
+    # a full decomposition has no tail, so the scan must not build tail slabs
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 0.0)
+    cfg, grid, dec, cert, kp = _scan_setup()
+    assert math.isinf(dec.tail_rate)
+
+    def no_tail(*args, **kwargs):
+        raise AssertionError("kernel_tail called for a full decomposition")
+
+    monkeypatch.setattr(hl.spectral, "kernel_tail", no_tail)
+    _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp)
+
+
+def _csv_per_value(header, rows):
+    # reference formatter: one f-string or str() per value
+    out = [",".join(header)]
+    for row in rows:
+        out.append(",".join(f"{v:.17g}" if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    return "\n".join(out) + "\n"
+
+
+def test_csv_matches_per_value_formatter(rng):
+    special = [0, -7, 2**70, True, False, math.inf, -math.inf, math.nan, -0.0, 5e-324,
+               -1.5e-310, np.float64(-0.0), np.float32(0.1), np.int64(2**60), np.bool_(True),
+               "50%", "%s %d", 1e308]
+    rows = [special[i:i + 6] for i in range(0, len(special), 6)]
+    rows += (rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))).tolist()
+    rows += [[], ["x"]]
+    header = ["t", "p%", "slack"]
+    assert cli._csv(header, rows) == _csv_per_value(header, rows)
+    assert cli._csv(header, []) == _csv_per_value(header, []) == "t,p%,slack\n"
 
 
 LOG_RATE = VERIFY_SMALL + "rate = log\n"
