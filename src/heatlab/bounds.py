@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
-from .measures import MeasureModel, Weight, soft_abs
+from .measures import MeasureModel, Weight
 from .spectral import Grid, TridiagonalOperator
 
 __all__ = [
@@ -472,55 +472,33 @@ def trace_bound(
 # Lyapunov certificates
 
 
-def _mu_a_lyapunov_expression(a: float, beta: float, x: np.ndarray) -> np.ndarray:
-    # closed form of L(log V) + (log V)'^2 for V = exp(T^a/2) T^{-beta}
-    t = soft_abs(x)
-    return (
-        0.25 * a * t ** (a - 4.0) * (2.0 * (a - 1.0) * x * x - a * t ** a * x * x + 2.0)
-        + beta * (beta + 1.0) * x * x * t ** -4.0
-        - beta * t ** -4.0
-    )
-
-
 def lyapunov_constant(
     model: MeasureModel, weight: Weight, grid: Grid, fd_step: float = 1e-5
 ) -> LyapunovCertificate:
     """Certify LV <= cV with c = sup over the grid of L(log V) + (log V)'^2.
 
-    For the exponential-power weight on its own model family the closed
-    form of that expression is used; otherwise the weight's derivative
-    callables (or central finite differences of log V) supply it.  When
-    the sampled maximum sits at a window edge where the expression is
-    still growing, the sup may lie outside the window and no certificate
-    is issued.
+    The expression is (log V)'' + (log V)'^2 + b (log V)' with the model
+    drift b; the weight's closed-form ``dlog`` / ``d2log`` supply the
+    derivatives of log V where it has them (``weight_mu_a`` has both),
+    central finite differences otherwise.  When the sampled maximum sits
+    at a window edge where the expression is still growing, the sup may
+    lie outside the window and no certificate is issued.
     """
     x = grid.points
-    wp, mp = weight.params, model.params
-    if (
-        wp.get("family") == "mu_a"
-        and mp.get("family") == "mu_a"
-        and wp.get("a") == mp.get("a")
-    ):
-        expr = _mu_a_lyapunov_expression(wp["a"], wp["beta"], x)
+    step = fd_step * np.maximum(1.0, np.abs(x))
+    if weight.dlog is not None:
+        d1 = np.asarray(weight.dlog(x), dtype=float)
     else:
-        if weight.dlog is not None:
-            d1 = np.asarray(weight.dlog(x), dtype=float)
-        else:
-            step = fd_step * np.maximum(1.0, np.abs(x))
-            d1 = (weight.log_value(x + step) - weight.log_value(x - step)) / (2.0 * step)
-        if weight.d2log is not None:
-            d2 = np.asarray(weight.d2log(x), dtype=float)
-        else:
-            step = fd_step * np.maximum(1.0, np.abs(x))
-            if weight.dlog is not None:
-                d2 = (weight.dlog(x + step) - weight.dlog(x - step)) / (2.0 * step)
-            else:
-                d2 = (
-                    weight.log_value(x + step)
-                    - 2.0 * weight.log_value(x)
-                    + weight.log_value(x - step)
-                ) / (step * step)
-        expr = d2 + d1 * d1 + model.drift(x) * d1
+        d1 = (weight.log_value(x + step) - weight.log_value(x - step)) / (2.0 * step)
+    if weight.d2log is not None:
+        d2 = np.asarray(weight.d2log(x), dtype=float)
+    elif weight.dlog is not None:
+        d2 = (weight.dlog(x + step) - weight.dlog(x - step)) / (2.0 * step)
+    else:
+        d2 = (
+            weight.log_value(x + step) - 2.0 * weight.log_value(x) + weight.log_value(x - step)
+        ) / (step * step)
+    expr = d2 + d1 * d1 + model.drift(x) * d1
 
     # refuse when the sampled maximum sits at a window edge that is still
     # growing: the true supremum may then lie outside the window

@@ -187,16 +187,24 @@ def test_lyapunov_unit_weight(mua_model, mua_setup):
     assert cert.constant == 0.0
 
 
+def _mu_a_lyapunov_expression(a, beta, x):
+    # closed form of L(log V) + (log V)'^2 for V = exp(T^a/2) T^{-beta} on
+    # mu_a, written out independently of the weight's dlog / d2log
+    t = hl.soft_abs(x)
+    return (
+        0.25 * a * t ** (a - 4.0) * (2.0 * (a - 1.0) * x * x - a * t ** a * x * x + 2.0)
+        + beta * (beta + 1.0) * x * x * t ** -4.0
+        - beta * t ** -4.0
+    )
+
+
 def test_lyapunov_mu_a_matches_generic_form(mua_model):
-    # built-in closed form == L(log V) + (log V)'^2 from the weight derivatives
+    # the weight derivatives plus the drift == the closed form of the expression
     grid = hl.make_grid(mua_model, 801)
     w = hl.weight_mu_a(1.5, 1.0)
     cert = hl.lyapunov_constant(mua_model, w, grid)
-    x = grid.points
-    d1 = w.dlog(x)
-    d2 = w.d2log(x)
-    generic = d2 + d1 * d1 + mua_model.drift(x) * d1
-    assert np.allclose(cert.residual_profile + cert.constant, generic, atol=1e-10)
+    closed = _mu_a_lyapunov_expression(1.5, 1.0, grid.points)
+    assert np.allclose(cert.residual_profile + cert.constant, closed, atol=1e-10)
     assert cert.constant == pytest.approx(0.3579, abs=1e-3)
 
 
