@@ -38,8 +38,6 @@ from .spectral import (
     eigendecompose,
     gaussian_bump_family,
     ground_state_transform_residual,
-    hs_norm_sq,
-    kernel,
     kernel_matrix,
     kernel_tail,
     l2_norm,
@@ -66,7 +64,6 @@ from .bounds import (
     log_rate,
     lyapunov_constant,
     mu_a_exponents,
-    nash_quotient,
     nash_quotients,
     power_rate,
     quotient_monotonicity_defect,

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
-from .measures import MeasureModel, Weight
-from .spectral import Grid, TridiagonalOperator
+from .measures import MeasureModel, Weight, _scalar_or_array
+from .spectral import Grid, TridiagonalOperator, dirichlet_energy, weighted_l1
 
 __all__ = [
     "RateFunction",
@@ -47,7 +47,6 @@ __all__ = [
     "trace_bound",
     "weight_squared_mass",
     "lyapunov_constant",
-    "nash_quotient",
     "nash_quotients",
     "empirical_rate",
     "envelope_violations",
@@ -117,9 +116,7 @@ def power_rate(coefficient: float, exponent: float, floor: float = 0.0) -> RateF
         raise ValueError(f"floor must be nonnegative, got {floor}")
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = coefficient * x ** exponent
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(coefficient * np.asarray(x, dtype=float) ** exponent)
 
     return RateFunction(
         kind="power",
@@ -146,8 +143,7 @@ def log_rate(a: float, coefficient: float = 1.0, floor: float = math.e) -> RateF
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        out = coefficient * x * np.log(x) ** p
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(coefficient * x * np.log(x) ** p)
 
     return RateFunction(
         kind="log_power",
@@ -183,6 +179,20 @@ def _gauss_block(f: Callable, lo: float, hi: float) -> float:
     return float(np.sum(_GAUSS_WEIGHTS * f(u)) * 0.5 * (hi - lo))
 
 
+def _log_integrand(rate: RateFunction) -> Callable:
+    """u -> x/phi(x) at x = e^u, the integrand of int dx/phi(x) after the
+    substitution x = e^u; inf where phi is not positive or not finite."""
+
+    def integrand(u):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = np.exp(u)
+            phi = np.asarray(rate.evaluate(x), dtype=float)
+            out = np.where(phi > 0.0, x / phi, np.inf)
+        return np.nan_to_num(out, nan=np.inf, posinf=np.inf)
+
+    return integrand
+
+
 def integrability_test(rate: RateFunction) -> bool:
     """Numeric probe of int^inf dx/phi(x) convergence.
 
@@ -193,16 +203,8 @@ def integrability_test(rate: RateFunction) -> bool:
     exponents within ~7% above the harmonic borderline, are conservatively
     classified as divergent.
     """
-    m = rate.domain_floor
-    u0 = max(1.0, math.log(max(2.0, 2.0 * m)))
-
-    def integrand(u):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = np.exp(u)
-            phi = np.asarray(rate.evaluate(x), dtype=float)
-            out = np.where(phi > 0.0, x / phi, np.inf)
-        return np.nan_to_num(out, nan=np.inf, posinf=np.inf)
-
+    u0 = max(1.0, math.log(max(2.0, 2.0 * rate.domain_floor)))
+    integrand = _log_integrand(rate)
     blocks = []
     j = 0
     while u0 * 2 ** (j + 1) <= 600.0:
@@ -217,21 +219,11 @@ def integrability_test(rate: RateFunction) -> bool:
     return bool(np.mean(ratios[-3:]) < 0.95)
 
 
-def _analytic_integrable(rate: RateFunction) -> Optional[bool]:
-    if rate.kind == "power":
-        return rate.meta["exponent"] > 1.0
-    if rate.kind == "log_power":
-        return rate.meta["exponent"] > 1.0
-    if rate.kind == "empirical_envelope":
-        return 0.0 < rate.meta["lam"] < 1.0
-    return None
-
-
 def _require_integrable(rate: RateFunction) -> None:
     integrable = rate.meta.get("_integrable")
     if integrable is None:
-        known = _analytic_integrable(rate)
-        integrable = integrability_test(rate) if known is None else known
+        closed = _CLOSED_FORMS.get(rate.kind)
+        integrable = integrability_test(rate) if closed is None else closed[0](rate.meta)
         rate.meta["_integrable"] = integrable  # cache: probing is not free
     if not integrable:
         raise IntegrabilityError(
@@ -242,14 +234,7 @@ def _require_integrable(rate: RateFunction) -> None:
 
 def _u_numeric(rate: RateFunction, x: float) -> float:
     """Block quadrature of int_x^inf du/phi(u) in u = log substitution."""
-
-    def integrand(u):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            xv = np.exp(u)
-            phi = np.asarray(rate.evaluate(xv), dtype=float)
-            out = np.where(phi > 0.0, xv / phi, np.inf)
-        return np.nan_to_num(out, nan=np.inf, posinf=np.inf)
-
+    integrand = _log_integrand(rate)
     if float(np.asarray(rate.evaluate(x * (1.0 + 1e-12)))) <= 0.0:
         return math.inf
     total = 0.0
@@ -284,26 +269,16 @@ def _u_numeric(rate: RateFunction, x: float) -> float:
 
 
 def u_integral(rate: RateFunction, x: float) -> float:
-    """U(x) = int_x^inf du/phi(u); strictly decreasing in x, may be inf at the floor."""
+    """U(x) = int_x^inf du/phi(u); strictly decreasing in x, may be inf at the floor.
+
+    The kinds in ``_CLOSED_FORMS`` use their closed form; any other kind is
+    integrated by ``_u_numeric``.  Raises IntegrabilityError when 1/phi is
+    not integrable at infinity.
+    """
     _require_integrable(rate)
-    if rate.kind == "power":
-        c, r = rate.meta["coefficient"], rate.meta["exponent"]
-        if x <= 0.0:
-            return math.inf
-        return x ** (1.0 - r) / (c * (r - 1.0))
-    if rate.kind == "log_power":
-        c, p = rate.meta["coefficient"], rate.meta["exponent"]
-        if x <= 1.0:
-            return math.inf
-        return math.log(x) ** (1.0 - p) / (c * (p - 1.0))
-    if rate.kind == "empirical_envelope":
-        shift, lam = rate.meta["c_shift"], rate.meta["lam"]
-        if x <= shift:
-            return math.inf
-        r = 1.0 / lam
-        with np.errstate(over="ignore"):
-            val = shift ** r * (x - shift) ** (1.0 - r) / (r - 1.0)
-        return float(val)
+    closed = _CLOSED_FORMS.get(rate.kind)
+    if closed is not None:
+        return closed[1](rate.meta, x)
     if x <= max(rate.domain_floor, 0.0):
         return math.inf
     return _u_numeric(rate, x)
@@ -338,9 +313,19 @@ def _cap_point(rate: RateFunction) -> float:
     return h
 
 
+def _power_u(meta: dict, x: float) -> float:
+    c, r = meta["coefficient"], meta["exponent"]
+    return math.inf if x <= 0.0 else x ** (1.0 - r) / (c * (r - 1.0))
+
+
 def _power_inverse(meta: dict, t: float) -> float:
     c, r = meta["coefficient"], meta["exponent"]
     return (c * (r - 1.0) * t) ** (1.0 / (1.0 - r))
+
+
+def _log_power_u(meta: dict, x: float) -> float:
+    c, p = meta["coefficient"], meta["exponent"]
+    return math.inf if x <= 1.0 else math.log(x) ** (1.0 - p) / (c * (p - 1.0))
 
 
 def _log_power_inverse(meta: dict, t: float) -> float:
@@ -348,16 +333,26 @@ def _log_power_inverse(meta: dict, t: float) -> float:
     return math.exp((c * (p - 1.0) * t) ** (1.0 / (1.0 - p)))
 
 
+def _envelope_u(meta: dict, x: float) -> float:
+    shift, r = meta["c_shift"], 1.0 / meta["lam"]
+    if x <= shift:
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float(shift ** r * (x - shift) ** (1.0 - r) / (r - 1.0))
+
+
 def _envelope_inverse(meta: dict, t: float) -> float:
     shift, r = meta["c_shift"], 1.0 / meta["lam"]
     return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
 
 
-#: Explicit inverses of the closed-form tail integrals in ``u_integral``.
-_CLOSED_INVERSES = {
-    "power": _power_inverse,
-    "log_power": _log_power_inverse,
-    "empirical_envelope": _envelope_inverse,
+#: The rate kinds with closed forms: kind -> (whether 1/phi is integrable at
+#: infinity, given the meta; U(x); U^{-1}(t)).  Every other kind is integrated
+#: by quadrature and inverted by bisection.
+_CLOSED_FORMS = {
+    "power": (lambda meta: meta["exponent"] > 1.0, _power_u, _power_inverse),
+    "log_power": (lambda meta: meta["exponent"] > 1.0, _log_power_u, _log_power_inverse),
+    "empirical_envelope": (lambda meta: 0.0 < meta["lam"] < 1.0, _envelope_u, _envelope_inverse),
 }
 
 
@@ -391,11 +386,11 @@ class KProfile:
         """U^{-1}(t) for 0 < t < U(M)."""
         if t <= self.u_at_cap:
             return math.inf
-        closed = _CLOSED_INVERSES.get(self.rate.kind)
+        closed = _CLOSED_FORMS.get(self.rate.kind)
         if closed is None:
             return _bisect_inverse(self.rate, t)
         try:
-            return closed(self.rate.meta, t)
+            return closed[2](self.rate.meta, t)
         except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
             return math.inf
 
@@ -404,7 +399,7 @@ def k_profile(rate: RateFunction) -> KProfile:
     """Build the decay profile of a rate; raises IntegrabilityError when
     1/phi is not integrable at infinity (no profile exists)."""
     _require_integrable(rate)
-    closed = rate.kind in _CLOSED_INVERSES
+    closed = rate.kind in _CLOSED_FORMS
     return KProfile(
         rate=rate,
         u_at_floor=u_integral(rate, rate.domain_floor),
@@ -429,8 +424,9 @@ def kernel_bound(kp: KProfile, cert: LyapunovCertificate, t: float, x, y):
         raise ValueError(f"time must be positive, got {t}")
     k = kp.evaluate(2.0 * t)
     v = cert.weight.value
-    out = k * k * math.exp(2.0 * cert.constant * t) * np.asarray(v(x)) * np.asarray(v(y))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar_or_array(
+        k * k * math.exp(2.0 * cert.constant * t) * np.asarray(v(x)) * np.asarray(v(y))
+    )
 
 
 def weight_squared_mass(model: MeasureModel, weight: Weight, grid: Grid) -> float:
@@ -525,27 +521,14 @@ def nash_quotients(
     model: MeasureModel,
     op: TridiagonalOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row."""
+    """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row,
+    the coordinates a weighted Nash inequality constrains: y >= phi(x)."""
     family = np.atleast_2d(np.asarray(family, dtype=float))
-    grid = op.grid
-    if family.shape[1] != grid.n_points:
-        raise ValueError("family rows must be grid functions")
-    m = grid.node_masses
-    v = weight.value(grid.points)
-    l2sq = (family * family) @ m
-    l1w = np.abs(family) @ (m * v)
+    l1w = weighted_l1(family, weight, op.grid)
     if np.any(l1w <= 0.0):
         raise ValueError("vanishing weighted L1 norm in the family")
-    energy = (np.diff(family, axis=1) ** 2 * op.midpoint_weights[None, :]).sum(axis=1)
-    return l2sq / l1w ** 2, energy / l1w ** 2
-
-
-def nash_quotient(
-    f: np.ndarray, weight: Weight, model: MeasureModel, op: TridiagonalOperator
-) -> tuple[float, float]:
-    """The coordinate pair a weighted Nash inequality constrains: y >= phi(x)."""
-    xq, yq = nash_quotients(np.asarray(f)[None, :], weight, model, op)
-    return float(xq[0]), float(yq[0])
+    l2sq = (family * family) @ op.grid.node_masses
+    return l2sq / l1w ** 2, dirichlet_energy(family, op) / l1w ** 2
 
 
 def empirical_rate(
@@ -616,8 +599,9 @@ def empirical_rate(
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > c_fit, c_fit ** -r * np.clip(x - c_fit, 0.0, None) ** r, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(
+            np.where(x > c_fit, c_fit ** -r * np.clip(x - c_fit, 0.0, None) ** r, 0.0)
+        )
 
     return RateFunction(
         kind="empirical_envelope",
@@ -727,15 +711,11 @@ def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = (flat[:, None] / (2.0 * times[None, :])) * np.log(
-                flat[:, None] / ksq[None, :]
-            )
+            terms = (x[..., None] / (2.0 * times)) * np.log(x[..., None] / ksq)
         terms = np.where(np.isfinite(terms), terms, -np.inf)
-        out = np.clip(np.max(terms, axis=1), 0.0, None)
-        out = np.where(flat > 0.0, out, 0.0)
-        return float(out[0]) if x.ndim == 0 else out
+        out = np.clip(np.max(terms, axis=-1), 0.0, None)
+        return _scalar_or_array(np.where(x > 0.0, out, 0.0))
 
     return RateFunction(
         kind="converse",
@@ -777,16 +757,14 @@ def super_poincare_envelope(a_values: np.ndarray, b_values: np.ndarray) -> RateF
 
     def psi(x):
         x = np.asarray(x, dtype=float)
-        out = np.min(a_values[None, :] * np.atleast_1d(x)[:, None] + b_values[None, :], axis=1)
-        return float(out[0]) if x.ndim == 0 else out
+        return _scalar_or_array(np.min(a_values * x[..., None] + b_values, axis=-1))
 
     floor = float(np.min(b_values))
 
     def evaluate(u):
         u = np.asarray(u, dtype=float)
-        out = np.max((np.atleast_1d(u)[:, None] - b_values[None, :]) / a_values[None, :], axis=1)
-        out = np.clip(out, 0.0, None)
-        return float(out[0]) if u.ndim == 0 else out
+        out = np.max((u[..., None] - b_values) / a_values, axis=-1)
+        return _scalar_or_array(np.clip(out, 0.0, None))
 
     return RateFunction(
         kind="super_poincare",

@@ -29,100 +29,45 @@ __all__ = ["ExperimentConfig", "ReportRecord", "parse_config", "main"]
 
 _SCHEMA = "heatlab.report.v1"
 
-_DEFAULTS = {
-    "family": "mu_a",
-    "a": 1.5,
-    "beta_model": 2.0,
-    "radius": None,
-    "n_points": 800,
-    "weight": "mu_a",
-    "beta": 1.0,
-    "times": [0.25, 0.5, 1.0],
-    "t_min": 1e-3,
-    "seed": 0,
-    "theta": None,
-    "train_size": 200,
-    "heldout_size": 200,
-    "floor_scale": 1.5,
-    "safety": 1.5,
-    "bump_width_lo": 0.2,
-    "bump_width_hi": 2.0,
-    "kernel_half_width": 2.0,
-    "rate": "empirical",
-    "rate_n": 1.0,
-    "rate_c": 1.0,
-    "log_a": 2.5,
-    "k_samples_csv": None,
-    "family_kind": "bumps",
-    "trace_check": True,
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    family: str
-    a: float
-    beta_model: float
-    radius: float | None
-    n_points: int
-    weight: str
-    beta: float
-    times: tuple
-    t_min: float
-    seed: int
-    theta: float | None
-    train_size: int
-    heldout_size: int
-    floor_scale: float
-    safety: float
-    bump_width_lo: float
-    bump_width_hi: float
-    kernel_half_width: float
-    rate: str
-    rate_n: float
-    rate_c: float
-    log_a: float
-    k_samples_csv: str | None
-    family_kind: str
-    trace_check: bool
+    """One run's settings; each field is a config key, with its default."""
+
+    family: str = "mu_a"
+    a: float = 1.5
+    beta_model: float = 2.0
+    radius: float | None = None
+    n_points: int = 800
+    weight: str = "mu_a"
+    beta: float = 1.0
+    times: tuple = (0.25, 0.5, 1.0)
+    t_min: float = 1e-3
+    seed: int = 0
+    theta: float | None = None
+    train_size: int = 200
+    heldout_size: int = 200
+    floor_scale: float = 1.5
+    safety: float = 1.5
+    bump_width_lo: float = 0.2
+    bump_width_hi: float = 2.0
+    kernel_half_width: float = 2.0
+    rate: str = "empirical"
+    rate_n: float = 1.0
+    rate_c: float = 1.0
+    log_a: float = 2.5
+    k_samples_csv: str | None = None
+    family_kind: str = "bumps"
+    trace_check: bool = True
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        merged = dict(_DEFAULTS)
-        unknown = set(raw) - set(_DEFAULTS)
+        """Config from parsed ``key = value`` pairs, each coerced by ``_coerce``."""
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(raw)
         try:
-            cfg = cls(
-                family=str(merged["family"]),
-                a=float(merged["a"]),
-                beta_model=float(merged["beta_model"]),
-                radius=None if merged["radius"] is None else float(merged["radius"]),
-                n_points=int(merged["n_points"]),
-                weight=str(merged["weight"]),
-                beta=float(merged["beta"]),
-                times=tuple(float(t) for t in _as_list(merged["times"])),
-                t_min=float(merged["t_min"]),
-                seed=int(merged["seed"]),
-                theta=None if merged["theta"] is None else float(merged["theta"]),
-                train_size=int(merged["train_size"]),
-                heldout_size=int(merged["heldout_size"]),
-                floor_scale=float(merged["floor_scale"]),
-                safety=float(merged["safety"]),
-                bump_width_lo=float(merged["bump_width_lo"]),
-                bump_width_hi=float(merged["bump_width_hi"]),
-                kernel_half_width=float(merged["kernel_half_width"]),
-                rate=str(merged["rate"]),
-                rate_n=float(merged["rate_n"]),
-                rate_c=float(merged["rate_c"]),
-                log_a=float(merged["log_a"]),
-                k_samples_csv=(
-                    None if merged["k_samples_csv"] is None else str(merged["k_samples_csv"])
-                ),
-                family_kind=str(merged["family_kind"]),
-                trace_check=bool(merged["trace_check"]),
-            )
+            cfg = cls(**{key: _coerce(annotations[key], value) for key, value in raw.items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
         cfg._validate()
@@ -187,8 +132,18 @@ class ReportRecord:
         return True
 
 
-def _as_list(v):
-    return v if isinstance(v, (list, tuple)) else [v]
+_CONVERTERS = {"str": str, "float": float, "int": int, "bool": bool}
+
+
+def _coerce(annotation: str, value):
+    """A parsed config value as the type its field's annotation names; None
+    stays None in an optional (``X | None``) field, a scalar ``times`` is one time."""
+    kind, _, optional = annotation.partition(" | ")
+    if optional and value is None:
+        return None
+    if kind == "tuple":
+        return tuple(float(t) for t in (value if isinstance(value, (list, tuple)) else [value]))
+    return _CONVERTERS[kind](value)
 
 
 def _json_safe(obj):
@@ -283,29 +238,33 @@ def _bump_family(cfg: ExperimentConfig, grid, rng, count):
     )
 
 
-def _pipeline(cfg: ExperimentConfig, model, grid, op):
-    """Lyapunov certificate + calibrated rate + K profile for the mu_a family."""
+def _closed_rate(cfg: ExperimentConfig):
+    """The rate ``rate = classical`` or ``rate = log`` names; None for
+    ``rate = empirical``, which is calibrated on a family instead."""
+    if cfg.rate == "classical":
+        return bounds.classical_nash_rate(cfg.rate_n, cfg.rate_c)
+    if cfg.rate == "log":
+        return bounds.log_rate(cfg.log_a, cfg.rate_c)
+    return None
+
+
+def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
+    """(weight, Lyapunov certificate, rate, exponents, K profile) for the mu_a
+    family.  The training family is drawn from ``rng`` whatever the rate
+    kind, so what the caller draws next does not depend on it."""
     if cfg.family != "mu_a" or not cfg.a > 1:
         raise ConfigError("the verification pipeline requires the mu_a family with a > 1")
     weight = _build_weight(cfg, model)
     cert = bounds.lyapunov_constant(model, weight, grid).nonnegative()
-    rng = np.random.default_rng(cfg.seed)
     train = _bump_family(cfg, grid, rng, cfg.train_size)
-    heldout = _bump_family(cfg, grid, rng, cfg.heldout_size) if cfg.heldout_size else None
-    if cfg.rate == "classical":
-        rate = bounds.classical_nash_rate(cfg.rate_n, cfg.rate_c)
-        exps = None
-    elif cfg.rate == "log":
-        rate = bounds.log_rate(cfg.log_a, cfg.rate_c)
-        exps = None
-    else:
+    rate, exps = _closed_rate(cfg), None
+    if rate is None:
         exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
         rate = bounds.empirical_rate(
             train, weight, model, op,
             exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
         )
-    kp = bounds.k_profile(rate)
-    return weight, cert, rate, exps, kp, train, heldout
+    return weight, cert, rate, exps, bounds.k_profile(rate)
 
 
 # ----------------------------------------------------------------------
@@ -354,10 +313,9 @@ def run_kernel(cfg: ExperimentConfig):
     idx = _kernel_sample_nodes(grid, cfg.kernel_half_width)
     x = grid.points
 
-    bound_ctx = None
+    kp = cert = None
     if cfg.family == "mu_a" and cfg.a > 1 and cfg.weight == "mu_a":
-        weight, cert, rate, exps, kp, _, _ = _pipeline(cfg, model, grid, op)
-        bound_ctx = (kp, cert)
+        _, cert, _, _, kp = _pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
 
     header = ["t", "x", "y", "p_t", "bound", "slack"]
     is_ou = cfg.family == "ou"
@@ -380,8 +338,8 @@ def run_kernel(cfg: ExperimentConfig):
         p = spectral.kernel_matrix(dec, t, idx)
         if is_ou:
             bound = measures.mehler_diag_bound(t / 2.0, xi, xj)
-        elif bound_ctx is not None:
-            bound = bounds.kernel_bound(bound_ctx[0], bound_ctx[1], t / 2.0, xi, xj)
+        elif kp is not None:
+            bound = bounds.kernel_bound(kp, cert, t / 2.0, xi, xj)
         else:
             bound = np.full_like(p, math.nan)
         slack = bound - (p + spectral.kernel_tail(dec, t, idx))
@@ -448,15 +406,15 @@ def _kernel_scan(dec, kp, cert, t: float):
 def run_verify(cfg: ExperimentConfig):
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model, t_first=min(cfg.times))
-    weight, cert, rate, exps, kp, train, heldout = _pipeline(cfg, model, grid, op)
-    if heldout is None:
+    rng = np.random.default_rng(cfg.seed)
+    weight, cert, rate, exps, kp = _pipeline(cfg, model, grid, op, rng)
+    if not cfg.heldout_size:
         raise ConfigError("verify requires a nonempty held-out family")
+    heldout = _bump_family(cfg, grid, rng, cfg.heldout_size)
     if rate.meta.get("degenerate"):
         raise CalibrationError(
             "empirical rate degenerate: no training sample above the floor"
         )
-    mass = grid.node_masses
-    v = weight.value(grid.points)
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
@@ -464,11 +422,11 @@ def run_verify(cfg: ExperimentConfig):
     # (a) semigroup norm domination on held-out functions
     min_slack_a = math.inf
     viol_a = 0
-    l1w = np.abs(heldout) @ (mass * v)
-    f_l2 = np.sqrt((heldout * heldout) @ mass)
+    l1w = spectral.weighted_l1(heldout, weight, grid)
+    f_l2 = spectral.l2_norm(heldout, grid)
     for t in cfg.times:
         pf = spectral.apply_semigroup(dec, heldout, t)
-        l2 = np.sqrt((pf * pf) @ mass) + dec.tail(t) * f_l2
+        l2 = spectral.l2_norm(pf, grid) + dec.tail(t) * f_l2
         slack = bounds.l2_bound(kp, cert, t) * l1w - l2
         min_slack_a = min(min_slack_a, float(slack.min()))
         viol_a += int(np.sum(slack < -1e-9))
@@ -487,7 +445,7 @@ def run_verify(cfg: ExperimentConfig):
     viol_c = 0
     if cfg.trace_check:
         for t in cfg.times:
-            hs = spectral.hs_norm_sq(dec, t)
+            hs = spectral.trace(dec, 2.0 * t)
             tb = bounds.trace_bound(kp, cert, model, grid, t)
             trace_rows.append([t, hs, tb])
             slack = tb - (hs + spectral.trace_tail(dec, 2.0 * t))
@@ -552,11 +510,8 @@ def run_converse(cfg: ExperimentConfig):
         times, ks = _load_k_samples(cfg.k_samples_csv)
         source = cfg.k_samples_csv
     else:
-        if cfg.rate == "classical":
-            base = bounds.classical_nash_rate(cfg.rate_n, cfg.rate_c)
-        elif cfg.rate == "log":
-            base = bounds.log_rate(cfg.log_a, cfg.rate_c)
-        else:
+        base = _closed_rate(cfg)
+        if base is None:
             raise ConfigError("converse without a sample file needs rate = classical or log")
         kp = bounds.k_profile(base)
         times = bounds.DEFAULT_CONVERSE_TIMES
@@ -586,16 +541,17 @@ def run_converse(cfg: ExperimentConfig):
 
 def run_nash_scan(cfg: ExperimentConfig):
     model = _build_model(cfg)
-    grid, op, dec = _decompose(cfg, model)
     weight = _build_weight(cfg, model)
-    rng = np.random.default_rng(cfg.seed)
+    if cfg.family != "mu_a" or not cfg.a > 1:
+        raise ConfigError("nash-scan requires the mu_a family with a > 1")
+    # the quotients need the discretized form only, not its spectrum
+    grid = spectral.make_grid(model, cfg.n_points)
+    op = spectral.discretize(model, grid)
     if cfg.family_kind == "constants":
         family = np.ones((max(cfg.train_size, 1), grid.n_points))
     else:
-        family = _bump_family(cfg, grid, rng, cfg.train_size)
+        family = _bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
     xq, yq = bounds.nash_quotients(family, weight, model, op)
-    if cfg.family != "mu_a" or not cfg.a > 1:
-        raise ConfigError("nash-scan requires the mu_a family with a > 1")
     exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
     rate = bounds.empirical_rate(
         family, weight, model, op,
@@ -604,6 +560,7 @@ def run_nash_scan(cfg: ExperimentConfig):
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))
     degenerate = bool(rate.meta.get("degenerate", False))
+    env_viol = bounds.envelope_violations(rate, xq, yq)
     record = ReportRecord(
         experiment="nash_scan",
         inputs={
@@ -618,8 +575,8 @@ def run_nash_scan(cfg: ExperimentConfig):
         },
         checks={
             "envelope_below_samples": {
-                "pass": bounds.envelope_violations(rate, xq, yq) == 0,
-                "violations": bounds.envelope_violations(rate, xq, yq),
+                "pass": env_viol == 0,
+                "violations": env_viol,
                 "min_slack": float(
                     np.min(yq - np.asarray(rate.evaluate(xq))) if len(xq) else math.inf
                 ),
@@ -641,7 +598,7 @@ def run_trace(cfg: ExperimentConfig):
     worst = 0.0
     for t in cfg.times:
         tr = spectral.trace(dec, t)
-        hs = spectral.hs_norm_sq(dec, t)
+        hs = spectral.trace(dec, 2.0 * t)
         diag = spectral.diagonal_trace_quadrature(dec, 2.0 * t)
         rows.append([t, tr, hs, diag])
         worst = max(worst, abs(hs - diag))

@@ -67,6 +67,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _NORM_RTOL = 1e-13
 
 
+def _scalar_or_array(out):
+    """A 0-d result as a Python float; any other array unchanged."""
+    return out if np.ndim(out) else float(out)
+
+
 def soft_abs(x):
     """Smoothed absolute value T(x) = sqrt(1 + x^2)."""
     x = np.asarray(x, dtype=float)
@@ -399,8 +404,7 @@ def mehler_kernel(t: float, x, y):
     den = 1.0 - r * r
     # grouped as r*(x*y) so the evaluation is symmetric in (x, y) exactly
     expo = -(r * r * (x * x + y * y) - 2.0 * r * (x * y)) / (2.0 * den)
-    out = den ** -0.5 * np.exp(expo)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(den ** -0.5 * np.exp(expo))
 
 
 def mehler_diag_bound(t: float, x, y):
@@ -415,8 +419,7 @@ def mehler_diag_bound(t: float, x, y):
     y = np.asarray(y, dtype=float)
     pref = (1.0 - math.exp(-4.0 * t)) ** -0.5
     denom = 2.0 * (1.0 + math.exp(2.0 * t))
-    out = pref * np.exp(x * x / denom + y * y / denom)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(pref * np.exp(x * x / denom + y * y / denom))
 
 
 def suggest_radius(a: float, tail_tol: float = TAIL_TOL) -> float:

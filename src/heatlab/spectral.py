@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericError
-from .measures import MeasureModel, Weight
+from .measures import MeasureModel, Weight, _scalar_or_array
 
 __all__ = [
     "DEFAULT_T_MIN",
@@ -42,7 +42,6 @@ __all__ = [
     "make_grid",
     "discretize",
     "eigendecompose",
-    "kernel",
     "kernel_matrix",
     "kernel_tail",
     "trace_tail",
@@ -50,7 +49,6 @@ __all__ = [
     "stochasticity_defect",
     "apply_semigroup",
     "trace",
-    "hs_norm_sq",
     "diagonal_trace_quadrature",
     "l2_norm",
     "weighted_l1",
@@ -230,16 +228,16 @@ def _check_time(dec: SpectralDecomposition, t: float) -> None:
         )
 
 
-def kernel(dec: SpectralDecomposition, t: float, i: int, j: int) -> float:
-    """Kernel density p_t(x_i, x_j) w.r.t. the discrete measure."""
-    _check_time(dec, t)
-    ef = dec.eigenfunctions
-    # grouped as (e_n(x_i) e_n(x_j)) so the evaluation is symmetric in (i, j)
-    return float(np.sum(np.exp(-dec.eigenvalues * t) * (ef[i] * ef[j])))
+def _grid_functions(f, grid: Grid) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != grid.points.shape:
+        raise ValueError("grid function shape does not match the grid")
+    return f
 
 
 def kernel_matrix(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -> np.ndarray:
-    """Kernel table p_t(x_i, x_j); symmetrized so p(i,j) == p(j,i) exactly.
+    """Kernel table p_t(x_i, x_j) w.r.t. the discrete measure; symmetrized so
+    p(i,j) == p(j,i) exactly.
 
     With ``nodes`` (an index array or slice) only the ``nodes x nodes``
     block is synthesized, from the eigenfunction rows at those nodes; it
@@ -330,23 +328,17 @@ def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.n
         raise ValueError(f"time must be nonnegative, got {t}")
     if not math.isinf(dec.tail_rate):
         _check_time(dec, t)
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1:] != dec.grid.points.shape:
-        raise ValueError("grid function shape does not match the grid")
+    f = _grid_functions(f, dec.grid)
     ef = dec.eigenfunctions
     coeff = (f * dec.node_masses) @ ef
     return (coeff * np.exp(-dec.eigenvalues * t)) @ ef.T
 
 
 def trace(dec: SpectralDecomposition, t: float) -> float:
-    """Trace of P_t: sum_n exp(-lambda_n t)."""
+    """Trace of P_t: sum_n exp(-lambda_n t); trace(dec, 2t) is the squared
+    Hilbert-Schmidt norm of P_t."""
     _check_time(dec, t)
     return float(np.sum(np.exp(-dec.eigenvalues * t)))
-
-
-def hs_norm_sq(dec: SpectralDecomposition, t: float) -> float:
-    """Squared Hilbert-Schmidt norm of P_t: sum_n exp(-2 lambda_n t) = trace(2t)."""
-    return trace(dec, 2.0 * t)
 
 
 def diagonal_trace_quadrature(dec: SpectralDecomposition, t: float) -> float:
@@ -357,38 +349,25 @@ def diagonal_trace_quadrature(dec: SpectralDecomposition, t: float) -> float:
     return float(np.sum(dec.node_masses * diag))
 
 
-def l2_norm(f: np.ndarray, grid: Grid) -> float:
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.points.shape:
-        raise ValueError("grid function shape does not match the grid")
-    return float(np.sqrt(np.sum(grid.node_masses * f * f)))
+def l2_norm(f: np.ndarray, grid: Grid):
+    """L2(mu) norm ||f||_2 = sqrt(sum_i m_i f_i^2).
+
+    Like ``weighted_l1`` and ``dirichlet_energy``, it takes one grid function
+    (a float back) or a stack of shape ``(..., n)`` (one value per row)."""
+    f = _grid_functions(f, grid)
+    return _scalar_or_array(np.sqrt((f * f) @ grid.node_masses))
 
 
-def weighted_l1(f: np.ndarray, weight, grid: Grid) -> float:
-    """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i).
-
-    ``weight`` may be a Weight, a callable, or an array of values on the grid.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.points.shape:
-        raise ValueError("grid function shape does not match the grid")
-    if isinstance(weight, Weight):
-        v = weight.value(grid.points)
-    elif callable(weight):
-        v = weight(grid.points)
-    else:
-        v = np.asarray(weight, dtype=float)
-        if v.shape != grid.points.shape:
-            raise ValueError("weight values shape does not match the grid")
-    return float(np.sum(grid.node_masses * np.abs(f) * v))
+def weighted_l1(f: np.ndarray, weight: Weight, grid: Grid):
+    """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i)."""
+    f = _grid_functions(f, grid)
+    return _scalar_or_array(np.abs(f) @ (grid.node_masses * weight.value(grid.points)))
 
 
-def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator) -> float:
+def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator):
     """E_h(f,f) = sum_i rho(x_{i+1/2}) h ((f_{i+1}-f_i)/h)^2; zero on constants."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != op.grid.points.shape:
-        raise ValueError("grid function shape does not match the grid")
-    return float(np.sum(op.midpoint_weights * np.diff(f) ** 2))
+    f = _grid_functions(f, op.grid)
+    return _scalar_or_array((np.diff(f, axis=-1) ** 2 * op.midpoint_weights).sum(axis=-1))
 
 
 def ground_state_transform_residual(

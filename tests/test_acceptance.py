@@ -158,7 +158,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
         viol_b += int(np.sum(slack_b < -1e-9))
         min_b = min(min_b, float(slack_b.min()))
 
-        slack_c = hl.trace_bound(kp, cert, mua_model, grid, t) - hl.hs_norm_sq(dec, t)
+        slack_c = hl.trace_bound(kp, cert, mua_model, grid, t) - hl.trace(dec, 2.0 * t)
         viol_c += int(slack_c < -1e-9)
         min_c = min(min_c, float(slack_c))
 

@@ -285,7 +285,7 @@ def test_trace_bound_integrability(mua_model, mua_setup, mua_pipeline):
     weight, cert, _, _, kp, _, _ = mua_pipeline
     for t in (0.5, 1.0):
         bound = hl.trace_bound(kp, cert, mua_model, grid, t)
-        assert bound >= hl.hs_norm_sq(dec, t)
+        assert bound >= hl.trace(dec, 2.0 * t)
     universal_cert = hl.LyapunovCertificate(
         hl.universal_weight(mua_model), 0.0, np.zeros(3)
     )
@@ -301,7 +301,7 @@ def test_nash_quotient_constant_function(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     ones = np.ones(grid.n_points)
-    xq, yq = hl.nash_quotient(ones, weight, mua_model, op)
+    (xq,), (yq,) = hl.nash_quotients(ones, weight, mua_model, op)
     int_v = float(np.sum(grid.node_masses * weight.value(grid.points)))
     assert xq == pytest.approx(1.0 / int_v ** 2, rel=1e-12)
     assert yq == 0.0
@@ -310,13 +310,13 @@ def test_nash_quotient_constant_function(mua_model, mua_setup):
 def test_nash_quotient_scale_invariance(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
-    f = hl.gaussian_bump_family(grid, 1, rng)[0]
-    q1 = hl.nash_quotient(f, weight, mua_model, op)
-    q2 = hl.nash_quotient(2.0 * f, weight, mua_model, op)
-    assert q1[0] == pytest.approx(q2[0], rel=1e-12)
-    assert q1[1] == pytest.approx(q2[1], rel=1e-12)
+    f = hl.gaussian_bump_family(grid, 1, rng)
+    q1 = hl.nash_quotients(f, weight, mua_model, op)
+    q2 = hl.nash_quotients(2.0 * f, weight, mua_model, op)
+    assert q1[0][0] == pytest.approx(q2[0][0], rel=1e-12)
+    assert q1[1][0] == pytest.approx(q2[1][0], rel=1e-12)
     with pytest.raises(ValueError):
-        hl.nash_quotient(np.zeros(grid.n_points), weight, mua_model, op)
+        hl.nash_quotients(np.zeros((1, grid.n_points)), weight, mua_model, op)
 
 
 def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):

@@ -186,7 +186,7 @@ def test_kernel_table_matches_entrywise_reference():
 
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model)
-    _, cert, _, _, kp, _, _ = cli._pipeline(cfg, model, grid, op)
+    _, cert, _, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     x = grid.points
     nodes = cli._kernel_sample_nodes(grid, cfg.kernel_half_width)
     ref = []
@@ -298,7 +298,7 @@ def _scan_setup():
     cfg = cli.ExperimentConfig.from_mapping({"n_points": 800, "train_size": 40, "seed": 3})
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
-    _, cert, _, _, kp, _, _ = cli._pipeline(cfg, model, grid, op)
+    _, cert, _, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     return cfg, grid, dec, cert, kp
 
 

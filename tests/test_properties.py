@@ -1,6 +1,11 @@
 """Property-based tests (hypothesis, from the optional ``test`` extra)."""
 
+import contextlib
+import dataclasses
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import heatlab as hl  # noqa: E402
+from heatlab import cli  # noqa: E402
 
 fractions = st.floats(1e-3, 1.0 - 1e-3)
 
@@ -59,3 +65,108 @@ def test_log_power_round_trip(coefficient, a, q):
 def test_envelope_round_trip(shift, lam, q):
     # U(x) subtracts C from x: keep x - C well above the rounding of x
     assert_round_trip(envelope_rate(shift, lam), q, 1.001 * shift)
+
+
+# ----------------------------------------------------------------------
+# config parse round trip
+
+FIELDS = {f.name: f.type for f in dataclasses.fields(cli.ExperimentConfig)}
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(1e-6, 1e6)
+
+# every key, with a strategy for values that pass ExperimentConfig._validate
+# whatever subset of keys is given (the others keep their defaults)
+VALID_VALUES = {
+    "family": st.sampled_from(["mu_a", "cauchy", "ou"]),
+    "a": positive,
+    "beta_model": st.floats(1.001, 100.0),
+    "radius": st.none() | positive,
+    "n_points": st.integers(3, 10**6),
+    "weight": st.sampled_from(["mu_a", "universal", "unit"]),
+    "beta": finite,
+    "times": st.lists(positive, min_size=1, max_size=4).map(tuple),
+    "t_min": finite,
+    "seed": st.integers(0, 2**63),
+    "theta": st.none() | st.floats(1e-6, 1.0 - 1e-6),
+    "train_size": st.integers(1, 10**6),
+    "heldout_size": st.integers(0, 10**6),
+    "floor_scale": finite,
+    "safety": st.floats(1.0, 1e6),
+    "bump_width_lo": st.floats(1e-3, 2.0),
+    "bump_width_hi": st.floats(2.0, 1e3),
+    "kernel_half_width": finite,
+    "rate": st.sampled_from(["empirical", "classical", "log"]),
+    "rate_n": finite,
+    "rate_c": finite,
+    "log_a": finite,
+    "k_samples_csv": st.none() | st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True),
+    "family_kind": st.sampled_from(["bumps", "constants"]),
+    "trace_check": st.booleans(),
+}
+
+
+def config_text(values: dict) -> str:
+    """``key = value`` lines as a user would write them."""
+    lines = []
+    for key, value in values.items():
+        if value is None:
+            text = "none"
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, tuple):
+            text = ", ".join(repr(v) for v in value)
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def run_config(text: str, command: str = "spectrum"):
+    """(exit code, whether the output directory exists) of one CLI run."""
+    with tempfile.TemporaryDirectory() as work:
+        path, out = os.path.join(work, "cfg.txt"), os.path.join(work, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", path, "--out", out, "--quiet"])
+        return code, os.path.exists(out)
+
+
+def test_valid_values_cover_every_key():
+    assert set(VALID_VALUES) == set(FIELDS)
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({}, optional=VALID_VALUES))
+def test_config_round_trip(values):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "cfg.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config_text(values))
+        parsed = cli.ExperimentConfig.from_mapping(cli.parse_config(path))
+    assert parsed == cli.ExperimentConfig(**values)
+
+
+# trace_check = none reads as false (bool(None)), so it is left out here
+NON_OPTIONAL = sorted(k for k, kind in FIELDS.items() if "None" not in kind and kind != "bool")
+FLOAT_FIELDS = sorted(k for k, kind in FIELDS.items() if kind.startswith("float"))
+WORDS = st.from_regex(r"[a-z][a-z_]{0,10}", fullmatch=True)
+NOT_NUMBERS = WORDS.filter(lambda w: w not in {"true", "false", "none", "null", "nan", "inf", "infinity"})
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(NON_OPTIONAL))
+def test_none_for_non_optional_field_exits_2(key):
+    assert run_config(f"{key} = none\n") == (2, False)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(FLOAT_FIELDS), NOT_NUMBERS)
+def test_non_numeric_float_exits_2(key, word):
+    assert run_config(f"{key} = {word}\n") == (2, False)
+
+
+@settings(deadline=None, max_examples=30)
+@given(WORDS.filter(lambda w: w not in FIELDS))
+def test_unknown_key_exits_2(key):
+    assert run_config(f"{key} = 1\n") == (2, False)

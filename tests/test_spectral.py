@@ -91,7 +91,8 @@ def test_kernel_symmetry_and_positivity(mua_setup):
         assert np.array_equal(p, p.T)
         assert p[np.ix_(idx, idx)].min() >= -1e-8
     i, j = idx[0], idx[-1]
-    assert hl.kernel(dec, 0.5, i, j) == hl.kernel(dec, 0.5, j, i)
+    block = hl.kernel_matrix(dec, 0.5, [i, j])
+    assert block[0, 1] == block[1, 0]
 
 
 def test_kernel_matrix_sub_block(ou_setup, mua_setup):
@@ -124,7 +125,7 @@ def test_kernel_time_floor(mua_setup):
     with pytest.raises(ValueError):
         hl.kernel_matrix(dec, 1e-4)
     with pytest.raises(ValueError):
-        hl.kernel(dec, 5e-4, 0, 0)
+        hl.kernel_matrix(dec, 5e-4, [0, 0])
     with pytest.raises(ValueError):
         hl.trace(dec, 1e-4)
     with pytest.raises(ValueError):
@@ -173,14 +174,13 @@ def test_trace_identities(ou_setup, mua_setup):
 
     grid, _, dec = mua_setup
     for t in (0.25, 0.5, 1.0):
-        assert hl.hs_norm_sq(dec, t) == hl.trace(dec, 2.0 * t)
-        assert abs(hl.hs_norm_sq(dec, t) - hl.diagonal_trace_quadrature(dec, 2.0 * t)) <= 1e-8
+        assert abs(hl.trace(dec, 2.0 * t) - hl.diagonal_trace_quadrature(dec, 2.0 * t)) <= 1e-8
     # brute-force double quadrature of p_t^2
     t = 0.5
     p = hl.kernel_matrix(dec, t)
     m = grid.node_masses
     double = float(np.sum(m[:, None] * m[None, :] * p * p))
-    assert double == pytest.approx(hl.hs_norm_sq(dec, t), rel=1e-4)
+    assert double == pytest.approx(hl.trace(dec, 2.0 * t), rel=1e-4)
 
 
 def test_norms(mua_setup, mua_model, rng):
@@ -199,6 +199,25 @@ def test_norms(mua_setup, mua_model, rng):
     assert coarse == pytest.approx(fine, rel=1e-4)
     with pytest.raises(ValueError):
         hl.l2_norm(np.ones(7), grid)
+
+
+def test_norm_helpers_take_stacks(mua_setup, rng):
+    # a (..., n) stack gives one value per row, equal to the per-row call up
+    # to the BLAS summation order of the matrix-vector product
+    grid, op, _ = mua_setup
+    weight = hl.weight_mu_a(1.5, 1.0)
+    bumps = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
+    stack = bumps * rng.standard_normal((3, 4, 1))
+    for norm, args in ((hl.l2_norm, (grid,)), (hl.weighted_l1, (weight, grid)),
+                       (hl.dirichlet_energy, (op,))):
+        values = norm(stack, *args)
+        per_row = np.array([[norm(f, *args) for f in block] for block in stack])
+        assert values.shape == (3, 4)
+        assert isinstance(norm(stack[0, 0], *args), float)
+        assert np.allclose(values, per_row, rtol=4 * np.finfo(float).eps, atol=0.0), norm.__name__
+    assert np.array_equal(hl.dirichlet_energy(stack, op), per_row)
+    with pytest.raises(ValueError):
+        hl.weighted_l1(stack[..., :-1], weight, grid)
 
 
 def test_ground_state_transform(mua_model, mua_setup):
