@@ -72,6 +72,14 @@ def _scalar_or_array(out):
     return out if np.ndim(out) else float(out)
 
 
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def soft_abs(x):
     """Smoothed absolute value T(x) = sqrt(1 + x^2)."""
     x = np.asarray(x, dtype=float)
@@ -248,19 +256,12 @@ def make_lebesgue(radius: float) -> MeasureModel:
     """Lebesgue measure on the window (infinite total mass on the line)."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-
-    def ones(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zeros(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return MeasureModel(
         name="lebesgue",
         radius=float(radius),
-        density=ones,
-        log_density=zeros,
-        drift=zeros,
+        density=_ones,
+        log_density=_zeros,
+        drift=_zeros,
         normalization=math.inf,
         params={"family": "lebesgue"},
     )
@@ -329,15 +330,8 @@ def universal_weight(model: MeasureModel) -> Weight:
 
 def unit_weight() -> Weight:
     """The trivial weight V = 1 (plain Nash inequality setting)."""
-
-    def ones(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zeros(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return Weight(value=ones, log_value=zeros, params={"family": "unit"},
-                  dlog=zeros, d2log=zeros)
+    return Weight(value=_ones, log_value=_zeros, params={"family": "unit"},
+                  dlog=_zeros, d2log=_zeros)
 
 
 def mehler_weight(t: float) -> Weight:

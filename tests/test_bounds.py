@@ -103,6 +103,14 @@ def test_integrability_probe_log_rates(a, expected):
     assert (2.0 * (1.0 - 1.0 / a) > 1.0) is expected
 
 
+def test_closed_form_integrability_overrides_the_probe():
+    # just above the borderline a = 2 the numeric probe is conservative; for a
+    # closed-form kind the criterion p = 2(1 - 1/a) > 1 decides instead
+    rate = hl.log_rate(2.1)
+    assert hl.integrability_test(rate) is False
+    assert math.isfinite(hl.k_profile(rate).u_at_floor)
+
+
 def test_integrability_probe_power_rates():
     assert hl.integrability_test(hl.power_rate(1.0, 2.0)) is True
     assert hl.integrability_test(hl.power_rate(1.0, 1.0)) is False
