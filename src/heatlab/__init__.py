@@ -56,8 +56,9 @@ from .bounds import (
     classical_nash_rate,
     converse_rate,
     empirical_rate,
-    envelope_violations,
+    envelope_slack,
     integrability_test,
+    is_integrable,
     k_profile,
     kernel_bound,
     l2_bound,

@@ -40,6 +40,7 @@ __all__ = [
     "classical_nash_rate",
     "log_rate",
     "integrability_test",
+    "is_integrable",
     "u_integral",
     "k_profile",
     "l2_bound",
@@ -49,7 +50,7 @@ __all__ = [
     "lyapunov_constant",
     "nash_quotients",
     "empirical_rate",
-    "envelope_violations",
+    "envelope_slack",
     "mu_a_exponents",
     "converse_rate",
     "super_poincare_envelope",
@@ -219,13 +220,19 @@ def integrability_test(rate: RateFunction) -> bool:
     return bool(np.mean(ratios[-3:]) < 0.95)
 
 
-def _require_integrable(rate: RateFunction) -> None:
+def is_integrable(rate: RateFunction) -> bool:
+    """Whether 1/phi is integrable at infinity: the exact criterion of a kind
+    in ``_CLOSED_FORMS``, the numeric probe ``integrability_test`` otherwise."""
     integrable = rate.meta.get("_integrable")
     if integrable is None:
         closed = _CLOSED_FORMS.get(rate.kind)
         integrable = integrability_test(rate) if closed is None else closed[0](rate.meta)
         rate.meta["_integrable"] = integrable  # cache: probing is not free
-    if not integrable:
+    return integrable
+
+
+def _require_integrable(rate: RateFunction) -> None:
+    if not is_integrable(rate):
         raise IntegrabilityError(
             f"1/phi not integrable at infinity for rate kind {rate.kind!r}: "
             "no decay profile exists"
@@ -619,17 +626,13 @@ def empirical_rate(
     )
 
 
-def envelope_violations(
-    rate: RateFunction, xq: np.ndarray, yq: np.ndarray, slack: float = 1e-9
-) -> int:
-    """Count quotient pairs with x above the floor violating y >= phi(x) - slack."""
+def envelope_slack(rate: RateFunction, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
+    """y - phi(x) over the quotient pairs with x above the floor, the pairs
+    the envelope constrains; a negative entry is a pair below the envelope."""
     xq = np.asarray(xq, dtype=float)
     yq = np.asarray(yq, dtype=float)
     sel = xq > rate.domain_floor
-    if not np.any(sel):
-        return 0
-    phi = np.asarray(rate.evaluate(xq[sel]))
-    return int(np.sum(yq[sel] < phi - slack))
+    return yq[sel] - np.asarray(rate.evaluate(xq[sel]))
 
 
 # ----------------------------------------------------------------------

@@ -86,12 +86,18 @@ class ExperimentConfig:
             raise ConfigError(f"n_points must be at least 3, got {self.n_points}")
         if self.weight not in ("mu_a", "universal", "unit"):
             raise ConfigError(f"unknown weight kind {self.weight!r}")
+        if not self.kernel_half_width > 0:
+            raise ConfigError(f"kernel_half_width must be positive, got {self.kernel_half_width}")
         if not self.times or any(t <= 0 for t in self.times):
             raise ConfigError(f"times must be positive, got {self.times}")
         if self.theta is not None and not 0 < self.theta < 1:
             raise ConfigError(f"theta must lie in (0,1), got {self.theta}")
         if self.rate not in ("empirical", "classical", "log"):
             raise ConfigError(f"unknown rate kind {self.rate!r}")
+        if not (self.rate_n > 0 and self.rate_c > 0):
+            raise ConfigError(f"rate_n and rate_c must be positive, got {self.rate_n}, {self.rate_c}")
+        if not self.log_a > 1:
+            raise ConfigError(f"log_a must exceed 1, got {self.log_a}")
         if self.family_kind not in ("bumps", "constants"):
             raise ConfigError(f"unknown family kind {self.family_kind!r}")
         if not self.safety >= 1.0:
@@ -120,19 +126,33 @@ class ReportRecord:
             "checks": _json_safe(self.checks),
         }
 
-    def consistent(self) -> bool:
-        """Violation counts must match their stored slack fields."""
-        for name, chk in self.checks.items():
-            if "violations" in chk and "min_slack" in chk:
-                slack = chk["min_slack"]
-                tol = chk.get("tolerance", 0.0)
-                has_violation = isinstance(slack, float) and slack < -tol
-                if (chk["violations"] > 0) != has_violation:
-                    return False
-        return True
+
+def _domination(slacks, tolerance: float = 1e-9, **extra) -> dict:
+    """The check "bound - actual >= -tolerance everywhere" over an iterable of
+    slack arrays, consumed one at a time: the least slack and the count of
+    slacks below -tolerance, passing when that count is zero."""
+    min_slack, violations = math.inf, 0
+    for slack in slacks:
+        slack = np.asarray(slack)
+        min_slack = min(min_slack, float(slack.min(initial=math.inf)))
+        violations += int(np.count_nonzero(slack < -tolerance))
+    return {"pass": violations == 0, "min_slack": min_slack, "violations": violations,
+            "tolerance": tolerance, **extra}
 
 
-_CONVERTERS = {"str": str, "float": float, "int": int, "bool": bool}
+def _within(value, tolerance: float, deviation=None) -> dict:
+    """The check "deviation <= tolerance" (by default value <= tolerance)."""
+    deviation = value if deviation is None else deviation
+    return {"pass": bool(deviation <= tolerance), "value": float(value), "tolerance": tolerance}
+
+
+def _strict_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+_CONVERTERS = {"str": str, "float": float, "int": int, "bool": _strict_bool}
 
 
 def _coerce(annotation: str, value):
@@ -280,16 +300,10 @@ def run_spectrum(cfg: ExperimentConfig):
     gram = (dec.eigenfunctions * grid.node_masses[:, None]).T @ dec.eigenfunctions
     gram_defect = float(np.max(np.abs(gram - np.eye(grid.n_points))))
     checks = {
-        "lambda0_zero": {"pass": bool(abs(lam[0]) <= 1e-8), "value": float(lam[0]), "tolerance": 1e-8},
-        "e0_constant": {
-            "pass": bool(np.ptp(e0) <= 1e-6 * abs(np.mean(e0))),
-            "value": float(np.ptp(e0) / abs(np.mean(e0))),
-            "tolerance": 1e-6,
-        },
-        "gram_identity": {"pass": bool(gram_defect <= 1e-8), "value": gram_defect, "tolerance": 1e-8},
-        "eigenvalues_nonnegative": {
-            "pass": bool(np.all(lam >= -1e-8)), "value": float(lam.min()), "tolerance": 1e-8,
-        },
+        "lambda0_zero": _within(lam[0], 1e-8, deviation=abs(lam[0])),
+        "e0_constant": _within(np.ptp(e0) / abs(np.mean(e0)), 1e-6),
+        "gram_identity": _within(gram_defect, 1e-8),
+        "eigenvalues_nonnegative": _within(lam.min(), 1e-8, deviation=-lam.min()),
     }
     record = ReportRecord(
         experiment="spectrum",
@@ -321,10 +335,8 @@ def run_kernel(cfg: ExperimentConfig):
     is_ou = cfg.family == "ou"
     if is_ou:
         header += ["mehler", "mehler_rel_dev"]
-    rows = []
+    rows, measured = [], []
     max_rel_dev = 0.0
-    min_slack = math.inf
-    violations = 0
     # the OU diagonal bound is an equality at x = y, so the discretized
     # kernel may exceed it by its own O(h^2) error: judge it relatively
     slack_tol = 1e-2 if is_ou else 1e-9
@@ -343,11 +355,8 @@ def run_kernel(cfg: ExperimentConfig):
         else:
             bound = np.full_like(p, math.nan)
         slack = bound - (p + spectral.kernel_tail(dec, t, idx))
-        measured = slack / np.maximum(p, noise_floor) if is_ou else slack
-        finite = np.isfinite(slack)
-        if np.any(finite):
-            min_slack = min(min_slack, float(np.min(measured[finite])))
-            violations += int(np.sum(measured[finite] < -slack_tol))
+        judged = slack / np.maximum(p, noise_floor) if is_ou else slack
+        measured.append(judged[np.isfinite(slack)])
         cols = [np.full_like(p, t), xi, xj, p, bound, slack]
         if is_ou:
             me = measures.mehler_kernel(t, xi, xj)
@@ -355,20 +364,10 @@ def run_kernel(cfg: ExperimentConfig):
             max_rel_dev = max(max_rel_dev, float(np.max(rel)))
             cols += [me, rel]
         rows += np.stack([c.ravel() for c in cols], axis=1).tolist()
-    checks = {
-        "bound_dominates": {
-            "pass": violations == 0,
-            "min_slack": float(min_slack),
-            "violations": violations,
-            "relative": is_ou,
-            "tolerance": slack_tol,
-        }
-    }
+    checks = {"bound_dominates": _domination(measured, slack_tol, relative=is_ou)}
     results = {"sample_nodes": [float(x[i]) for i in idx], "times": list(cfg.times)}
     if is_ou:
-        checks["mehler_match"] = {
-            "pass": bool(max_rel_dev < 1e-2), "value": max_rel_dev, "tolerance": 1e-2,
-        }
+        checks["mehler_match"] = _within(max_rel_dev, 1e-2)
         results["mehler_max_rel_dev"] = max_rel_dev
     record = ReportRecord(
         experiment="kernel",
@@ -384,10 +383,9 @@ _SCAN_ROWS = 256
 
 
 def _kernel_scan(dec, kp, cert, t: float):
-    """Min slack and violation count of p_{2t}(x, y) + tail <= kernel bound
-    over all grid pairs, one ``_SCAN_ROWS x n`` slab of the table at a time."""
+    """Slack of p_{2t}(x, y) + tail <= kernel bound over all grid pairs,
+    yielded one ``_SCAN_ROWS x n`` slab of the table at a time."""
     x = dec.grid.points
-    min_slack, violations = math.inf, 0
     for lo in range(0, x.size, _SCAN_ROWS):
         rows = slice(lo, lo + _SCAN_ROWS)
         p = spectral.kernel_matrix(dec, 2.0 * t, rows, slice(None))
@@ -398,9 +396,7 @@ def _kernel_scan(dec, kp, cert, t: float):
         # each block, and the next block page-faulted it back)
         slack = bounds.kernel_bound(kp, cert, t, x[rows, None], x[None, :])
         slack -= p
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.sum(slack < -1e-9))
-    return min_slack, violations
+        yield slack
 
 
 def run_verify(cfg: ExperimentConfig):
@@ -412,63 +408,40 @@ def run_verify(cfg: ExperimentConfig):
         raise ConfigError("verify requires a nonempty held-out family")
     heldout = _bump_family(cfg, grid, rng, cfg.heldout_size)
     if rate.meta.get("degenerate"):
-        raise CalibrationError(
-            "empirical rate degenerate: no training sample above the floor"
-        )
+        raise CalibrationError("empirical rate degenerate: no training sample above the floor")
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
 
     # (a) semigroup norm domination on held-out functions
-    min_slack_a = math.inf
-    viol_a = 0
     l1w = spectral.weighted_l1(heldout, weight, grid)
     f_l2 = spectral.l2_norm(heldout, grid)
-    for t in cfg.times:
-        pf = spectral.apply_semigroup(dec, heldout, t)
-        l2 = spectral.l2_norm(pf, grid) + dec.tail(t) * f_l2
-        slack = bounds.l2_bound(kp, cert, t) * l1w - l2
-        min_slack_a = min(min_slack_a, float(slack.min()))
-        viol_a += int(np.sum(slack < -1e-9))
+    checks = {"l2_domination": _domination(
+        bounds.l2_bound(kp, cert, t) * l1w
+        - (spectral.l2_norm(spectral.apply_semigroup(dec, heldout, t), grid) + dec.tail(t) * f_l2)
+        for t in cfg.times
+    )}
 
     # (b) kernel domination over all grid pairs, streamed in row blocks
-    min_slack_b = math.inf
-    viol_b = 0
-    for t in cfg.times:
-        slack_t, viol_t = _kernel_scan(dec, kp, cert, t)
-        min_slack_b = min(min_slack_b, slack_t)
-        viol_b += viol_t
+    checks["kernel_domination"] = _domination(
+        slab for t in cfg.times for slab in _kernel_scan(dec, kp, cert, t)
+    )
 
     # (c) trace domination (requires V in L2)
     trace_rows = []
-    min_slack_c = math.inf
-    viol_c = 0
     if cfg.trace_check:
-        for t in cfg.times:
-            hs = spectral.trace(dec, 2.0 * t)
-            tb = bounds.trace_bound(kp, cert, model, grid, t)
-            trace_rows.append([t, hs, tb])
-            slack = tb - (hs + spectral.trace_tail(dec, 2.0 * t))
-            min_slack_c = min(min_slack_c, slack)
-            viol_c += int(slack < -1e-9)
+        trace_rows = [
+            [t, spectral.trace(dec, 2.0 * t), bounds.trace_bound(kp, cert, model, grid, t)]
+            for t in cfg.times
+        ]
+        checks["trace_domination"] = _domination(
+            tb - (hs + spectral.trace_tail(dec, 2.0 * t)) for t, hs, tb in trace_rows
+        )
 
     xq, yq = bounds.nash_quotients(heldout, weight, model, op)
-    env_viol = bounds.envelope_violations(rate, xq, yq, slack=1e-9)
-
-    ultra = None
-    if cfg.a > 1:
-        ultra = bool(bounds.integrability_test(bounds.log_rate(cfg.a)))
+    checks["heldout_envelope"] = _domination([bounds.envelope_slack(rate, xq, yq)])
 
     k_table = [[t, bounds.l2_bound(kp, cert, t)] for t in cfg.times]
-    checks = {
-        "l2_domination": {"pass": viol_a == 0, "min_slack": min_slack_a, "violations": viol_a, "tolerance": 1e-9},
-        "kernel_domination": {"pass": viol_b == 0, "min_slack": min_slack_b, "violations": viol_b, "tolerance": 1e-9},
-        "heldout_envelope": {"pass": env_viol == 0, "violations": env_viol, "tolerance": 1e-9},
-    }
-    if cfg.trace_check:
-        checks["trace_domination"] = {
-            "pass": viol_c == 0, "min_slack": min_slack_c, "violations": viol_c, "tolerance": 1e-9,
-        }
     record = ReportRecord(
         experiment="verify",
         inputs={
@@ -486,7 +459,7 @@ def run_verify(cfg: ExperimentConfig):
             "delta": None if exps is None else exps.delta,
             "rate_floor": rate.domain_floor,
             "k_times_exp_ct": k_table,
-            "ultracontractive": ultra,
+            "ultracontractive": bounds.is_integrable(bounds.log_rate(cfg.a)),
             "degenerate_rate": rate.meta.get("degenerate", False),
         },
         checks=checks,
@@ -531,9 +504,7 @@ def run_converse(cfg: ExperimentConfig):
         experiment="converse",
         inputs={"source": source, "n_samples": int(len(times)), "seed": cfg.seed},
         results={"fitted_power": power, "fitted_prefactor": prefactor},
-        checks={
-            "quotient_monotone": {"pass": bool(mono_defect <= 1e-9), "value": float(mono_defect), "tolerance": 1e-9},
-        },
+        checks={"quotient_monotone": _within(mono_defect, 1e-9)},
     )
     rows = [[x, p] for x, p in zip(xs, phi)]
     return record, {"converse_phi.csv": _csv(["x", "phi"], rows)}
@@ -560,7 +531,6 @@ def run_nash_scan(cfg: ExperimentConfig):
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))
     degenerate = bool(rate.meta.get("degenerate", False))
-    env_viol = bounds.envelope_violations(rate, xq, yq)
     record = ReportRecord(
         experiment="nash_scan",
         inputs={
@@ -573,16 +543,7 @@ def run_nash_scan(cfg: ExperimentConfig):
             "degenerate_rate": degenerate,
             "warning": "degenerate rate: no sample above the floor" if degenerate else None,
         },
-        checks={
-            "envelope_below_samples": {
-                "pass": env_viol == 0,
-                "violations": env_viol,
-                "min_slack": float(
-                    np.min(yq - np.asarray(rate.evaluate(xq))) if len(xq) else math.inf
-                ),
-                "tolerance": 1e-9,
-            }
-        },
+        checks={"envelope_below_samples": _domination([bounds.envelope_slack(rate, xq, yq)])},
     )
     files = {
         "nash_quotients.csv": _csv(["x_quotient", "y_quotient"], [[a, b] for a, b in zip(xq, yq)]),
@@ -606,9 +567,7 @@ def run_trace(cfg: ExperimentConfig):
         experiment="trace",
         inputs={"model": model.name, "n_points": grid.n_points, "seed": cfg.seed, "times": list(cfg.times)},
         results={"max_hs_diag_defect": worst},
-        checks={
-            "hs_equals_diag_quadrature": {"pass": bool(worst <= 1e-8), "value": worst, "tolerance": 1e-8},
-        },
+        checks={"hs_equals_diag_quadrature": _within(worst, 1e-8)},
     )
     return record, {"trace_table.csv": _csv(["t", "trace", "hs_norm_sq", "diag_quadrature"], rows)}
 
@@ -669,7 +628,7 @@ def main(argv=None) -> int:
         return 3
 
     if not args.quiet:
-        failed = [k for k, v in record.checks.items() if not v.get("pass", True)]
+        failed = [k for k, v in record.checks.items() if not v["pass"]]
         status = "ok" if not failed else f"FAILED checks: {', '.join(failed)}"
         print(f"{record.experiment}: {status}; outputs in {args.out}")
     return 0

@@ -334,7 +334,7 @@ def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
     assert rate.meta["lam"] == exps.lam
     # the envelope validates on the held-out family
     xq, yq = hl.nash_quotients(heldout, weight, mua_model, op)
-    assert hl.envelope_violations(rate, xq, yq, slack=1e-9) == 0
+    assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
     # it is an actual envelope: without the safety factor it touches the data
     tight = hl.empirical_rate(train, weight, mua_model, op, exponents=exps, safety=1.0)
     xt, yt = hl.nash_quotients(train, weight, mua_model, op)
@@ -374,7 +374,7 @@ def test_empirical_rate_explicit_floor(mua_model, mua_setup, rng):
     assert rate.meta["configured_floor"] == 5.0
     assert rate.domain_floor >= 5.0
     xq, yq = hl.nash_quotients(fam, weight, mua_model, op)
-    assert hl.envelope_violations(rate, xq, yq) == 0
+    assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +465,7 @@ def test_converse_forward_consistency(mua_model, mua_setup, mua_pipeline):
     k_meas = np.array([hl.l2_bound(kp, cert, t / 2.0) for t in ts])  # K(t) e^{ct/2}
     back = hl.converse_rate(ts, k_meas)
     xq, yq = hl.nash_quotients(heldout, weight, mua_model, op)
-    assert hl.envelope_violations(back, xq, yq, slack=1e-9) == 0
+    assert np.count_nonzero(hl.envelope_slack(back, xq, yq) < -1e-9) == 0
 
 
 # ----------------------------------------------------------------------

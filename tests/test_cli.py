@@ -80,6 +80,22 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command,text", [
+    ("converse", "rate = classical\nrate_n = 0\n"),
+    ("converse", "rate = classical\nrate_c = -1\n"),
+    ("converse", "rate = log\nlog_a = 1\n"),
+    ("kernel", "kernel_half_width = -1\n"),
+    ("verify", "trace_check = off\n"),
+    ("verify", "trace_check = none\n"),
+    ("verify", "trace_check = 1\n"),
+])
+def test_out_of_range_config_exits_2(tmp_path, command, text):
+    cfg = write_config(tmp_path / "cfg.txt", text)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["spectrum", "--config", str(tmp_path / "nope.txt"), "--out", out]) == 2
@@ -98,18 +114,21 @@ def test_verify_pipeline(tmp_path):
     for name in ("l2_domination", "kernel_domination", "trace_domination", "heldout_envelope"):
         assert report["checks"][name]["pass"], name
         assert report["checks"][name]["violations"] == 0
-    rec = cli.ReportRecord(
-        experiment=report["experiment"],
-        inputs=report["inputs"],
-        results=res,
-        checks=report["checks"],
-    )
-    assert rec.consistent()
     trace_lines = open(os.path.join(out, "verify_trace.csv")).read().strip().split("\n")
     assert trace_lines[0] == "t,hs_norm_sq,trace_bound"
     for line in trace_lines[1:]:
         t, hs, bound = map(float, line.split(","))
         assert hs <= bound
+
+
+def test_verify_ultracontractive_uses_exact_criterion(tmp_path):
+    # phi = x (log x)^{2(1-1/a)} with a = 2.1 is integrable (exponent 1.05 > 1);
+    # the numeric probe, conservative near the borderline, says otherwise
+    assert hl.integrability_test(hl.log_rate(2.1)) is False
+    cfg = write_config(tmp_path / "cfg.txt", "a = 2.1\nn_points = 300\ntrain_size = 40\nheldout_size = 40\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "verify_report.json")["results"]["ultracontractive"] is True
 
 
 def test_verify_universal_weight_trace_exits_5(tmp_path):
@@ -267,6 +286,41 @@ def test_nash_scan_bumps_and_degenerate(tmp_path):
     assert "degenerate" in report2["results"]["warning"]
 
 
+def test_nash_scan_min_slack_over_pairs_above_the_floor():
+    # the envelope constrains only the pairs with x above the rate's floor, so
+    # min_slack and violations are taken over those pairs alone
+    cfg = cli.ExperimentConfig.from_mapping({"seed": 7})
+    record, files = cli.run_nash_scan(cfg)
+    chk = record.checks["envelope_below_samples"]
+    lines = files["nash_quotients.csv"].strip().split("\n")[1:]
+    xq, yq = np.array([[float(v) for v in line.split(",")] for line in lines]).T
+    model = cli._build_model(cfg)
+    grid = hl.make_grid(model, cfg.n_points)
+    op = hl.discretize(model, grid)
+    family = cli._bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
+    rate = hl.empirical_rate(family, cli._build_weight(cfg, model), model, op,
+                             exponents=hl.mu_a_exponents(cfg.a, cfg.beta), safety=cfg.safety)
+    above = xq > rate.domain_floor
+    slack = yq[above] - np.array([rate.evaluate(x) for x in xq[above]])
+    assert 0 < above.sum() < len(xq)
+    assert chk["min_slack"] == pytest.approx(float(slack.min()), rel=1e-12)
+    assert chk["min_slack"] == pytest.approx(0.5757957352983495, rel=1e-12)
+    assert chk["violations"] == int(np.sum(slack < -1e-9)) == 0
+
+
+def test_domination_check():
+    assert cli._domination([]) == {"pass": True, "min_slack": math.inf, "violations": 0, "tolerance": 1e-9}
+    chk = cli._domination((np.array([s, 1.0]) for s in (-1e-9, -2e-9)), relative=True)
+    assert chk == {"pass": False, "min_slack": -2e-9, "violations": 1, "tolerance": 1e-9, "relative": True}
+    assert cli._domination([np.array([-0.5]), np.empty(0), 0.5], tolerance=0.5)["pass"]
+
+
+def test_within_check():
+    assert cli._within(-3.0, 1.0, deviation=3.0) == {"pass": False, "value": -3.0, "tolerance": 1.0}
+    assert cli._within(1.0, 1.0)["pass"]
+    assert not cli._within(math.nan, 1.0)["pass"]
+
+
 def test_trace_subcommand(tmp_path):
     cfg = write_config(tmp_path / "cfg.txt", OU_SPECTRUM)
     out = str(tmp_path / "out")
@@ -311,10 +365,10 @@ def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
         k_half = math.sqrt(np.median(p / hl.kernel_bound(unit, cert, t, x[:, None], x[None, :])))
         for prof in (kp, types.SimpleNamespace(evaluate=lambda s: k_half)):
             slack = hl.kernel_bound(prof, cert, t, x[:, None], x[None, :]) - p
-            min_slack, violations = cli._kernel_scan(dec, prof, cert, t)
-            assert min_slack == pytest.approx(float(slack.min()), rel=1e-12)
-            assert violations == int(np.sum(slack < -1e-9))
-        assert violations > grid.n_points
+            chk = cli._domination(cli._kernel_scan(dec, prof, cert, t))
+            assert chk["min_slack"] == pytest.approx(float(slack.min()), rel=1e-12)
+            assert chk["violations"] == int(np.sum(slack < -1e-9))
+        assert chk["violations"] > grid.n_points
 
 
 def test_verify_kernel_scan_matches_full_table(monkeypatch):
@@ -403,6 +457,6 @@ def test_verify_checks_carry_the_tail(monkeypatch):
     record, _ = cli.run_verify(cfg)
     for name in ("l2_domination", "kernel_domination", "trace_domination"):
         assert record.checks[name]["violations"] > 0, name
-    assert record.consistent()
+        assert not record.checks[name]["pass"], name
     record, _ = cli.run_kernel(cfg)
     assert record.checks["bound_dominates"]["violations"] > 0

@@ -8,10 +8,14 @@ Regenerate the goldens (only after a deliberate numeric change, which
 CHANGES.md must then name) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the golden files whose bytes changed.
 """
 
 import contextlib
+import glob
 import io
+import json
 import os
 import shutil
 import sys
@@ -39,9 +43,9 @@ CASES["default-converse-classical"] = ("converse", "rate = classical\n")
 CASES["default-converse-log"] = ("converse", "rate = log\n")
 
 
-def run_case(case: str, work_dir: str) -> dict:
+def run_case(case: str, work_dir: str, cases=CASES) -> dict:
     """{file name: bytes} of one case's outputs, plus ``status.txt``."""
-    command, text = CASES[case]
+    command, text = cases[case]
     config = os.path.join(work_dir, "config.txt")
     out = os.path.join(work_dir, "out")
     with open(config, "w", encoding="utf-8") as fh:
@@ -57,8 +61,8 @@ def run_case(case: str, work_dir: str) -> dict:
     return files
 
 
-def read_golden(case: str) -> dict:
-    directory = os.path.join(GOLDEN_DIR, case)
+def read_golden(case: str, golden_dir: str = GOLDEN_DIR) -> dict:
+    directory = os.path.join(golden_dir, case)
     files = {}
     for name in sorted(os.listdir(directory)):
         with open(os.path.join(directory, name), "rb") as fh:
@@ -75,18 +79,57 @@ def test_golden_outputs(case, tmp_path):
         assert got[name] == want[name], f"{case}/{name} differs from its golden"
 
 
-def write_goldens() -> None:
-    """Rewrite ``tests/golden/`` from the current code."""
-    shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
-    for case in sorted(CASES):
+def test_golden_checks_follow_their_rule():
+    # a domination check passes exactly when no slack is below -tolerance
+    paths = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*", "*_report.json")))
+    assert paths
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            checks = json.load(fh)["checks"]
+        for name, chk in checks.items():
+            assert "pass" in chk and "tolerance" in chk, (path, name)
+            if "min_slack" in chk:
+                slack_ok = float(chk["min_slack"]) >= -chk["tolerance"]
+                assert chk["pass"] == (chk["violations"] == 0) == slack_ok, (path, name)
+
+
+def test_write_goldens_names_changed_files(tmp_path, capsys):
+    golden_dir = str(tmp_path / "golden")
+    cases = {"converse": CASES["default-converse-classical"]}
+    assert write_goldens(golden_dir, cases) == ["converse/converse_phi.csv", "converse/converse_report.json",
+                                                "converse/status.txt"]
+    assert write_goldens(golden_dir, cases) == []
+    with open(os.path.join(golden_dir, "converse", "status.txt"), "ab") as fh:
+        fh.write(b"stale\n")
+    os.makedirs(os.path.join(golden_dir, "gone"))
+    open(os.path.join(golden_dir, "gone", "x.csv"), "wb").close()
+    assert write_goldens(golden_dir, cases) == ["converse/status.txt", "gone/x.csv"]
+    assert "converse/status.txt" in capsys.readouterr().err
+
+
+def write_goldens(golden_dir: str = GOLDEN_DIR, cases=CASES) -> list[str]:
+    """Rewrite ``golden_dir`` from the current code; return (and print) the
+    ``case/file`` paths whose bytes changed, appeared or disappeared."""
+    old = {}
+    if os.path.isdir(golden_dir):
+        old = {case: read_golden(case, golden_dir) for case in sorted(os.listdir(golden_dir))}
+    shutil.rmtree(golden_dir, ignore_errors=True)
+    new = {}
+    for case in sorted(cases):
         with tempfile.TemporaryDirectory() as work_dir:
-            files = run_case(case, work_dir)
-        directory = os.path.join(GOLDEN_DIR, case)
+            new[case] = run_case(case, work_dir, cases)
+        directory = os.path.join(golden_dir, case)
         os.makedirs(directory)
-        for name, data in files.items():
+        for name, data in new[case].items():
             with open(os.path.join(directory, name), "wb") as fh:
                 fh.write(data)
-        print(f"{case}: {', '.join(sorted(files))}", file=sys.stderr)
+    changed = []
+    for case in sorted(set(old) | set(new)):
+        before, after = old.get(case, {}), new.get(case, {})
+        changed += [f"{case}/{name}" for name in sorted(set(before) | set(after))
+                    if before.get(name) != after.get(name)]
+    print(f"{len(changed)} of the golden files changed:", *changed, sep="\n  ", file=sys.stderr)
+    return changed
 
 
 if __name__ == "__main__":

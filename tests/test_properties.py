@@ -94,11 +94,11 @@ VALID_VALUES = {
     "safety": st.floats(1.0, 1e6),
     "bump_width_lo": st.floats(1e-3, 2.0),
     "bump_width_hi": st.floats(2.0, 1e3),
-    "kernel_half_width": finite,
+    "kernel_half_width": positive,
     "rate": st.sampled_from(["empirical", "classical", "log"]),
-    "rate_n": finite,
-    "rate_c": finite,
-    "log_a": finite,
+    "rate_n": positive,
+    "rate_c": positive,
+    "log_a": st.floats(1.0, 1e6, exclude_min=True),
     "k_samples_csv": st.none() | st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True),
     "family_kind": st.sampled_from(["bumps", "constants"]),
     "trace_check": st.booleans(),
@@ -147,8 +147,7 @@ def test_config_round_trip(values):
     assert parsed == cli.ExperimentConfig(**values)
 
 
-# trace_check = none reads as false (bool(None)), so it is left out here
-NON_OPTIONAL = sorted(k for k, kind in FIELDS.items() if "None" not in kind and kind != "bool")
+NON_OPTIONAL = sorted(k for k, kind in FIELDS.items() if "None" not in kind)
 FLOAT_FIELDS = sorted(k for k, kind in FIELDS.items() if kind.startswith("float"))
 WORDS = st.from_regex(r"[a-z][a-z_]{0,10}", fullmatch=True)
 NOT_NUMBERS = WORDS.filter(lambda w: w not in {"true", "false", "none", "null", "nan", "inf", "infinity"})
