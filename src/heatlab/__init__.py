@@ -38,10 +38,12 @@ from .spectral import (
     eigendecompose,
     gaussian_bump_family,
     ground_state_transform_residual,
+    kernel_diagonal,
     kernel_matrix,
     kernel_tail,
     l2_norm,
     make_grid,
+    semigroup_norms,
     stochasticity_defect,
     trace,
     trace_tail,

@@ -138,6 +138,8 @@ def log_rate(a: float, coefficient: float = 1.0, floor: float = math.e) -> RateF
     """Log-power rate phi(x) = C x (log x)^{2(1-1/a)} on (floor, inf), floor > 1."""
     if not a > 1:
         raise ValueError(f"exponent a must exceed 1, got {a}")
+    if not coefficient > 0:
+        raise ValueError(f"coefficient must be positive, got {coefficient}")
     if not floor > 1:
         raise ValueError(f"floor must exceed 1, got {floor}")
     p = 2.0 * (1.0 - 1.0 / a)

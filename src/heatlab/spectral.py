@@ -43,11 +43,13 @@ __all__ = [
     "discretize",
     "eigendecompose",
     "kernel_matrix",
+    "kernel_diagonal",
     "kernel_tail",
     "trace_tail",
     "chapman_kolmogorov_residual",
     "stochasticity_defect",
     "apply_semigroup",
+    "semigroup_norms",
     "trace",
     "diagonal_trace_quadrature",
     "l2_norm",
@@ -257,6 +259,14 @@ def kernel_matrix(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -
     return 0.5 * (raw + raw.T)
 
 
+def kernel_diagonal(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """Kernel diagonal p_t(x_i, x_i) = sum_n exp(-lambda_n t) e_n(x_i)^2 in
+    O(nk), without the table; kept modes only, as ``kernel_matrix``."""
+    _check_time(dec, t)
+    ef = dec.eigenfunctions
+    return np.einsum("ik,k,ik->i", ef, np.exp(-dec.eigenvalues * t), ef)
+
+
 def kernel_tail(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -> np.ndarray:
     """Certified bound exp(-tail_rate t)/sqrt(m_i m_j) on what the dropped
     modes add to each entry of ``kernel_matrix(dec, t, nodes, cols)``
@@ -316,6 +326,18 @@ def stochasticity_defect(
     return float(np.max(np.abs(rows - 1.0)))
 
 
+def _check_semigroup_time(dec: SpectralDecomposition, t: float) -> None:
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if not math.isinf(dec.tail_rate):
+        _check_time(dec, t)
+
+
+def _coefficients(dec: SpectralDecomposition, f) -> np.ndarray:
+    """Spectral coefficients <f, e_n>_mu of a grid function or a stack."""
+    return (_grid_functions(f, dec.grid) * dec.node_masses) @ dec.eigenfunctions
+
+
 def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.ndarray:
     """Spectral synthesis of P_t f, one GEMM each way.
 
@@ -324,14 +346,25 @@ def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.n
     (f up to round-trip error); a truncated one refuses t < t_min, below
     which its dropped modes are not negligible.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if not math.isinf(dec.tail_rate):
-        _check_time(dec, t)
-    f = _grid_functions(f, dec.grid)
-    ef = dec.eigenfunctions
-    coeff = (f * dec.node_masses) @ ef
-    return (coeff * np.exp(-dec.eigenvalues * t)) @ ef.T
+    _check_semigroup_time(dec, t)
+    coeff = _coefficients(dec, f)
+    return (coeff * np.exp(-dec.eigenvalues * t)) @ dec.eigenfunctions.T
+
+
+def semigroup_norms(dec: SpectralDecomposition, f: np.ndarray, times) -> np.ndarray:
+    """||P_t f||_2 over the kept modes for each t in ``times``, by Parseval:
+    sqrt(sum_n c_n^2 exp(-2 lambda_n t)) with c = <f, e_n>_mu.
+
+    One GEMM for the coefficients serves every time, and nothing is
+    synthesized on the grid.  It equals ``l2_norm(apply_semigroup(dec, f,
+    t))`` up to the Gram defect of the computed eigenbasis.  Returns shape
+    ``(len(times),) + f.shape[:-1]``; times are checked as in
+    ``apply_semigroup``.
+    """
+    for t in times:
+        _check_semigroup_time(dec, t)
+    c2 = _coefficients(dec, f) ** 2
+    return np.stack([np.sqrt(c2 @ np.exp(-2.0 * t * dec.eigenvalues)) for t in times])
 
 
 def trace(dec: SpectralDecomposition, t: float) -> float:
@@ -343,10 +376,7 @@ def trace(dec: SpectralDecomposition, t: float) -> float:
 
 def diagonal_trace_quadrature(dec: SpectralDecomposition, t: float) -> float:
     """Quadrature of the kernel diagonal: sum_i m_i p_t(x_i, x_i)."""
-    _check_time(dec, t)
-    ef = dec.eigenfunctions
-    diag = np.einsum("ik,k,ik->i", ef, np.exp(-dec.eigenvalues * t), ef)
-    return float(np.sum(dec.node_masses * diag))
+    return float(np.sum(dec.node_masses * kernel_diagonal(dec, t)))
 
 
 def l2_norm(f: np.ndarray, grid: Grid):

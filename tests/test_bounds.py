@@ -36,6 +36,15 @@ def test_classical_nash_rate():
         hl.classical_nash_rate(0.0)
 
 
+@pytest.mark.parametrize("coefficient", [0.0, -1.0, math.nan])
+def test_rates_refuse_a_nonpositive_coefficient(coefficient):
+    # log_rate(2.5, -1.0) would evaluate to -27.2 at x = 10
+    with pytest.raises(ValueError):
+        hl.log_rate(2.5, coefficient)
+    with pytest.raises(ValueError):
+        hl.power_rate(coefficient, 2.0)
+
+
 def test_rate_quotient_monotone_for_all_kinds(mua_pipeline):
     _, _, _, empirical, _, _, _ = mua_pipeline
     rates = [

@@ -348,12 +348,18 @@ def test_seed_flag_overrides_config(tmp_path):
     assert q1 == q2
 
 
-def _scan_setup():
-    cfg = cli.ExperimentConfig.from_mapping({"n_points": 800, "train_size": 40, "seed": 3})
+def _scan_setup(**raw):
+    cfg = cli.ExperimentConfig.from_mapping(raw or {"n_points": 800, "train_size": 40, "seed": 3})
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
     _, cert, _, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     return cfg, grid, dec, cert, kp
+
+
+def _full_table_slack(dec, prof, cert, t):
+    x = dec.grid.points
+    p = hl.kernel_matrix(dec, 2.0 * t) + hl.kernel_tail(dec, 2.0 * t)
+    return hl.kernel_bound(prof, cert, t, x[:, None], x[None, :]) - p
 
 
 def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
@@ -364,10 +370,13 @@ def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
         # the calibrated profile, then one that about half the pairs violate
         k_half = math.sqrt(np.median(p / hl.kernel_bound(unit, cert, t, x[:, None], x[None, :])))
         for prof in (kp, types.SimpleNamespace(evaluate=lambda s: k_half)):
-            slack = hl.kernel_bound(prof, cert, t, x[:, None], x[None, :]) - p
-            chk = cli._domination(cli._kernel_scan(dec, prof, cert, t))
-            assert chk["min_slack"] == pytest.approx(float(slack.min()), rel=1e-12)
-            assert chk["violations"] == int(np.sum(slack < -1e-9))
+            slack = _full_table_slack(dec, prof, cert, t)
+            # the scan, and the check that certifies from the diagonal or
+            # falls back to the scan
+            for chk in (cli._domination(cli._kernel_scan(dec, prof, cert, t)),
+                        cli._kernel_domination(dec, prof, cert, [t])):
+                assert chk["min_slack"] == pytest.approx(float(slack.min()), rel=1e-12)
+                assert chk["violations"] == int(np.sum(slack < -1e-9))
         assert chk["violations"] > grid.n_points
 
 
@@ -390,6 +399,66 @@ def test_verify_kernel_scan_full_decomposition(monkeypatch):
 
     monkeypatch.setattr(hl.spectral, "kernel_tail", no_tail)
     _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the kernel table was built")
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"n_points": 3200}, {"a": 1.9, "beta": 2.0}, {"a": 2.5, "beta": 3.0},
+    {"rate": "log", "times": 1.0},
+], ids=["default", "n3200", "a1.9-beta2", "a2.5-beta3", "log-t1"])
+def test_kernel_domination_from_the_diagonal(overrides, monkeypatch):
+    # passing configs: the diagonal certificate gives the full table's
+    # least slack and violation count without building the table
+    cfg, grid, dec, cert, kp = _scan_setup(seed=7, **overrides)
+    want = cli._domination(_full_table_slack(dec, kp, cert, t) for t in cfg.times)
+    monkeypatch.setattr(cli, "_kernel_scan", _no_scan)
+    chk = cli._kernel_domination(dec, kp, cert, cfg.times)
+    assert chk["pass"] and chk["violations"] == want["violations"] == 0
+    assert chk["min_slack"] == pytest.approx(want["min_slack"], rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points", [800, 3200])
+def test_verify_builds_no_kernel_table(tmp_path, n_points, monkeypatch):
+    monkeypatch.setattr(cli, "_kernel_scan", _no_scan)
+    monkeypatch.setattr(hl.spectral, "kernel_matrix", _no_scan)
+    cfg = write_config(tmp_path / "cfg.txt", f"n_points = {n_points}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet", "--seed", "7"]) == 0
+    report = read_report(out, "verify_report.json")
+    assert all(chk["pass"] for chk in report["checks"].values())
+
+
+def test_failing_kernel_check_scans_the_table(monkeypatch):
+    # some diagonal slacks are negative here, so no pair is certified from
+    # the diagonal; the scan counts every violating pair (the diagonal
+    # alone has 596)
+    scans = []
+    scan = cli._kernel_scan
+    monkeypatch.setattr(cli, "_kernel_scan", lambda *args: scans.append(args) or scan(*args))
+    cfg = cli.ExperimentConfig.from_mapping(
+        {"rate": "classical", "rate_n": 1, "times": 0.25, "n_points": 800, "seed": 7}
+    )
+    record, _ = cli.run_verify(cfg)
+    chk = record.checks["kernel_domination"]
+    assert len(scans) == 1
+    assert not chk["pass"]
+    assert chk["violations"] == 55148
+    assert chk["min_slack"] == -383073855.3097719
+
+
+@pytest.mark.parametrize("text", [
+    "family = cauchy\nweight = universal\n", "weight = universal\n", "a = 0.8\n",
+])
+def test_kernel_without_a_bound_leaves_the_check_out(tmp_path, text):
+    cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 200\ntrain_size = 30\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "kernel_report.json")["checks"] == {}
+    lines = open(os.path.join(out, "kernel_table.csv")).read().strip().split("\n")
+    assert all(line.split(",")[4] == "nan" for line in lines[1:])
 
 
 def _csv_per_value(header, rows):
@@ -432,8 +501,8 @@ def test_log_rate_honours_log_a(tmp_path):
 
 
 def test_verify_memory_at_n3200():
-    # the truncated decomposition and the streamed kernel scan keep verify at
-    # O(n * block) memory; three full 3200 x 3200 tables would need 234 MiB
+    # the truncated decomposition and the diagonal certificate keep verify at
+    # O(n k) memory; three full 3200 x 3200 tables would need 234 MiB
     cfg = cli.ExperimentConfig.from_mapping({"n_points": 3200})
     tracemalloc.start()
     tracemalloc.reset_peak()

@@ -359,3 +359,43 @@ def test_kernel_matrix_rectangular_blocks(mua_setup, ou_fine_setup):
             assert np.max(np.abs(cols - table[:, rows])) <= 1e-13 * np.max(np.abs(table))
             tail = hl.kernel_tail(dec, 0.5, rows, slice(None))
             assert np.array_equal(tail, hl.kernel_tail(dec, 0.5)[rows])
+
+
+def test_kernel_diagonal(mua_setup, ou_fine_setup, monkeypatch):
+    for grid, op, full in (mua_setup, ou_fine_setup):
+        part = _truncated(op, 0.25, monkeypatch)
+        for dec in (full, part):
+            for t in (0.25, 1.0):
+                diag = hl.kernel_diagonal(dec, t)
+                table = np.diag(hl.kernel_matrix(dec, t))
+                assert np.all(np.abs(diag - table) <= 1e-12 * table)
+                # the quadrature keeps its formula, bit for bit
+                ef, w = dec.eigenfunctions, np.exp(-dec.eigenvalues * t)
+                old = float(np.sum(grid.node_masses * np.einsum("ik,k,ik->i", ef, w, ef)))
+                assert hl.diagonal_trace_quadrature(dec, t) == old
+        with pytest.raises(ValueError):
+            hl.kernel_diagonal(part, 0.2)
+
+
+@pytest.mark.parametrize("n_points", [800, 3200])
+def test_semigroup_norms_by_parseval(mua_model, n_points, monkeypatch):
+    grid = hl.make_grid(mua_model, n_points)
+    op = hl.discretize(mua_model, grid)
+    fam = hl.gaussian_bump_family(grid, 40, np.random.default_rng(n_points))
+    times = (0.25, 0.5, 1.0)
+    full = hl.eigendecompose(op)
+    part = _truncated(op, 0.25, monkeypatch)
+    assert math.isinf(full.tail_rate) and math.isfinite(part.tail_rate)
+    for dec in (full, part):
+        norms = hl.semigroup_norms(dec, fam, times)
+        assert norms.shape == (len(times), fam.shape[0])
+        for t, norm in zip(times, norms):
+            synthesized = hl.l2_norm(hl.apply_semigroup(dec, fam, t), grid)
+            assert np.all(np.abs(norm - synthesized) <= 1e-13 * synthesized)
+        single = hl.semigroup_norms(dec, fam[0], times)
+        assert single.shape == (len(times),)
+        assert np.allclose(single, norms[:, 0], rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        hl.semigroup_norms(part, fam, (0.2, 0.5))
+    with pytest.raises(ValueError):
+        hl.semigroup_norms(full, fam, (-1.0,))
