@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
-from .measures import MeasureModel, Weight, _scalar_or_array
+from .measures import MeasureModel, Weight, _gauss_panels, _scalar_or_array
 from .spectral import Grid, TridiagonalOperator, dirichlet_energy, weighted_l1
 
 __all__ = [
@@ -174,14 +174,6 @@ def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6, n: int =
 # ----------------------------------------------------------------------
 # tail integrals U(x) = int_x^inf du/phi(u)
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gauss_block(f: Callable, lo: float, hi: float) -> float:
-    u = 0.5 * (hi - lo) * _GAUSS_NODES + 0.5 * (hi + lo)
-    return float(np.sum(_GAUSS_WEIGHTS * f(u)) * 0.5 * (hi - lo))
-
-
 def _log_integrand(rate: RateFunction) -> Callable:
     """u -> x/phi(x) at x = e^u, the integrand of int dx/phi(x) after the
     substitution x = e^u; inf where phi is not positive or not finite."""
@@ -208,12 +200,9 @@ def integrability_test(rate: RateFunction) -> bool:
     """
     u0 = max(1.0, math.log(max(2.0, 2.0 * rate.domain_floor)))
     integrand = _log_integrand(rate)
-    blocks = []
-    j = 0
-    while u0 * 2 ** (j + 1) <= 600.0:
-        blocks.append(_gauss_block(integrand, u0 * 2 ** j, u0 * 2 ** (j + 1)))
-        j += 1
-    blocks = np.asarray(blocks)
+    n_blocks = int(math.log2(600.0 / u0))  # the blocks [u0 2^j, u0 2^(j+1)] below 600
+    blocks = np.array([_gauss_panels(integrand, np.linspace(u0 * 2 ** j, u0 * 2 ** (j + 1), 3))
+                       for j in range(n_blocks)])
     if not np.all(np.isfinite(blocks)):
         return False
     if np.any(blocks[-3:] == 0.0):
@@ -252,7 +241,7 @@ def _u_numeric(rate: RateFunction, x: float) -> float:
     converged = False
     while u < 600.0:
         u2 = min(u + width, 600.0)
-        block = _gauss_block(integrand, u, u2)
+        block = _gauss_panels(integrand, np.linspace(u, u2, 3))
         if not math.isfinite(block):
             return math.inf
         total += block

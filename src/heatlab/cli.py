@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if self.n_points < 3:
             raise ConfigError(f"n_points must be at least 3, got {self.n_points}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.weight not in ("mu_a", "universal", "unit"):
             raise ConfigError(f"unknown weight kind {self.weight!r}")
         if not self.kernel_half_width > 0:
@@ -146,13 +148,17 @@ def _within(value, tolerance: float, deviation=None) -> dict:
     return {"pass": bool(deviation <= tolerance), "value": float(value), "tolerance": tolerance}
 
 
-def _strict_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+def _exactly(kind: type, expected: str):
+    """A converter passing only values of type ``kind`` itself (no bool as an int)."""
+    def convert(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return value
+    return convert
 
 
-_CONVERTERS = {"str": str, "float": float, "int": int, "bool": _strict_bool}
+_CONVERTERS = {"str": str, "float": float, "int": _exactly(int, "an integer"),
+               "bool": _exactly(bool, "true or false")}
 
 
 def _coerce(annotation: str, value):

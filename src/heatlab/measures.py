@@ -7,15 +7,15 @@ The window is chosen large enough that the neglected tail mass is below
 ``TAIL_TOL``, so window-normalized models behave as probability measures
 for every downstream quadrature.
 
-Window normalization constants come from a composite 32-point
-Gauss-Legendre rule on panels graded away from the origin: breakpoints at
-0, +-2^j for 1/4 <= 2^j < R, and +-R, so panels stay short where the
-density peaks and long where it decays. The rule is run with 2 and with 4
-panels per interval and the 4-panel sum is kept; the two sums must agree
-to ``1e-13`` relative or the call raises
-:class:`~heatlab.errors.NumericError`, so the quadrature error is checked
-on every call rather than assumed. Both sums together take 1.5k-8k nodes
-on the windows ``suggest_radius`` gives for a in [0.3, 8].
+Every integral in the package uses one composite 32-point Gauss-Legendre
+rule. ``bounds`` sums it over two equal panels per block of a numeric U
+integral. The normalization constants and the tail mass, integrals over
+[lo, hi], use panels graded away from the origin (breakpoints lo, 0 when
+inside, the +-2^j >= 1/4 inside, and hi): short where a density peaks and
+long where it decays. Such an integral is run with 2 and with 4 panels per
+interval and keeps the 4-panel sum; the two must agree to ``1e-13`` relative
+or the call raises :class:`~heatlab.errors.NumericError`, so the error is
+checked on every call. Normalization at ``suggest_radius`` takes 1.5k-8k nodes.
 
 The exponential-power family uses the smoothed radius ``T(x) = sqrt(1+x^2)``
 so the density ``C_a * exp(-T^a)`` is smooth at the origin for every
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericError
 
@@ -60,11 +59,11 @@ __all__ = [
 #: Mass allowed outside the truncation window for probability models.
 TAIL_TOL = 1e-10
 
-#: Gauss-Legendre nodes and weights on [-1, 1] for one normalization panel.
+#: Gauss-Legendre nodes and weights on [-1, 1] for one quadrature panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-#: Relative agreement required of the 2- and 4-panel normalization sums.
-_NORM_RTOL = 1e-13
+#: Relative agreement required of the 2- and 4-panel sums of every integral.
+_GL_RTOL = 1e-13
 
 
 def _scalar_or_array(out):
@@ -127,30 +126,44 @@ class Weight:
     d2log: Optional[Callable] = None
 
 
-def _graded_gauss(unnormalized: Callable, radius: float, panels: int) -> float:
-    """Gauss-Legendre sum of ``unnormalized`` over ``[-radius, radius]``,
-    ``panels`` equal panels per interval between the graded breakpoints."""
-    edges = np.concatenate(([0.0], np.exp2(np.arange(-2, math.log2(radius))), [radius]))
-    steps = np.arange(panels) / panels
-    edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * steps).ravel(), radius)
-    edges = np.concatenate((-edges[:0:-1], edges))
+def _gauss_panels(f: Callable, edges: np.ndarray) -> float:
+    """Sum of the 32-point Gauss-Legendre rule for ``f`` on each panel
+    ``[edges[i], edges[i+1]]``; ``f`` gets all nodes in one array call."""
     half = 0.5 * np.diff(edges)
     x = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
-    return float(np.dot(unnormalized(x).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()))
+    return float(np.dot(f(x).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()))
+
+
+def _graded_edges(lo: float, hi: float, panels: int) -> np.ndarray:
+    """Panel edges on ``[lo, hi]`` (hi > 0): ``panels`` equal panels between
+    the breakpoints lo, the 2^j >= 1/4 inside, and hi; for lo < 0 the
+    negative side mirrors the edges of ``[0, -lo]``."""
+    if lo < 0.0:
+        neg = _graded_edges(0.0, -lo, panels)
+        return np.concatenate((-neg[:0:-1], _graded_edges(0.0, hi, panels)))
+    breaks = np.exp2(np.arange(-2, math.log2(hi)))
+    edges = np.concatenate(([lo], breaks[breaks > lo], [hi]))
+    steps = np.arange(panels) / panels
+    return np.append((edges[:-1, None] + np.diff(edges)[:, None] * steps).ravel(), hi)
+
+
+def _certified_integral(f: Callable, lo: float, hi: float) -> float:
+    """int_lo^hi f by the graded rule with 4 panels per interval, refused with
+    NumericError unless the 2-panel sum agrees to ``_GL_RTOL`` relative."""
+    coarse = _gauss_panels(f, _graded_edges(lo, hi, 2))
+    total = _gauss_panels(f, _graded_edges(lo, hi, 4))
+    if not abs(coarse - total) <= _GL_RTOL * abs(total):
+        raise NumericError(f"integral over [{lo!r}, {hi!r}] unresolved: 2- and 4-panel Gauss-"
+                           f"Legendre sums {coarse!r} and {total!r} differ by more than {_GL_RTOL:g}")
+    return total
 
 
 def _window_normalization(unnormalized: Callable, radius: float) -> float:
     if not math.isfinite(radius):
         raise ValueError(f"window radius {radius!r} is not finite")
-    coarse = _graded_gauss(unnormalized, radius, 2)
-    total = _graded_gauss(unnormalized, radius, 4)
+    total = _certified_integral(unnormalized, -radius, radius)
     if not (total > 0.0 and math.isfinite(total)):
         raise ValueError(f"unnormalized mass {total!r} is not a positive finite number")
-    if not abs(coarse - total) <= _NORM_RTOL * total:
-        raise NumericError(
-            f"window normalization unresolved: 2- and 4-panel Gauss-Legendre sums "
-            f"{coarse!r} and {total!r} differ by more than {_NORM_RTOL:g} relative"
-        )
     return 1.0 / total
 
 
@@ -363,25 +376,13 @@ def mehler_weight(t: float) -> Weight:
 
 
 def tail_mass(model: MeasureModel, x: float) -> float:
-    """Tail mass q(x) = mu([x, R]) of the truncated model.
-
-    Adaptive quadrature with a relative (not absolute) tolerance, so the
-    result stays accurate even where q is many orders below 1.
-    """
+    """Tail mass q(x) = mu([x, R]) of the truncated model by the graded rule
+    (module docstring): checked to 1e-13 relative however small q is, and
+    NumericError where the 2- and 4-panel sums disagree."""
     r = model.radius
     if not -r <= x <= r:
         raise ValueError(f"x={x} outside the truncation window [-{r}, {r}]")
-
-    def f(u):
-        return float(model.density(u))
-
-    if x < 0.0:
-        # split at the density peak so quad resolves both sides
-        left, _ = quad(f, x, 0.0, epsabs=0.0, epsrel=1e-11, limit=200)
-        right, _ = quad(f, 0.0, r, epsabs=0.0, epsrel=1e-11, limit=200)
-        return left + right
-    val, _ = quad(f, x, r, epsabs=0.0, epsrel=1e-11, limit=200)
-    return val
+    return _certified_integral(model.density, x, r)
 
 
 def mehler_kernel(t: float, x, y):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -88,12 +90,32 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("verify", "trace_check = off\n"),
     ("verify", "trace_check = none\n"),
     ("verify", "trace_check = 1\n"),
+    ("spectrum", "n_points = 300.9\n"),
+    ("spectrum", "seed = 2.7\n"),
+    ("spectrum", "seed = true\n"),
+    ("spectrum", "seed = -1\n"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     cfg = write_config(tmp_path / "cfg.txt", text)
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--seed", "-1", "--out", out]) == 2
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter: this process may have imported the module already
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, heatlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -104,6 +105,10 @@ def test_normalization_refuses_unresolved_integrand():
     spike = lambda x: np.exp(-x * x) + 1.0 / (1.0 + ((x - 0.7) / 1e-4) ** 2)
     with pytest.raises(hl.NumericError, match="unresolved"):
         hl.measures._window_normalization(spike, 10.0)
+    # the tail mass runs the same check on the same rule
+    spiked = dataclasses.replace(hl.make_mu_a(1.5, 10.0), density=spike)
+    with pytest.raises(hl.NumericError, match="unresolved"):
+        hl.tail_mass(spiked, 0.0)
     with pytest.raises(ValueError, match="not finite"):
         hl.make_mu_a(1.5, math.inf)
 
@@ -218,6 +223,35 @@ def test_suggest_radius_controls_tail():
         r = hl.suggest_radius(a)
         model = hl.make_mu_a(a, 2.0 * r)
         assert hl.tail_mass(model, r) < hl.TAIL_TOL
+
+
+def _tail_case(mp, family, param):
+    """A model and its unnormalized density as an mpmath function."""
+    if family == "mu_a":
+        return hl.make_mu_a(param, hl.suggest_radius(param)), lambda u: mp.exp(-mp.sqrt(1 + u * u) ** param)
+    if family == "cauchy":
+        return hl.make_cauchy(param, 50.0), lambda u: (1 + u * u) ** (-param)
+    return hl.make_ou(8.0), lambda u: mp.exp(-u * u / 2)
+
+
+@pytest.mark.parametrize("family,param", [
+    ("mu_a", 0.5), ("mu_a", 1.0), ("mu_a", 1.5), ("mu_a", 2.0), ("mu_a", 2.5),
+    ("cauchy", 1.01), ("cauchy", 2.0), ("ou", None),
+])
+def test_tail_mass_matches_mpmath(family, param):
+    # q(x) = C int_x^R g to 1e-11 relative at 23 points, wherever q >= 1e-10
+    mp = pytest.importorskip("mpmath")
+    model, g = _tail_case(mp, family, param)
+    r = model.radius
+    cuts = sorted({0.0, r} | {s * 2.0**j for j in range(-2, 64) if 2.0**j < r for s in (-1, 1)})
+    checked = []
+    with mp.workdps(30):
+        for x in np.linspace(-r, r, 24)[:-1]:
+            q = float(model.normalization * mp.quad(g, [x] + [c for c in cuts if c > x]))
+            if q >= 1e-10:
+                assert hl.tail_mass(model, x) == pytest.approx(q, rel=1e-11, abs=0.0)
+                checked.append(q)
+    assert len(checked) >= 12 and min(checked) < 1e-3
 
 
 def test_mehler_kernel_values(rng):
