@@ -542,11 +542,12 @@ def empirical_rate(
 ) -> RateFunction:
     """Fit the greatest envelope phi(x) = C^{-1/lam}(x-C)^{1/lam} below a family.
 
-    ``lam`` (or ``exponents.lam``) fixes the shape; C is found by bisection
-    as the smallest shift keeping phi below every sampled quotient pair with
-    x above the floor (default: ``floor_scale`` times the quotient of the
-    constant function).  ``safety > 1`` inflates the fitted C, weakening the
-    envelope; useful when the rate must hold on held-out data.
+    ``lam`` (or ``exponents.lam``) fixes the shape; C is the least shift keeping
+    phi below every quotient pair (x, y) with x above the floor (default:
+    ``floor_scale`` times the quotient of the constant function).  As phi_C(x)
+    <= y exactly when C >= x / (1 + y^lam), C is the maximum of that over the
+    pairs, walked a few ulps to the least float whose computed phi_C passes.
+    ``safety > 1`` inflates C, weakening the envelope for held-out data.
 
     A family with no sample above the floor yields a flagged degenerate rate.
     """
@@ -565,33 +566,28 @@ def empirical_rate(
     m_floor = float(floor) if floor is not None else floor_scale * x_const
 
     r = 1.0 / lam
-    degenerate = not bool(np.any(xq > m_floor))
+    above = xq > m_floor
+    degenerate = not bool(np.any(above))
     if degenerate:
         c_fit = m_floor
     else:
 
         def feasible(c: float) -> bool:
             sel = xq > max(m_floor, c)
-            if not np.any(sel):
-                return True
             phi = c ** -r * (xq[sel] - c) ** r
             return bool(np.all(yq[sel] >= phi))
 
-        hi = 2.0 * max(float(np.max(xq)), m_floor)
-        lo = 1e-12 * hi
-        if feasible(lo):
-            # every sample sits far above even the steepest envelope
-            hi = lo
+        c_fit = float(np.max(xq[above] / (1.0 + yq[above] ** lam)))
+        # up while infeasible, down while the float below is still feasible
+        for _ in range(64):
+            if not feasible(c_fit):
+                c_fit = math.nextafter(c_fit, math.inf)
+            elif feasible(below := math.nextafter(c_fit, 0.0)):
+                c_fit = below
+            else:
+                break
         else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid
-        c_fit = hi
-        if not feasible(c_fit):
-            raise CalibrationError("empty feasible set for the envelope shift")
+            raise CalibrationError("the envelope shift did not settle within 64 ulps")
     c_fit *= safety
     floor_eff = max(m_floor, c_fit)
 

@@ -68,7 +68,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             cfg = cls(**{key: _coerce(annotations[key], value) for key, value in raw.items()})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
         cfg._validate()
         return cfg
@@ -157,7 +157,14 @@ def _exactly(kind: type, expected: str):
     return convert
 
 
-_CONVERTERS = {"str": str, "float": float, "int": _exactly(int, "an integer"),
+def _finite(value) -> float:
+    """A finite int or float (not a bool, not a quoted number) as a float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+_CONVERTERS = {"str": str, "float": _finite, "int": _exactly(int, "an integer"),
                "bool": _exactly(bool, "true or false")}
 
 
@@ -168,7 +175,7 @@ def _coerce(annotation: str, value):
     if optional and value is None:
         return None
     if kind == "tuple":
-        return tuple(float(t) for t in (value if isinstance(value, (list, tuple)) else [value]))
+        return tuple(_finite(t) for t in (value if isinstance(value, (list, tuple)) else [value]))
     return _CONVERTERS[kind](value)
 
 
@@ -290,6 +297,8 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
             train, weight, model, op,
             exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
         )
+        if rate.meta["degenerate"]:
+            raise CalibrationError("empirical rate degenerate: no training sample above the floor")
     return weight, cert, rate, exps, bounds.k_profile(rate)
 
 
@@ -439,15 +448,13 @@ def _kernel_domination(dec, kp, cert, times) -> dict:
 
 
 def run_verify(cfg: ExperimentConfig):
+    if not cfg.heldout_size:
+        raise ConfigError("verify requires a nonempty held-out family")
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model, t_first=min(cfg.times))
     rng = np.random.default_rng(cfg.seed)
     weight, cert, rate, exps, kp = _pipeline(cfg, model, grid, op, rng)
-    if not cfg.heldout_size:
-        raise ConfigError("verify requires a nonempty held-out family")
     heldout = _bump_family(cfg, grid, rng, cfg.heldout_size)
-    if rate.meta.get("degenerate"):
-        raise CalibrationError("empirical rate degenerate: no training sample above the floor")
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
@@ -661,7 +668,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"calibration error: {exc}", file=sys.stderr)
         return 4
-    except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
+    except (NumericError, ValueError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

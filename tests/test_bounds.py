@@ -386,6 +386,72 @@ def test_empirical_rate_explicit_floor(mua_model, mua_setup, rng):
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
 
 
+def _bisection_shift(xq, yq, m_floor, lam):
+    """The envelope shift as ``empirical_rate`` found it before its closed
+    form, kept verbatim as a reference: 200 bisection steps on [1e-12 hi, hi].
+    Returns the shift and the float feasibility predicate."""
+    r = 1.0 / lam
+
+    def feasible(c: float) -> bool:
+        sel = xq > max(m_floor, c)
+        if not np.any(sel):
+            return True
+        phi = c ** -r * (xq[sel] - c) ** r
+        return bool(np.all(yq[sel] >= phi))
+
+    hi = 2.0 * max(float(np.max(xq)), m_floor)
+    lo = 1e-12 * hi
+    if feasible(lo):
+        # every sample sits far above even the steepest envelope
+        hi = lo
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+    c_fit = hi
+    if not feasible(c_fit):
+        raise CalibrationError("empty feasible set for the envelope shift")
+    return c_fit, feasible
+
+
+@pytest.mark.parametrize("a", [1.2, 1.5, 2.5])
+def test_empirical_shift_is_the_least_feasible_float(a):
+    # the closed form max x / (1 + y^lam) lands a few ulps either side of the
+    # least feasible float; the walk must take it there, bit for bit what
+    # the bisection converged to
+    model = hl.make_mu_a(a, hl.suggest_radius(a))
+    bare_below = bare_above = 0
+    for n in (100, 800):
+        grid = hl.make_grid(model, n)
+        op = hl.discretize(model, grid)
+        for beta in (1.0, 2.0):
+            weight = hl.weight_mu_a(a, beta)
+            default = hl.mu_a_exponents(a, beta)
+            theta_min = default.theta_bounds[0]
+            near_min = hl.mu_a_exponents(a, beta, theta_min + 1e-3 * (1.0 - theta_min))
+            for seed, count in [(0, 5), (1, 5), (0, 200), (1, 200)]:
+                family = hl.gaussian_bump_family(grid, count, np.random.default_rng(seed))
+                xq, yq = hl.nash_quotients(family, weight, model, op)
+                for exps in (default, near_min):
+                    for floor_scale in (1.5, 0.0):
+                        rate = hl.empirical_rate(family, weight, model, op, exponents=exps,
+                                                 floor_scale=floor_scale, safety=1.0)
+                        m_floor = rate.meta["configured_floor"]
+                        shift, feasible = _bisection_shift(xq, yq, m_floor, exps.lam)
+                        c = rate.meta["c_shift"]
+                        assert c == shift
+                        assert feasible(c) and not feasible(math.nextafter(c, 0.0))
+                        sel = xq > m_floor
+                        bare = float(np.max(xq[sel] / (1.0 + yq[sel] ** exps.lam)))
+                        bare_below += bare < c
+                        bare_above += bare > c
+    # the grid exercises both directions of the walk
+    assert bare_below and bare_above
+
+
 # ----------------------------------------------------------------------
 # closed-form exponents
 

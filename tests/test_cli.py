@@ -94,6 +94,17 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("spectrum", "seed = 2.7\n"),
     ("spectrum", "seed = true\n"),
     ("spectrum", "seed = -1\n"),
+    ("spectrum", "a = true\n"),
+    ("spectrum", "safety = true\n"),
+    ("spectrum", "times = true\n"),
+    ("spectrum", "t_min = NaN\n"),
+    ("spectrum", "floor_scale = nan\n"),
+    ("spectrum", "times = NaN\n"),
+    ("spectrum", "times = 0.5, Infinity\n"),
+    ("spectrum", "a = \"1.5\"\n"),
+    ("kernel", "bump_width_hi = Infinity\n"),
+    # an integer literal too large for a float: a config error, not exit 3
+    pytest.param("spectrum", "a = 1" + "0" * 400 + "\n", id="spectrum-a-beyond-float-range"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, command, text):
     cfg = write_config(tmp_path / "cfg.txt", text)
@@ -163,13 +174,34 @@ def test_verify_universal_weight_trace_exits_5(tmp_path):
 
 
 def test_verify_degenerate_family_exits_4(tmp_path):
-    # near-constant bumps: every quotient sits below the floor
+    # near-constant bumps: every quotient sits below the floor; kernel
+    # certifies from the same uncalibrated envelope, so it refuses too
     cfg = write_config(
         tmp_path / "cfg.txt",
         VERIFY_SMALL + "bump_width_lo = 50.0\nbump_width_hi = 50.0\n",
     )
     out = str(tmp_path / "out")
-    assert cli.main(["verify", "--config", cfg, "--out", out]) == 4
+    for command in ("verify", "kernel"):
+        assert cli.main([command, "--config", cfg, "--out", out]) == 4
+        assert not os.path.exists(out)
+
+
+def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path):
+    # a config error, also when the training family would fail calibration
+    out = str(tmp_path / "out")
+    for extra in ("", "bump_width_lo = 50.0\nbump_width_hi = 50.0\n"):
+        cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + "heldout_size = 0\n" + extra)
+        assert cli.main(["verify", "--config", cfg, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["kernel", "verify"])
+@pytest.mark.parametrize("times", ["2000", "0.25, 5000"])
+def test_overflowing_time_exits_3(tmp_path, command, times):
+    # e^{2ct} of the bounds overflows a float at these times
+    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + f"times = {times}\n")
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 3
     assert not os.path.exists(out)
 
 

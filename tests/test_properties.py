@@ -165,6 +165,13 @@ def test_non_numeric_float_exits_2(key, word):
     assert run_config(f"{key} = {word}\n") == (2, False)
 
 
+@pytest.mark.parametrize("word", ["nan", "NaN", "inf", "infinity", "Infinity", "-Infinity"])
+def test_non_finite_float_exits_2(word):
+    # JSON reads NaN and Infinity as floats, the rest stay words: all refused
+    for key in FLOAT_FIELDS + ["times"]:
+        assert run_config(f"{key} = {word}\n") == (2, False), key
+
+
 @settings(deadline=None, max_examples=30)
 @given(WORDS.filter(lambda w: w not in FIELDS))
 def test_unknown_key_exits_2(key):
