@@ -13,10 +13,11 @@ U(x) = int_x^inf du/phi(u).  Kernel and trace bounds follow by squaring:
 p_{2t}(x,y) <= K(2t)^2 e^{2ct} V(x)V(y) and
 sum_n exp(-2 lambda_n t) <= K(2t)^2 e^{2ct} int V^2 dmu.
 
-Rate functions come in closed-form kinds (powers, log-powers, the fitted
-envelope shape C^{-1/lam}(x - C)^{1/lam}) with analytic tail integrals, and
-numeric kinds (converse construction, Super-Poincare envelopes) integrated
-by quadrature.  Every rate satisfies phi(x)/x nondecreasing on its domain.
+Every rate satisfies phi(x)/x nondecreasing on its domain.  Only the
+closed-form kinds (powers, log-powers, the fitted envelope shape
+C^{-1/lam}(x - C)^{1/lam}) have a decay profile, from their analytic U and
+U^{-1}.  Converse rates and Super-Poincare envelopes grow at most like
+x log x, so their 1/phi is never integrable: they are evaluated, never profiled.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
 #: A finite grid makes the result a certified lower bound on the true sup.
 DEFAULT_CONVERSE_TIMES = np.geomspace(1e-3, 1e2, 64)
 
-_UINV_REL_TOL = 1e-12
 _X_CAP = 1e250  # beyond this, U^{-1} is reported as inf
 
 
@@ -197,6 +197,10 @@ def integrability_test(rate: RateFunction) -> bool:
     divergent.  Rates with block ratio in [0.95, 1), i.e. log-power
     exponents within ~7% above the harmonic borderline, are conservatively
     classified as divergent.
+
+    It also errs the other way: a converse rate with large K, such as
+    ``converse_rate(ts, ts**-5)``, is called integrable, as the block ratios
+    of 1/(u - c) drop below 0.95 before u = 600.  ``k_profile`` never asks it.
     """
     u0 = max(1.0, math.log(max(2.0, 2.0 * rate.domain_floor)))
     integrand = _log_integrand(rate)
@@ -214,97 +218,31 @@ def integrability_test(rate: RateFunction) -> bool:
 def is_integrable(rate: RateFunction) -> bool:
     """Whether 1/phi is integrable at infinity: the exact criterion of a kind
     in ``_CLOSED_FORMS``, the numeric probe ``integrability_test`` otherwise."""
-    integrable = rate.meta.get("_integrable")
-    if integrable is None:
-        closed = _CLOSED_FORMS.get(rate.kind)
-        integrable = integrability_test(rate) if closed is None else closed[0](rate.meta)
-        rate.meta["_integrable"] = integrable  # cache: probing is not free
-    return integrable
+    closed = _CLOSED_FORMS.get(rate.kind)
+    return integrability_test(rate) if closed is None else closed[0](rate.meta)
 
 
-def _require_integrable(rate: RateFunction) -> None:
-    if not is_integrable(rate):
+def _closed_form(rate: RateFunction) -> tuple[Callable, Callable]:
+    """The closed (U, U^{-1}) of a rate; IntegrabilityError when its kind has
+    none or the kind's criterion says 1/phi is not integrable at infinity."""
+    closed = _CLOSED_FORMS.get(rate.kind)
+    if closed is None:
+        raise IntegrabilityError(f"no closed-form tail integral for rate kind {rate.kind!r}")
+    if not closed[0](rate.meta):
         raise IntegrabilityError(
             f"1/phi not integrable at infinity for rate kind {rate.kind!r}: "
             "no decay profile exists"
         )
-
-
-def _u_numeric(rate: RateFunction, x: float) -> float:
-    """Block quadrature of int_x^inf du/phi(u) in u = log substitution."""
-    integrand = _log_integrand(rate)
-    if float(np.asarray(rate.evaluate(x * (1.0 + 1e-12)))) <= 0.0:
-        return math.inf
-    total = 0.0
-    u = math.log(x)
-    width = 0.5
-    converged = False
-    while u < 600.0:
-        u2 = min(u + width, 600.0)
-        block = _gauss_panels(integrand, np.linspace(u, u2, 3))
-        if not math.isfinite(block):
-            return math.inf
-        total += block
-        if u > math.log(x) + 5.0 and block < 1e-15 * max(total, 1e-300):
-            converged = True
-            break
-        u = u2
-        width = min(width * 1.6, 80.0)
-    if not converged:
-        # power-law tail from the local log-log slope at the far end
-        xf = math.exp(min(u, 600.0))
-        p1 = float(np.asarray(rate.evaluate(xf / 2.0)))
-        p2 = float(np.asarray(rate.evaluate(xf)))
-        if not (p1 > 0 and p2 > 0):
-            return math.inf
-        slope = math.log(p2 / p1) / math.log(2.0)
-        if slope <= 1.05:
-            raise IntegrabilityError(
-                "tail of 1/phi decays too slowly to certify a finite integral"
-            )
-        total += xf / (p2 * (slope - 1.0))
-    return total
+    return closed[1:]
 
 
 def u_integral(rate: RateFunction, x: float) -> float:
-    """U(x) = int_x^inf du/phi(u); strictly decreasing in x, may be inf at the floor.
-
-    The kinds in ``_CLOSED_FORMS`` use their closed form; any other kind is
-    integrated by ``_u_numeric``.  Raises IntegrabilityError when 1/phi is
-    not integrable at infinity.
-    """
-    _require_integrable(rate)
-    closed = _CLOSED_FORMS.get(rate.kind)
-    if closed is not None:
-        return closed[1](rate.meta, x)
-    if x <= max(rate.domain_floor, 0.0):
-        return math.inf
-    return _u_numeric(rate, x)
-
-
-def _bisect_inverse(rate: RateFunction, t: float) -> float:
-    """U^{-1}(t) by bisection on the strictly decreasing U (relative tolerance
-    1e-12); inf when U stays >= t at every doubling point up to ~1e250."""
-    m = rate.domain_floor
-    hi = max(1.0, 2.0 * m)
-    while u_integral(rate, hi) >= t:
-        hi *= 2.0
-        if hi > _X_CAP:
-            return math.inf
-    lo = m
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if u_integral(rate, mid) > t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _UINV_REL_TOL * max(abs(hi), 1.0):
-            break
-    return 0.5 * (lo + hi)
+    """U(x) = int_x^inf du/phi(u), strictly decreasing; closed forms only (``_closed_form``)."""
+    return _closed_form(rate)[0](rate.meta, x)
 
 
 def _cap_point(rate: RateFunction) -> float:
-    """The last point max(1, 2M) 2^k <= ~1e250 of the bisection's doubling."""
+    """The largest max(1, 2M) 2^k, k >= 0, that is at most ``_X_CAP``."""
     h = max(1.0, 2.0 * rate.domain_floor)
     while 2.0 * h <= _X_CAP:
         h *= 2.0
@@ -344,9 +282,8 @@ def _envelope_inverse(meta: dict, t: float) -> float:
     return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
 
 
-#: The rate kinds with closed forms: kind -> (whether 1/phi is integrable at
-#: infinity, given the meta; U(x); U^{-1}(t)).  Every other kind is integrated
-#: by quadrature and inverted by bisection.
+#: The only rate kinds with a decay profile: kind -> (whether 1/phi is integrable
+#: at infinity, given the meta; U(x); U^{-1}(t)).  ``_closed_form`` refuses the rest.
 _CLOSED_FORMS = {
     "power": (lambda meta: meta["exponent"] > 1.0, _power_u, _power_inverse),
     "log_power": (lambda meta: meta["exponent"] > 1.0, _log_power_u, _log_power_inverse),
@@ -358,13 +295,9 @@ _CLOSED_FORMS = {
 class KProfile:
     """Decay profile K(t) = sqrt(U^{-1}(t)) for t < U(M), sqrt(M) afterwards.
 
-    The closed-form kinds (power, log-power, fitted envelope) invert U
-    explicitly; the numeric kinds bisect the strictly decreasing U
-    (relative tolerance 1e-12).  U^{-1}(t) is inf, rather than an overflow,
-    where the bisection's doubling would pass ~1e250: for the closed-form
-    kinds that is exactly t <= ``u_at_cap``, U at the last doubling point;
-    for the numeric kinds ``u_at_cap`` is 0 and the bisection applies the
-    cap itself.
+    U and U^{-1} are the closed forms of the rate's kind.  U^{-1}(t) is
+    reported as inf, not as an overflow, for t <= ``u_at_cap``, U at
+    ``_cap_point`` (the last point max(1, 2M) 2^k below ~1e250).
     """
 
     rate: RateFunction
@@ -384,24 +317,19 @@ class KProfile:
         """U^{-1}(t) for 0 < t < U(M)."""
         if t <= self.u_at_cap:
             return math.inf
-        closed = _CLOSED_FORMS.get(self.rate.kind)
-        if closed is None:
-            return _bisect_inverse(self.rate, t)
         try:
-            return closed[2](self.rate.meta, t)
+            return _closed_form(self.rate)[1](self.rate.meta, t)
         except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
             return math.inf
 
 
 def k_profile(rate: RateFunction) -> KProfile:
-    """Build the decay profile of a rate; raises IntegrabilityError when
-    1/phi is not integrable at infinity (no profile exists)."""
-    _require_integrable(rate)
-    closed = rate.kind in _CLOSED_FORMS
+    """Build the decay profile of a rate; ``u_integral`` raises
+    IntegrabilityError for a rate without one, when the profile is built."""
     return KProfile(
         rate=rate,
         u_at_floor=u_integral(rate, rate.domain_floor),
-        u_at_cap=u_integral(rate, _cap_point(rate)) if closed else 0.0,
+        u_at_cap=u_integral(rate, _cap_point(rate)),
     )
 
 
@@ -409,22 +337,28 @@ def k_profile(rate: RateFunction) -> KProfile:
 # theorem-side bounds
 
 
-def l2_bound(kp: KProfile, cert: LyapunovCertificate, t: float) -> float:
-    """Dominating side K(2t) e^{ct} of ||P_t f||_2 <= K(2t) e^{ct} ||fV||_1."""
+def _growth(factor: float, c: float, t: float) -> float:
+    """e^{factor c t} for t > 0, bounding the semigroup at time factor t;
+    NumericError naming both times and c where it overflows."""
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
-    return kp.evaluate(2.0 * t) * math.exp(cert.constant * t)
+    try:
+        return math.exp(factor * c * t)
+    except OverflowError:
+        raise NumericError(f"e^({factor:g} c t) overflows at t = {t} "
+                           f"(semigroup time {factor * t}) with c = {c}") from None
+
+
+def l2_bound(kp: KProfile, cert: LyapunovCertificate, t: float) -> float:
+    """Dominating side K(2t) e^{ct} of ||P_t f||_2 <= K(2t) e^{ct} ||fV||_1."""
+    return _growth(1.0, cert.constant, t) * kp.evaluate(2.0 * t)
 
 
 def kernel_bound(kp: KProfile, cert: LyapunovCertificate, t: float, x, y):
     """Kernel bound K(2t)^2 e^{2ct} V(x) V(y) dominating p_{2t}(x, y)."""
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
-    k = kp.evaluate(2.0 * t)
-    v = cert.weight.value
-    return _scalar_or_array(
-        k * k * math.exp(2.0 * cert.constant * t) * np.asarray(v(x)) * np.asarray(v(y))
-    )
+    growth = _growth(2.0, cert.constant, t)
+    k, v = kp.evaluate(2.0 * t), cert.weight.value
+    return _scalar_or_array(k * k * growth * np.asarray(v(x)) * np.asarray(v(y)))
 
 
 def weight_squared_mass(model: MeasureModel, weight: Weight, grid: Grid) -> float:
@@ -455,11 +389,9 @@ def trace_bound(
     t: float,
 ) -> float:
     """Trace-side bound K(2t)^2 e^{2ct} int V^2 dmu for sum_n exp(-2 lambda_n t)."""
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
-    mass = weight_squared_mass(model, cert.weight, grid)
+    growth = _growth(2.0, cert.constant, t)
     k = kp.evaluate(2.0 * t)
-    return k * k * math.exp(2.0 * cert.constant * t) * mass
+    return k * k * growth * weight_squared_mass(model, cert.weight, grid)
 
 
 # ----------------------------------------------------------------------
@@ -730,9 +662,8 @@ def super_poincare_envelope(a_values: np.ndarray, b_values: np.ndarray) -> RateF
     somewhere and the inversion is refused.
 
     Beyond the sampled slopes the inverse grows only linearly (slope
-    1/min a), so a finite-grid envelope never has an integrable 1/phi
-    tail; it is a lower bound on the continuum rate, useful for quotient
-    constraints but not for decay profiles.
+    1/min a), so 1/phi is never integrable: a lower bound on the continuum
+    rate, for quotient constraints and never for a decay profile.
     """
     a_values = np.asarray(a_values, dtype=float)
     b_values = np.asarray(b_values, dtype=float)

@@ -41,7 +41,7 @@ class ExperimentConfig:
     weight: str = "mu_a"
     beta: float = 1.0
     times: tuple = (0.25, 0.5, 1.0)
-    t_min: float = 1e-3
+    t_min: float = spectral.DEFAULT_T_MIN
     seed: int = 0
     theta: float | None = None
     train_size: int = 200
@@ -281,6 +281,19 @@ def _closed_rate(cfg: ExperimentConfig):
     return None
 
 
+def _exponents(cfg: ExperimentConfig) -> bounds.MuAExponents:
+    """The mu_a exponents of the config; a ConfigError for a beta, or a set
+    theta, outside its admissible range."""
+    try:
+        exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.theta is not None and not cfg.theta > exps.theta_bounds[0]:
+        raise ConfigError(f"theta must exceed {exps.theta_bounds[0]} for a = {cfg.a}, "
+                          f"beta = {cfg.beta}, got {cfg.theta}")
+    return exps
+
+
 def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     """(weight, Lyapunov certificate, rate, exponents, K profile) for the mu_a
     family.  The training family is drawn from ``rng`` whatever the rate
@@ -292,7 +305,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     train = _bump_family(cfg, grid, rng, cfg.train_size)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
-        exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
+        exps = _exponents(cfg)
         rate = bounds.empirical_rate(
             train, weight, model, op,
             exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
@@ -568,7 +581,7 @@ def run_nash_scan(cfg: ExperimentConfig):
     else:
         family = _bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
     xq, yq = bounds.nash_quotients(family, weight, model, op)
-    exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
+    exps = _exponents(cfg)
     rate = bounds.empirical_rate(
         family, weight, model, op,
         exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,

@@ -8,14 +8,15 @@ The window is chosen large enough that the neglected tail mass is below
 for every downstream quadrature.
 
 Every integral in the package uses one composite 32-point Gauss-Legendre
-rule. ``bounds`` sums it over two equal panels per block of a numeric U
-integral. The normalization constants and the tail mass, integrals over
-[lo, hi], use panels graded away from the origin (breakpoints lo, 0 when
-inside, the +-2^j >= 1/4 inside, and hi): short where a density peaks and
-long where it decays. Such an integral is run with 2 and with 4 panels per
-interval and keeps the 4-panel sum; the two must agree to ``1e-13`` relative
-or the call raises :class:`~heatlab.errors.NumericError`, so the error is
-checked on every call. Normalization at ``suggest_radius`` takes 1.5k-8k nodes.
+rule. ``bounds`` sums it over two equal panels per block of its
+integrability probe, its one numeric 1/phi integral. The normalization
+constants and the tail mass, integrals over [lo, hi], use panels graded away
+from the origin (breakpoints lo, 0 when inside, the +-2^j >= 1/4 inside, and
+hi): short where a density peaks and long where it decays. Such an integral
+is run with 2 and with 4 panels per interval and keeps the 4-panel sum; the
+two must agree to ``1e-13`` relative or the call raises
+:class:`~heatlab.errors.NumericError`, so the error is checked on every
+call. Normalization at ``suggest_radius`` takes 1.5k-8k nodes.
 
 The exponential-power family uses the smoothed radius ``T(x) = sqrt(1+x^2)``
 so the density ``C_a * exp(-T^a)`` is smooth at the origin for every
@@ -30,7 +31,7 @@ the package uses as its oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,7 +105,6 @@ class MeasureModel:
     log_density: Callable
     drift: Callable
     normalization: float
-    params: dict = field(default_factory=dict)
 
     @property
     def is_probability(self) -> bool:
@@ -121,7 +121,6 @@ class Weight:
 
     value: Callable
     log_value: Callable
-    params: dict = field(default_factory=dict)
     dlog: Optional[Callable] = None
     d2log: Optional[Callable] = None
 
@@ -196,7 +195,6 @@ def make_mu_a(a: float, radius: float) -> MeasureModel:
         log_density=log_density,
         drift=drift,
         normalization=c_a,
-        params={"family": "mu_a", "a": float(a)},
     )
 
 
@@ -228,7 +226,6 @@ def make_cauchy(beta: float, radius: float) -> MeasureModel:
         log_density=log_density,
         drift=drift,
         normalization=c,
-        params={"family": "cauchy", "beta": float(beta)},
     )
 
 
@@ -261,7 +258,6 @@ def make_ou(radius: float = 8.0) -> MeasureModel:
         log_density=log_density,
         drift=drift,
         normalization=c,
-        params={"family": "ou"},
     )
 
 
@@ -276,7 +272,6 @@ def make_lebesgue(radius: float) -> MeasureModel:
         log_density=_zeros,
         drift=_zeros,
         normalization=math.inf,
-        params={"family": "lebesgue"},
     )
 
 
@@ -314,7 +309,6 @@ def weight_mu_a(a: float, beta: float) -> Weight:
     return Weight(
         value=value,
         log_value=log_value,
-        params={"family": "mu_a", "a": float(a), "beta": float(beta)},
         dlog=dlog,
         d2log=d2log,
     )
@@ -335,7 +329,6 @@ def universal_weight(model: MeasureModel) -> Weight:
     return Weight(
         value=value,
         log_value=log_value,
-        params={"family": "universal", "model": model.name},
         dlog=dlog,
         d2log=None,
     )
@@ -343,8 +336,7 @@ def universal_weight(model: MeasureModel) -> Weight:
 
 def unit_weight() -> Weight:
     """The trivial weight V = 1 (plain Nash inequality setting)."""
-    return Weight(value=_ones, log_value=_zeros, params={"family": "unit"},
-                  dlog=_zeros, d2log=_zeros)
+    return Weight(value=_ones, log_value=_zeros, dlog=_zeros, d2log=_zeros)
 
 
 def mehler_weight(t: float) -> Weight:
@@ -370,9 +362,7 @@ def mehler_weight(t: float) -> Weight:
     def d2log(x):
         return np.full_like(np.asarray(x, dtype=float), 2.0 / denom)
 
-    return Weight(value=value, log_value=log_value,
-                  params={"family": "mehler", "t": float(t)},
-                  dlog=dlog, d2log=d2log)
+    return Weight(value=value, log_value=log_value, dlog=dlog, d2log=d2log)
 
 
 def tail_mass(model: MeasureModel, x: float) -> float:

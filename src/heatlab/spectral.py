@@ -97,7 +97,6 @@ class TridiagonalOperator:
     """
 
     grid: Grid
-    model: MeasureModel
     midpoint_weights: np.ndarray
     sym_diag: np.ndarray
     sym_offdiag: np.ndarray
@@ -115,7 +114,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     grid: Grid
-    model: MeasureModel
     t_min: float = DEFAULT_T_MIN
     tail_rate: float = math.inf
 
@@ -157,7 +155,6 @@ def discretize(model: MeasureModel, grid: Grid) -> TridiagonalOperator:
     diag[1:] += c
     return TridiagonalOperator(
         grid=grid,
-        model=model,
         midpoint_weights=c,
         sym_diag=diag / m,
         sym_offdiag=-c / np.sqrt(m[:-1] * m[1:]),
@@ -217,7 +214,6 @@ def eigendecompose(
         eigenvalues=w,
         eigenfunctions=ef,
         grid=op.grid,
-        model=op.model,
         t_min=t_min if math.isinf(cut) else max(t_min, t_first),
         tail_rate=cut,
     )

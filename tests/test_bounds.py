@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heatlab as hl
-from heatlab import bounds
+from heatlab.bounds import _X_CAP, u_integral
 from heatlab.errors import CalibrationError, IntegrabilityError, NumericError
 
 
@@ -93,13 +93,22 @@ def test_u_integral_divergent_cases():
         hl.k_profile(hl.log_rate(1.5))
 
 
-def test_u_integral_numeric_matches_closed_form():
-    # generic kind forces the quadrature path; compare against x^{-1}
-    generic = hl.RateFunction(
+def test_rates_without_a_closed_form_have_no_profile():
+    # the probe calls this converse rate integrable, and x^2 is integrable,
+    # but neither kind has a closed form: both are refused when built
+    ts = np.geomspace(0.01, 10.0, 64)
+    converse = hl.converse_rate(ts, ts ** -5)
+    assert hl.integrability_test(converse) is True
+    square = hl.RateFunction(
         kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2
     )
-    for x in (0.5, 2.0, 20.0):
-        assert hl.u_integral(generic, x) == pytest.approx(1.0 / x, rel=1e-9)
+    for rate in (converse, square):
+        meta = dict(rate.meta)
+        with pytest.raises(IntegrabilityError, match="no closed-form tail integral"):
+            hl.k_profile(rate)
+        with pytest.raises(IntegrabilityError, match="no closed-form tail integral"):
+            hl.u_integral(rate, 2.0)
+        assert rate.meta == meta
 
 
 @pytest.mark.parametrize(
@@ -154,6 +163,32 @@ def test_k_profile_flat_after_u_floor():
     assert kp.evaluate(kp.u_at_floor * 0.5) > math.sqrt(math.e)
 
 
+# the bisection that inverted U for kinds without a closed form, kept
+# verbatim as the reference for the closed inverses
+_UINV_REL_TOL = 1e-12
+
+
+def _bisect_inverse(rate: hl.RateFunction, t: float) -> float:
+    """U^{-1}(t) by bisection on the strictly decreasing U (relative tolerance
+    1e-12); inf when U stays >= t at every doubling point up to ~1e250."""
+    m = rate.domain_floor
+    hi = max(1.0, 2.0 * m)
+    while u_integral(rate, hi) >= t:
+        hi *= 2.0
+        if hi > _X_CAP:
+            return math.inf
+    lo = m
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if u_integral(rate, mid) > t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _UINV_REL_TOL * max(abs(hi), 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
 def test_k_profile_closed_inverse_matches_bisection(mua_pipeline):
     # log_rate(2.5, 2.0) has U = 0.70 at the bisection's last doubling point,
     # so the log grid covers its inf region and the step out of it
@@ -175,7 +210,7 @@ def test_k_profile_closed_inverse_matches_bisection(mua_pipeline):
             grid += [kp.u_at_cap, float(np.nextafter(kp.u_at_cap, np.inf))]
         for t in grid:
             closed = kp.inverse(t)
-            bisected = bounds._bisect_inverse(rate, t)
+            bisected = _bisect_inverse(rate, t)
             assert math.isinf(closed) == math.isinf(bisected), (rate.kind, t)
             if math.isfinite(closed):
                 assert abs(closed - bisected) <= 1e-10 * max(bisected, 1.0), (rate.kind, t)

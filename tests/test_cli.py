@@ -197,11 +197,24 @@ def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path):
 
 @pytest.mark.parametrize("command", ["kernel", "verify"])
 @pytest.mark.parametrize("times", ["2000", "0.25, 5000"])
-def test_overflowing_time_exits_3(tmp_path, command, times):
+def test_overflowing_time_exits_3(tmp_path, command, times, capsys):
     # e^{2ct} of the bounds overflows a float at these times
     cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + f"times = {times}\n")
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 3
+    assert not os.path.exists(out)
+    # the message names the configured time that overflowed
+    assert f"semigroup time {float(times.split(',')[-1])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "kernel", "nash-scan"])
+@pytest.mark.parametrize("setting", ["beta = 0.5", "theta = 0.1"])
+def test_out_of_range_exponent_parameter_exits_2(tmp_path, command, setting, capsys):
+    # beta <= (3 - a)/2 = 0.75 has no exponents; theta_min(1.5, 1) = 0.857
+    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL.replace("beta = 1.0", "") + setting)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    assert "config error: " + setting.split()[0] in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
