@@ -200,7 +200,8 @@ def integrability_test(rate: RateFunction) -> bool:
 
     It also errs the other way: a converse rate with large K, such as
     ``converse_rate(ts, ts**-5)``, is called integrable, as the block ratios
-    of 1/(u - c) drop below 0.95 before u = 600.  ``k_profile`` never asks it.
+    of 1/(u - c) drop below 0.95 before u = 600.  Nothing in the package asks
+    it: ``is_integrable`` and ``k_profile`` answer from closed forms only.
     """
     u0 = max(1.0, math.log(max(2.0, 2.0 * rate.domain_floor)))
     integrand = _log_integrand(rate)
@@ -215,19 +216,25 @@ def integrability_test(rate: RateFunction) -> bool:
     return bool(np.mean(ratios[-3:]) < 0.95)
 
 
-def is_integrable(rate: RateFunction) -> bool:
-    """Whether 1/phi is integrable at infinity: the exact criterion of a kind
-    in ``_CLOSED_FORMS``, the numeric probe ``integrability_test`` otherwise."""
+def _closed_entry(rate: RateFunction) -> tuple[Callable, Callable, Callable]:
+    """The ``_CLOSED_FORMS`` entry of a rate's kind; IntegrabilityError when
+    the kind has none."""
     closed = _CLOSED_FORMS.get(rate.kind)
-    return integrability_test(rate) if closed is None else closed[0](rate.meta)
+    if closed is None:
+        raise IntegrabilityError(f"no closed-form tail integral for rate kind {rate.kind!r}")
+    return closed
+
+
+def is_integrable(rate: RateFunction) -> bool:
+    """Whether 1/phi is integrable at infinity, by the exact criterion of the
+    rate's kind in ``_CLOSED_FORMS``; IntegrabilityError for any other kind."""
+    return _closed_entry(rate)[0](rate.meta)
 
 
 def _closed_form(rate: RateFunction) -> tuple[Callable, Callable]:
     """The closed (U, U^{-1}) of a rate; IntegrabilityError when its kind has
     none or the kind's criterion says 1/phi is not integrable at infinity."""
-    closed = _CLOSED_FORMS.get(rate.kind)
-    if closed is None:
-        raise IntegrabilityError(f"no closed-form tail integral for rate kind {rate.kind!r}")
+    closed = _closed_entry(rate)
     if not closed[0](rate.meta):
         raise IntegrabilityError(
             f"1/phi not integrable at infinity for rate kind {rate.kind!r}: "

@@ -15,6 +15,10 @@ back, are orthonormal w.r.t. the node masses.
 All kernel, trace and norm evaluations happen in this eigenbasis:
 p_t(x_i,x_j) = sum_n exp(-lambda_n t) e_n(x_i) e_n(x_j).
 
+Every built-in density is even, and the grid is mirror-exact, so the matrix
+is an exact palindrome and commutes with x -> -x: ``eigendecompose`` solves
+its even and its odd modes as two half-size blocks.
+
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
 away: completeness gives sum_n e_n(x_i)^2 = 1/m_i, so by Cauchy-Schwarz
@@ -70,9 +74,11 @@ DEFAULT_T_MIN = 1e-3
 _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 
 #: Largest kept-mode fraction k/n for which the subset solve (bisection
-#: plus inverse iteration) is taken; above it the full solve is faster.
-#: Measured on mu_a(1.5), the subset solve breaks even at k/n ~ 0.085
-#: (n = 800) and ~ 0.105 (n = 1600 and 3200).
+#: plus inverse iteration) is taken; above it every mode is computed.
+#: Measured on mu_a(1.5) with the parity split, the subset solve takes 0.36-0.48
+#: of the full solve's time at k/n = 0.075 and breaks even at k/n ~ 0.15-0.18
+#: (n = 800), 0.14-0.19 (n = 1600) and 0.16 (n = 3200); unsplit, at ~ 0.08
+#: (n = 800) and 0.095-0.105 (n = 1600, 3200).
 _PARTIAL_MAX_FRAC = 0.075
 
 
@@ -128,6 +134,9 @@ class SpectralDecomposition:
 
 
 def make_grid(model: MeasureModel, n_points: int, radius: float | None = None) -> Grid:
+    """``n_points`` mirror-exact nodes on [-radius, radius]: the lower half and
+    h of ``np.linspace``, the upper half their exact negation, the center of
+    an odd grid exactly 0.  An even density thus gives palindromic masses."""
     if n_points < 3:
         raise ValueError(f"need at least 3 grid points, got {n_points}")
     r = model.radius if radius is None else float(radius)
@@ -135,6 +144,10 @@ def make_grid(model: MeasureModel, n_points: int, radius: float | None = None) -
         raise ValueError(f"radius {r} outside the model window (0, {model.radius}]")
     x = np.linspace(-r, r, n_points)
     h = x[1] - x[0]
+    half = n_points // 2
+    x[n_points - half:] = -x[half - 1::-1]
+    if n_points % 2:
+        x[half] = 0.0
     m = model.density(x) * h
     m[0] *= 0.5
     m[-1] *= 0.5
@@ -178,6 +191,41 @@ def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
     return count
 
 
+def _parity_blocks(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and the odd block of a mirror-symmetric tridiagonal T, in one
+    tridiagonal of T's size with an exact zero coupling between them.
+
+    For n = 2m both are T[m:, m:], with e[m-1] added to (even) or subtracted
+    from (odd) the first diagonal entry.  For n = 2m + 1 the even block is
+    T[m:, m:] with its first off-diagonal times sqrt(2), the odd T[m+1:, m+1:].
+    """
+    half, center = divmod(diag.size, 2)
+    d = np.concatenate((diag[half:], diag[half + center:]))
+    e = np.concatenate((offdiag[half:], [0.0], offdiag[half + center:]))
+    if center:
+        e[0] *= math.sqrt(2.0)
+    else:
+        d[0] += offdiag[half - 1]
+        d[half] -= offdiag[half - 1]
+    return d, e
+
+
+def _unfold(v: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Eigenfunctions e_n(x_i) from the eigenvectors ``v`` of ``_parity_blocks``,
+    into one new n x k array.  Each column of ``v`` vanishes exactly on one
+    block, so each eigenfunction is exactly even or exactly odd."""
+    half, center = divmod(v.shape[0], 2)
+    even, odd = v[center:half + center], v[half + center:]
+    scale = (math.sqrt(0.5) / np.sqrt(masses[half + center:]))[:, None]
+    ef = np.empty_like(v)
+    upper, lower = ef[half + center:], ef[half - 1::-1]
+    np.multiply(np.add(even, odd, out=upper), scale, out=upper)
+    np.multiply(np.subtract(even, odd, out=lower), scale, out=lower)
+    if center:
+        ef[half] = v[0] / math.sqrt(masses[half])
+    return ef
+
+
 def eigendecompose(
     op: TridiagonalOperator, t_min: float = DEFAULT_T_MIN, t_first: float | None = None
 ) -> SpectralDecomposition:
@@ -193,6 +241,12 @@ def eigendecompose(
     lambda_cut as ``tail_rate`` and raises ``t_min`` to ``t_first``, where
     each dropped mode weighs at most 2^-52; ``kernel_tail``, ``trace_tail``
     and ``SpectralDecomposition.tail`` bound what the dropped modes add.
+
+    An operator with palindromic entries commutes with the reflection and is
+    orthogonally similar to its even block plus its odd block
+    (``_parity_blocks``), so eigenvalues, Sturm count and tail are unchanged.
+    One LAPACK call solves both, splitting at their exact zero coupling, each
+    at half-size cost; any other operator gets the unsplit call.
     """
     diag, offdiag = op.sym_diag, op.sym_offdiag
     cut = math.inf
@@ -202,6 +256,9 @@ def eigendecompose(
         cut = _CUTOFF_EXPONENT / t_first
         if _sturm_count(diag, offdiag, cut) > _PARTIAL_MAX_FRAC * diag.size:
             cut = math.inf
+    fold = np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1])
+    if fold:
+        diag, offdiag = _parity_blocks(diag, offdiag)
     try:
         if math.isinf(cut):
             w, v = eigh_tridiagonal(diag, offdiag)
@@ -209,7 +266,8 @@ def eigendecompose(
             w, v = eigh_tridiagonal(diag, offdiag, select="v", select_range=(-math.inf, cut))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
-    ef = v / np.sqrt(op.grid.node_masses)[:, None]
+    masses = op.grid.node_masses
+    ef = _unfold(v, masses) if fold else v / np.sqrt(masses)[:, None]
     return SpectralDecomposition(
         eigenvalues=w,
         eigenfunctions=ef,

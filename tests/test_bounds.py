@@ -111,6 +111,18 @@ def test_rates_without_a_closed_form_have_no_profile():
         assert rate.meta == meta
 
 
+def test_is_integrable_answers_closed_forms_only():
+    # the exact criterion of a closed-form kind, where the probe disagrees
+    # (a = 2.1); a refusal, not the probe's answer, for any other kind
+    assert hl.is_integrable(hl.log_rate(2.1)) is True
+    assert hl.is_integrable(hl.log_rate(1.5)) is False
+    assert hl.is_integrable(hl.power_rate(1.0, 1.0)) is False
+    ts = np.geomspace(0.01, 10.0, 64)
+    for rate in (hl.converse_rate(ts, ts ** -5), hl.converse_rate(ts, ts ** -0.5)):
+        with pytest.raises(IntegrabilityError, match="no closed-form tail integral"):
+            hl.is_integrable(rate)
+
+
 @pytest.mark.parametrize(
     "a,expected",
     [(1.5, False), (2.0, False), (2.5, True), (3.0, True)],

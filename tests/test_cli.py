@@ -513,7 +513,7 @@ def test_failing_kernel_check_scans_the_table(monkeypatch):
     assert len(scans) == 1
     assert not chk["pass"]
     assert chk["violations"] == 55148
-    assert chk["min_slack"] == -383073855.3097719
+    assert chk["min_slack"] == -383073855.30967724
 
 
 @pytest.mark.parametrize("text", [

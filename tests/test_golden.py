@@ -9,13 +9,17 @@ CHANGES.md must then name) with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the golden files whose bytes changed.
+which prints the golden files whose bytes changed and how far they
+drifted: the largest absolute and relative change of each CSV column and
+JSON number, and every other token that changed (a ``pass`` flag, a count,
+a tolerance, a string, a row or a file), marked ``CHANGED``.
 """
 
 import contextlib
 import glob
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -104,12 +108,121 @@ def test_write_goldens_names_changed_files(tmp_path, capsys):
     os.makedirs(os.path.join(golden_dir, "gone"))
     open(os.path.join(golden_dir, "gone", "x.csv"), "wb").close()
     assert write_goldens(golden_dir, cases) == ["converse/status.txt", "gone/x.csv"]
-    assert "converse/status.txt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "converse/status.txt\n      CHANGED status.txt" in err
+    assert "gone/x.csv\n      CHANGED: file removed" in err
+
+    # numbers get their drift; flags, counts, tolerances and strings a CHANGED line
+    report = os.path.join(golden_dir, "converse", "converse_report.json")
+    with open(report, encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (('"pass": true', '"pass": false'), ('"tolerance": 1e-09', '"tolerance": 1e-08'),
+                     ('"fitted_power": 3.0001069127529627', '"fitted_power": 3.0'),
+                     ('"source": "k_profile(power)"', '"source": "power"')):
+        text = text.replace(old, new)
+    with open(report, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    phi = os.path.join(golden_dir, "converse", "converse_phi.csv")
+    with open(phi, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(phi, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("1,0.18319208463584102", "1,0.18"))
+    assert write_goldens(golden_dir, cases) == ["converse/converse_phi.csv", "converse/converse_report.json"]
+    err = capsys.readouterr().err
+    assert "      phi: max abs 0.00319, max rel 0.0177\n" in err and "x: max" not in err
+    for line in ("CHANGED checks.quotient_monotone.pass: False -> True",
+                 "CHANGED checks.quotient_monotone.tolerance: 1e-08 -> 1e-09",
+                 "results.fitted_power: max abs 0.000107, max rel 3.56e-05",
+                 "CHANGED inputs.source: 'power' -> 'k_profile(power)'"):
+        assert f"      {line}\n" in err
+
+
+def test_drift_flags_counts_rows_and_labels():
+    before = b'{"checks": {"a": {"violations": 3, "min_slack": -1.0}}, "old": 1.0}'
+    after = b'{"checks": {"a": {"violations": 4, "min_slack": -2.0}}, "new": 1.0}'
+    assert drift("r.json", before, after) == [
+        "CHANGED checks.a.violations: 3 -> 4",
+        "checks.a.min_slack: max abs 1, max rel 1",
+        "CHANGED new: added",
+        "CHANGED old: removed",
+    ]
+    assert drift("t.csv", b"t,p\n1,0.5\n2,inf\n", b"t,p\n1,0.5\n2,1e300\n") == ["CHANGED p: 'inf' -> '1e300'"]
+    assert drift("t.csv", b"t,p\n1,0.5\n", b"t,p\n1,0.5\n2,0.25\n") == [
+        "CHANGED t: 1 -> 2 rows", "CHANGED p: 1 -> 2 rows"]
+
+
+def _tokens(name: str, data: bytes) -> dict:
+    """{label: token} of one golden file: a JSON file by the path of each
+    leaf, a CSV file by column (label ``column``, token the list of its
+    cells), any other file as one token."""
+    if name.endswith(".json"):
+        leaves = {}
+
+        def walk(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                label = f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]"
+                if isinstance(value, (dict, list)):
+                    walk(value, label)
+                else:
+                    leaves[label.lstrip(".")] = value
+        walk(json.loads(data), "")
+        return leaves
+    if name.endswith(".csv"):
+        header, *rows = [line.split(",") for line in data.decode().splitlines()]
+        return {col: [row[i] for row in rows] for i, col in enumerate(header)}
+    return {name: data.decode()}
+
+
+def _as_float(token):
+    """A float token as a float; None for an exact token (a bool, an integer,
+    a string, a tolerance), whose change is flagged rather than measured."""
+    if isinstance(token, float):
+        return token
+    if isinstance(token, str) and not token.lstrip("-").isdigit():
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    return None
+
+
+def drift(name: str, before: bytes, after: bytes) -> list[str]:
+    """One line per changed CSV column or JSON number, with its largest
+    absolute and relative change, and one ``CHANGED`` line per other token,
+    row count or label that changed."""
+    old, new = _tokens(name, before), _tokens(name, after)
+    lines = []
+    for label in list(new) + [label for label in old if label not in new]:
+        a, b = old.get(label), new.get(label)
+        if a == b:
+            continue
+        if label not in old or label not in new:
+            lines.append(f"CHANGED {label}: " + ("added" if label in new else "removed"))
+            continue
+        if isinstance(a, list) and len(a) != len(b):
+            lines.append(f"CHANGED {label}: {len(a)} -> {len(b)} rows")
+            continue
+        worst_abs = worst_rel = 0.0
+        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
+            if x == y:
+                continue
+            fx, fy = _as_float(x), _as_float(y)
+            if label.endswith("tolerance") or fx is None or fy is None \
+                    or not (math.isfinite(fx) and math.isfinite(fy)):
+                lines.append(f"CHANGED {label}: {x!r} -> {y!r}")
+                break
+            worst_abs = max(worst_abs, abs(fy - fx))
+            worst_rel = max(worst_rel, abs(fy - fx) / abs(fx) if fx else math.inf)
+        else:
+            lines.append(f"{label}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    return lines
 
 
 def write_goldens(golden_dir: str = GOLDEN_DIR, cases=CASES) -> list[str]:
-    """Rewrite ``golden_dir`` from the current code; return (and print) the
-    ``case/file`` paths whose bytes changed, appeared or disappeared."""
+    """Rewrite ``golden_dir`` from the current code; return the ``case/file``
+    paths whose bytes changed, appeared or disappeared, and print them with
+    their drift (see ``drift``)."""
     old = {}
     if os.path.isdir(golden_dir):
         old = {case: read_golden(case, golden_dir) for case in sorted(os.listdir(golden_dir))}
@@ -123,12 +236,19 @@ def write_goldens(golden_dir: str = GOLDEN_DIR, cases=CASES) -> list[str]:
         for name, data in new[case].items():
             with open(os.path.join(directory, name), "wb") as fh:
                 fh.write(data)
-    changed = []
+    changed, report = [], []
     for case in sorted(set(old) | set(new)):
         before, after = old.get(case, {}), new.get(case, {})
-        changed += [f"{case}/{name}" for name in sorted(set(before) | set(after))
-                    if before.get(name) != after.get(name)]
-    print(f"{len(changed)} of the golden files changed:", *changed, sep="\n  ", file=sys.stderr)
+        for name in sorted(set(before) | set(after)):
+            if before.get(name) == after.get(name):
+                continue
+            changed.append(f"{case}/{name}")
+            report.append(f"{case}/{name}")
+            if name in before and name in after:
+                report += [f"    {line}" for line in drift(name, before[name], after[name])]
+            else:
+                report.append("    CHANGED: file " + ("added" if name in after else "removed"))
+    print(f"{len(changed)} of the golden files changed:", *report, sep="\n  ", file=sys.stderr)
     return changed
 
 
