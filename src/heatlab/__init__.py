@@ -11,7 +11,6 @@ from .measures import (
     MeasureModel,
     Weight,
     make_cauchy,
-    make_lebesgue,
     make_mu_a,
     make_ou,
     mehler_diag_bound,
@@ -70,7 +69,6 @@ from .bounds import (
     nash_quotients,
     power_rate,
     quotient_monotonicity_defect,
-    super_poincare_envelope,
     trace_bound,
     u_integral,
     weight_squared_mass,

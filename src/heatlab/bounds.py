@@ -16,8 +16,8 @@ sum_n exp(-2 lambda_n t) <= K(2t)^2 e^{2ct} int V^2 dmu.
 Every rate satisfies phi(x)/x nondecreasing on its domain.  Only the
 closed-form kinds (powers, log-powers, the fitted envelope shape
 C^{-1/lam}(x - C)^{1/lam}) have a decay profile, from their analytic U and
-U^{-1}.  Converse rates and Super-Poincare envelopes grow at most like
-x log x, so their 1/phi is never integrable: they are evaluated, never profiled.
+U^{-1}.  Converse rates grow at most like x log x, so their 1/phi is never
+integrable: they are evaluated, never profiled.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "envelope_slack",
     "mu_a_exponents",
     "converse_rate",
-    "super_poincare_envelope",
     "quotient_monotonicity_defect",
     "DEFAULT_CONVERSE_TIMES",
 ]
@@ -453,10 +452,7 @@ def lyapunov_constant(
 
 
 def nash_quotients(
-    family: np.ndarray,
-    weight: Weight,
-    model: MeasureModel,
-    op: TridiagonalOperator,
+    family: np.ndarray, weight: Weight, op: TridiagonalOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row,
     the coordinates a weighted Nash inequality constrains: y >= phi(x)."""
@@ -471,7 +467,6 @@ def nash_quotients(
 def empirical_rate(
     family: np.ndarray,
     weight: Weight,
-    model: MeasureModel,
     op: TridiagonalOperator,
     exponents: "MuAExponents | None" = None,
     lam: float | None = None,
@@ -499,7 +494,7 @@ def empirical_rate(
     if not safety >= 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety}")
 
-    xq, yq = nash_quotients(family, weight, model, op)
+    xq, yq = nash_quotients(family, weight, op)
     v = weight.value(op.grid.points)
     x_const = 1.0 / float(np.sum(op.grid.node_masses * v)) ** 2
     m_floor = float(floor) if floor is not None else floor_scale * x_const
@@ -620,7 +615,7 @@ def mu_a_exponents(a: float, beta: float, theta: float | None = None) -> MuAExpo
 
 
 # ----------------------------------------------------------------------
-# converse construction and Super-Poincare envelope
+# converse construction
 
 
 def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
@@ -657,46 +652,4 @@ def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
             # phi is positive exactly above the smallest sampled K(t)^2
             "positivity_floor": float(np.min(ksq)),
         },
-    )
-
-
-def super_poincare_envelope(a_values: np.ndarray, b_values: np.ndarray) -> RateFunction:
-    """Rate from Super-Poincare data: invert psi(x) = min_a (a x + b(a)).
-
-    psi is increasing and concave when all sampled slopes are positive;
-    its inverse is the convex rate phi(u) = max_a (u - b(a))/a, defined
-    above the floor min b.  Nonpositive slopes make psi non-increasing
-    somewhere and the inversion is refused.
-
-    Beyond the sampled slopes the inverse grows only linearly (slope
-    1/min a), so 1/phi is never integrable: a lower bound on the continuum
-    rate, for quotient constraints and never for a decay profile.
-    """
-    a_values = np.asarray(a_values, dtype=float)
-    b_values = np.asarray(b_values, dtype=float)
-    if a_values.shape != b_values.shape or a_values.size < 1:
-        raise ValueError("need matching a/b sample arrays")
-    if np.any(b_values < 0.0):
-        raise ValueError("b(a) must be nonnegative")
-    if np.any(a_values <= 0.0):
-        raise NumericError(
-            "inversion error: psi is not strictly increasing (nonpositive slope sampled)"
-        )
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(np.min(a_values * x[..., None] + b_values, axis=-1))
-
-    floor = float(np.min(b_values))
-
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        out = np.max((u[..., None] - b_values) / a_values, axis=-1)
-        return _scalar_or_array(np.clip(out, 0.0, None))
-
-    return RateFunction(
-        kind="super_poincare",
-        domain_floor=floor,
-        evaluate=evaluate,
-        meta={"psi": psi, "n_samples": int(a_values.size)},
     )

@@ -195,8 +195,9 @@ def _json_safe(obj):
 
 
 def parse_config(path: str) -> dict:
-    """Read a key = value config file; values parse as JSON when possible."""
-    raw = {}
+    """Read a key = value config file; values parse as JSON when possible.
+    A key set on two lines is a ConfigError naming both."""
+    raw, line_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -209,7 +210,11 @@ def parse_config(path: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = _parse_value(value.strip())
+        key = key.strip()
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}, already set on line {line_of[key]}")
+        line_of[key] = lineno
+        raw[key] = _parse_value(value.strip())
     return raw
 
 
@@ -307,7 +312,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     if rate is None:
         exps = _exponents(cfg)
         rate = bounds.empirical_rate(
-            train, weight, model, op,
+            train, weight, op,
             exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
         )
         if rate.meta["degenerate"]:
@@ -343,7 +348,12 @@ def run_spectrum(cfg: ExperimentConfig):
 
 
 def _kernel_sample_nodes(grid, half_width, max_count=21):
+    """At most ``max_count`` evenly spread nodes with |x| <= half_width; a
+    ConfigError when there is none."""
     idx = spectral.bulk_indices(grid, half_width)
+    if not idx.size:
+        raise ConfigError(f"kernel_half_width = {half_width!r} holds no grid node: the nearest "
+                          f"is at |x| = {float(np.abs(grid.points).min())!r} (grid spacing {grid.spacing!r})")
     if len(idx) > max_count:
         idx = idx[np.linspace(0, len(idx) - 1, max_count).astype(int)]
     return idx
@@ -496,7 +506,7 @@ def run_verify(cfg: ExperimentConfig):
             tb - (hs + spectral.trace_tail(dec, 2.0 * t)) for t, hs, tb in trace_rows
         )
 
-    xq, yq = bounds.nash_quotients(heldout, weight, model, op)
+    xq, yq = bounds.nash_quotients(heldout, weight, op)
     checks["heldout_envelope"] = _domination([bounds.envelope_slack(rate, xq, yq)])
 
     k_table = [[t, bounds.l2_bound(kp, cert, t)] for t in cfg.times]
@@ -580,10 +590,10 @@ def run_nash_scan(cfg: ExperimentConfig):
         family = np.ones((max(cfg.train_size, 1), grid.n_points))
     else:
         family = _bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
-    xq, yq = bounds.nash_quotients(family, weight, model, op)
+    xq, yq = bounds.nash_quotients(family, weight, op)
     exps = _exponents(cfg)
     rate = bounds.empirical_rate(
-        family, weight, model, op,
+        family, weight, op,
         exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
     )
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)

@@ -46,7 +46,6 @@ __all__ = [
     "make_mu_a",
     "make_cauchy",
     "make_ou",
-    "make_lebesgue",
     "weight_mu_a",
     "universal_weight",
     "unit_weight",
@@ -72,10 +71,6 @@ def _scalar_or_array(out):
     return out if np.ndim(out) else float(out)
 
 
-def _ones(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
 def _zeros(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -88,15 +83,14 @@ def soft_abs(x):
 
 @dataclass(frozen=True)
 class MeasureModel:
-    """A measure ``rho(x) dx`` on ``[-radius, radius]``.
+    """A measure ``rho(x) dx = c f(x) dx`` on ``[-radius, radius]``.
 
-    ``normalization`` is the multiplicative constant in front of the
-    unnormalized density; ``math.inf`` flags a measure of infinite total
-    mass (Lebesgue), for which no probability-model invariants apply.
-    Closed forms give it where they exist (OU); otherwise it is the inverse
-    of the graded Gauss-Legendre window mass with 4 panels per interval,
-    which agreed with the 2-panel sum to 1e-13 relative (see the module
-    docstring).
+    Every family builds it from its unnormalized density f, log f and the
+    drift (log f)' alone: ``density`` is ``c f`` and ``log_density`` is
+    ``log c + log f``.  ``normalization`` is the constant c.  Closed forms
+    give it where they exist (OU); otherwise it is the inverse of the graded
+    Gauss-Legendre window mass of f with 4 panels per interval, which agreed
+    with the 2-panel sum to 1e-13 relative (see the module docstring).
     """
 
     name: str
@@ -106,23 +100,22 @@ class MeasureModel:
     drift: Callable
     normalization: float
 
-    @property
-    def is_probability(self) -> bool:
-        return math.isfinite(self.normalization)
-
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight function V together with log V.
+    """A positive weight function V, given by log V alone.
 
-    ``dlog`` / ``d2log`` are optional closed-form derivatives of ``log V``;
-    when absent, consumers fall back to central finite differences.
+    ``value`` is ``exp(log_value)``.  ``dlog`` / ``d2log`` are optional
+    closed-form derivatives of ``log V``; when absent, consumers fall back
+    to central finite differences.
     """
 
-    value: Callable
     log_value: Callable
     dlog: Optional[Callable] = None
     d2log: Optional[Callable] = None
+
+    def value(self, x):
+        return np.exp(self.log_value(x))
 
 
 def _gauss_panels(f: Callable, edges: np.ndarray) -> float:
@@ -166,6 +159,27 @@ def _window_normalization(unnormalized: Callable, radius: float) -> float:
     return 1.0 / total
 
 
+def _model(name: str, radius: float, f: Callable, log_f: Callable, drift: Callable,
+           c: float | None = None) -> MeasureModel:
+    """The model ``c f(x) dx`` on ``[-radius, radius]``: density ``c f``, log
+    density ``log c + log f`` and the given drift, each called on x as a float
+    array.  ``c`` is the closed-form constant when given, otherwise the inverse
+    of f's certified window mass."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if c is None:
+        c = _window_normalization(f, radius)
+    log_c = math.log(c)
+    return MeasureModel(
+        name=name,
+        radius=float(radius),
+        density=lambda x: c * f(np.asarray(x, dtype=float)),
+        log_density=lambda x: log_c + log_f(np.asarray(x, dtype=float)),
+        drift=lambda x: drift(np.asarray(x, dtype=float)),
+        normalization=c,
+    )
+
+
 def make_mu_a(a: float, radius: float) -> MeasureModel:
     """Exponential-power measure ``C_a exp(-T(x)^a) dx`` on ``[-radius, radius]``.
 
@@ -173,60 +187,17 @@ def make_mu_a(a: float, radius: float) -> MeasureModel:
     """
     if not a > 0:
         raise ValueError(f"exponent a must be positive, got {a}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    c_a = _window_normalization(lambda x: np.exp(-soft_abs(x) ** a), radius)
-    log_c = math.log(c_a)
-
-    def log_density(x):
-        return log_c - soft_abs(x) ** a
-
-    def density(x):
-        return c_a * np.exp(-soft_abs(x) ** a)
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return -a * x * soft_abs(x) ** (a - 2.0)
-
-    return MeasureModel(
-        name=f"mu_a(a={a:g})",
-        radius=float(radius),
-        density=density,
-        log_density=log_density,
-        drift=drift,
-        normalization=c_a,
-    )
+    log_f = lambda x: -soft_abs(x) ** a
+    return _model(f"mu_a(a={a:g})", radius, lambda x: np.exp(log_f(x)), log_f,
+                  lambda x: -a * x * soft_abs(x) ** (a - 2.0))
 
 
 def make_cauchy(beta: float, radius: float) -> MeasureModel:
     """Cauchy-type measure ``C (1+x^2)^{-beta} dx`` with ``beta > 1``."""
     if not beta > 1:
         raise ValueError(f"beta must exceed 1 for finite mass, got {beta}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    c = _window_normalization(lambda x: (1.0 + x * x) ** (-beta), radius)
-    log_c = math.log(c)
-
-    def log_density(x):
-        x = np.asarray(x, dtype=float)
-        return log_c - beta * np.log1p(x * x)
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return c * (1.0 + x * x) ** (-beta)
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return -2.0 * beta * x / (1.0 + x * x)
-
-    return MeasureModel(
-        name=f"cauchy(beta={beta:g})",
-        radius=float(radius),
-        density=density,
-        log_density=log_density,
-        drift=drift,
-        normalization=c,
-    )
+    return _model(f"cauchy(beta={beta:g})", radius, lambda x: (1.0 + x * x) ** (-beta),
+                  lambda x: -beta * np.log1p(x * x), lambda x: -2.0 * beta * x / (1.0 + x * x))
 
 
 def make_ou(radius: float = 8.0) -> MeasureModel:
@@ -235,44 +206,8 @@ def make_ou(radius: float = 8.0) -> MeasureModel:
     Normalized over the whole line; with ``radius >= 7`` the tail mass
     outside the window is below TAIL_TOL.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    c = 1.0 / math.sqrt(2.0 * math.pi)
-    log_c = math.log(c)
-
-    def log_density(x):
-        x = np.asarray(x, dtype=float)
-        return log_c - 0.5 * x * x
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return c * np.exp(-0.5 * x * x)
-
-    def drift(x):
-        return -np.asarray(x, dtype=float)
-
-    return MeasureModel(
-        name="ou",
-        radius=float(radius),
-        density=density,
-        log_density=log_density,
-        drift=drift,
-        normalization=c,
-    )
-
-
-def make_lebesgue(radius: float) -> MeasureModel:
-    """Lebesgue measure on the window (infinite total mass on the line)."""
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return MeasureModel(
-        name="lebesgue",
-        radius=float(radius),
-        density=_ones,
-        log_density=_zeros,
-        drift=_zeros,
-        normalization=math.inf,
-    )
+    return _model("ou", radius, lambda x: np.exp(-0.5 * x * x), lambda x: -0.5 * x * x,
+                  lambda x: -x, c=1.0 / math.sqrt(2.0 * math.pi))
 
 
 def weight_mu_a(a: float, beta: float) -> Weight:
@@ -287,9 +222,6 @@ def weight_mu_a(a: float, beta: float) -> Weight:
     def log_value(x):
         t = soft_abs(x)
         return 0.5 * t ** a - beta * np.log(t)
-
-    def value(x):
-        return np.exp(log_value(x))
 
     def dlog(x):
         x = np.asarray(x, dtype=float)
@@ -306,12 +238,7 @@ def weight_mu_a(a: float, beta: float) -> Weight:
             + 2.0 * beta * x * x * t ** -4.0
         )
 
-    return Weight(
-        value=value,
-        log_value=log_value,
-        dlog=dlog,
-        d2log=d2log,
-    )
+    return Weight(log_value=log_value, dlog=dlog, d2log=d2log)
 
 
 def universal_weight(model: MeasureModel) -> Weight:
@@ -320,23 +247,15 @@ def universal_weight(model: MeasureModel) -> Weight:
     def log_value(x):
         return -0.5 * model.log_density(x)
 
-    def value(x):
-        return np.exp(log_value(x))
-
     def dlog(x):
         return -0.5 * model.drift(x)
 
-    return Weight(
-        value=value,
-        log_value=log_value,
-        dlog=dlog,
-        d2log=None,
-    )
+    return Weight(log_value=log_value, dlog=dlog)
 
 
 def unit_weight() -> Weight:
     """The trivial weight V = 1 (plain Nash inequality setting)."""
-    return Weight(value=_ones, log_value=_zeros, dlog=_zeros, d2log=_zeros)
+    return Weight(log_value=_zeros, dlog=_zeros, d2log=_zeros)
 
 
 def mehler_weight(t: float) -> Weight:
@@ -353,16 +272,13 @@ def mehler_weight(t: float) -> Weight:
         x = np.asarray(x, dtype=float)
         return math.log(pref) + x * x / denom
 
-    def value(x):
-        return np.exp(log_value(x))
-
     def dlog(x):
         return 2.0 * np.asarray(x, dtype=float) / denom
 
     def d2log(x):
         return np.full_like(np.asarray(x, dtype=float), 2.0 / denom)
 
-    return Weight(value=value, log_value=log_value, dlog=dlog, d2log=d2log)
+    return Weight(log_value=log_value, dlog=dlog, d2log=d2log)
 
 
 def tail_mass(model: MeasureModel, x: float) -> float:

@@ -137,7 +137,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     train = hl.gaussian_bump_family(grid, 200, rng)
     heldout = hl.gaussian_bump_family(grid, 200, rng)
     rate = hl.empirical_rate(
-        train, weight, mua_model, op, exponents=exps, safety=1.5
+        train, weight, op, exponents=exps, safety=1.5
     )
     kp = hl.k_profile(rate)
     v = weight.value(grid.points)

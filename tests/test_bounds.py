@@ -5,7 +5,7 @@ import pytest
 
 import heatlab as hl
 from heatlab.bounds import _X_CAP, u_integral
-from heatlab.errors import CalibrationError, IntegrabilityError, NumericError
+from heatlab.errors import CalibrationError, IntegrabilityError
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def mua_pipeline(mua_model, mua_setup):
     rng = np.random.default_rng(777)
     train = hl.gaussian_bump_family(grid, 100, rng)
     heldout = hl.gaussian_bump_family(grid, 100, rng)
-    rate = hl.empirical_rate(train, weight, mua_model, op, exponents=exps, safety=1.5)
+    rate = hl.empirical_rate(train, weight, op, exponents=exps, safety=1.5)
     kp = hl.k_profile(rate)
     return weight, cert, exps, rate, kp, train, heldout
 
@@ -53,7 +53,6 @@ def test_rate_quotient_monotone_for_all_kinds(mua_pipeline):
         hl.log_rate(2.5),
         empirical,
         hl.converse_rate(np.geomspace(0.01, 10, 64), np.geomspace(0.01, 10, 64) ** -0.5),
-        hl.super_poincare_envelope(np.geomspace(0.1, 10, 30), 1.0 / np.geomspace(0.1, 10, 30)),
     ]
     for rate in rates:
         assert hl.quotient_monotonicity_defect(rate) <= 1e-9
@@ -290,10 +289,7 @@ def test_lyapunov_mu_a_bounded_above(a, beta):
 def test_lyapunov_refuses_growing_expression():
     ou = hl.make_ou(8.0)
     grid = hl.make_grid(ou, 801)
-    quartic = hl.Weight(
-        value=lambda x: np.exp(np.asarray(x) ** 4),
-        log_value=lambda x: np.asarray(x, dtype=float) ** 4,
-    )
+    quartic = hl.Weight(log_value=lambda x: np.asarray(x, dtype=float) ** 4)
     with pytest.raises(CalibrationError):
         hl.lyapunov_constant(ou, quartic, grid)
 
@@ -365,7 +361,7 @@ def test_nash_quotient_constant_function(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     ones = np.ones(grid.n_points)
-    (xq,), (yq,) = hl.nash_quotients(ones, weight, mua_model, op)
+    (xq,), (yq,) = hl.nash_quotients(ones, weight, op)
     int_v = float(np.sum(grid.node_masses * weight.value(grid.points)))
     assert xq == pytest.approx(1.0 / int_v ** 2, rel=1e-12)
     assert yq == 0.0
@@ -375,12 +371,12 @@ def test_nash_quotient_scale_invariance(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     f = hl.gaussian_bump_family(grid, 1, rng)
-    q1 = hl.nash_quotients(f, weight, mua_model, op)
-    q2 = hl.nash_quotients(2.0 * f, weight, mua_model, op)
+    q1 = hl.nash_quotients(f, weight, op)
+    q2 = hl.nash_quotients(2.0 * f, weight, op)
     assert q1[0][0] == pytest.approx(q2[0][0], rel=1e-12)
     assert q1[1][0] == pytest.approx(q2[1][0], rel=1e-12)
     with pytest.raises(ValueError):
-        hl.nash_quotients(np.zeros((1, grid.n_points)), weight, mua_model, op)
+        hl.nash_quotients(np.zeros((1, grid.n_points)), weight, op)
 
 
 def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
@@ -389,11 +385,11 @@ def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
     assert not rate.meta["degenerate"]
     assert rate.meta["lam"] == exps.lam
     # the envelope validates on the held-out family
-    xq, yq = hl.nash_quotients(heldout, weight, mua_model, op)
+    xq, yq = hl.nash_quotients(heldout, weight, op)
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
     # it is an actual envelope: without the safety factor it touches the data
-    tight = hl.empirical_rate(train, weight, mua_model, op, exponents=exps, safety=1.0)
-    xt, yt = hl.nash_quotients(train, weight, mua_model, op)
+    tight = hl.empirical_rate(train, weight, op, exponents=exps, safety=1.0)
+    xt, yt = hl.nash_quotients(train, weight, op)
     sel = xt > tight.domain_floor
     margins = yt[sel] - np.asarray(tight.evaluate(xt[sel]))
     assert margins.min() >= -1e-9
@@ -404,7 +400,7 @@ def test_empirical_rate_degenerate_family(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     constants = np.ones((3, grid.n_points))
-    rate = hl.empirical_rate(constants, weight, mua_model, op, lam=0.9)
+    rate = hl.empirical_rate(constants, weight, op, lam=0.9)
     assert rate.meta["degenerate"]
 
 
@@ -413,23 +409,23 @@ def test_empirical_rate_parameter_validation(mua_model, mua_setup):
     weight = hl.weight_mu_a(1.5, 1.0)
     fam = np.ones((2, grid.n_points))
     with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, mua_model, op)  # no lam
+        hl.empirical_rate(fam, weight, op)  # no lam
     with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, mua_model, op, lam=1.2)
+        hl.empirical_rate(fam, weight, op, lam=1.2)
     with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, mua_model, op, lam=0.9, safety=0.5)
+        hl.empirical_rate(fam, weight, op, lam=0.9, safety=0.5)
     with pytest.raises(ValueError):
-        hl.nash_quotients(np.ones((2, 7)), weight, mua_model, op)
+        hl.nash_quotients(np.ones((2, 7)), weight, op)
 
 
 def test_empirical_rate_explicit_floor(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     fam = hl.gaussian_bump_family(grid, 20, rng)
-    rate = hl.empirical_rate(fam, weight, mua_model, op, lam=0.95, floor=5.0)
+    rate = hl.empirical_rate(fam, weight, op, lam=0.95, floor=5.0)
     assert rate.meta["configured_floor"] == 5.0
     assert rate.domain_floor >= 5.0
-    xq, yq = hl.nash_quotients(fam, weight, mua_model, op)
+    xq, yq = hl.nash_quotients(fam, weight, op)
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
 
 
@@ -481,10 +477,10 @@ def test_empirical_shift_is_the_least_feasible_float(a):
             near_min = hl.mu_a_exponents(a, beta, theta_min + 1e-3 * (1.0 - theta_min))
             for seed, count in [(0, 5), (1, 5), (0, 200), (1, 200)]:
                 family = hl.gaussian_bump_family(grid, count, np.random.default_rng(seed))
-                xq, yq = hl.nash_quotients(family, weight, model, op)
+                xq, yq = hl.nash_quotients(family, weight, op)
                 for exps in (default, near_min):
                     for floor_scale in (1.5, 0.0):
-                        rate = hl.empirical_rate(family, weight, model, op, exponents=exps,
+                        rate = hl.empirical_rate(family, weight, op, exponents=exps,
                                                  floor_scale=floor_scale, safety=1.0)
                         m_floor = rate.meta["configured_floor"]
                         shift, feasible = _bisection_shift(xq, yq, m_floor, exps.lam)
@@ -586,37 +582,8 @@ def test_converse_forward_consistency(mua_model, mua_setup, mua_pipeline):
     ts = np.geomspace(1e-3, 1e2, 64)
     k_meas = np.array([hl.l2_bound(kp, cert, t / 2.0) for t in ts])  # K(t) e^{ct/2}
     back = hl.converse_rate(ts, k_meas)
-    xq, yq = hl.nash_quotients(heldout, weight, mua_model, op)
+    xq, yq = hl.nash_quotients(heldout, weight, op)
     assert np.count_nonzero(hl.envelope_slack(back, xq, yq) < -1e-9) == 0
-
-
-# ----------------------------------------------------------------------
-# Super-Poincare envelope
-
-
-def test_super_poincare_constant_offset():
-    a = np.geomspace(0.5, 8.0, 25)
-    rate = hl.super_poincare_envelope(a, np.full_like(a, 2.0))
-    psi = rate.meta["psi"]
-    xs = np.linspace(0.0, 5.0, 21)
-    assert np.allclose(psi(xs), a.min() * xs + 2.0, rtol=1e-14)
-
-
-def test_super_poincare_sqrt_envelope():
-    a = np.geomspace(0.05, 20.0, 4000)
-    rate = hl.super_poincare_envelope(a, 1.0 / a)
-    psi = rate.meta["psi"]
-    xs = np.linspace(0.5, 20.0, 25)
-    assert np.allclose(psi(xs), 2.0 * np.sqrt(xs), rtol=1e-5)
-    # phi inverts psi
-    assert np.allclose(rate.evaluate(psi(xs)), xs, rtol=1e-11, atol=1e-11)
-
-
-def test_super_poincare_inversion_errors():
-    with pytest.raises(NumericError):
-        hl.super_poincare_envelope(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        hl.super_poincare_envelope(np.array([1.0]), np.array([-1.0]))
 
 
 # ----------------------------------------------------------------------

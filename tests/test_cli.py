@@ -135,6 +135,38 @@ def test_missing_config_file_exits_2(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_duplicate_config_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.txt", "n_points = 50\n# a comment\nn_points = 60\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg, "--out", out]) == 2
+    assert "cfg.txt:3: duplicate key 'n_points', already set on line 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # --seed still overrides the file's seed
+    cfg = write_config(tmp_path / "seed.txt", "seed = 1\nn_points = 50\n")
+    assert cli.main(["spectrum", "--config", cfg, "--out", out, "--seed", "4", "--quiet"]) == 0
+    assert read_report(out, "spectrum_report.json")["inputs"]["seed"] == 4
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (hl.ConfigError, 2, "config error"),
+    (hl.NumericError, 3, "numeric error"),
+    (ValueError, 3, "numeric error"),
+    (OverflowError, 3, "numeric error"),
+    (np.linalg.LinAlgError, 3, "numeric error"),
+    (hl.CalibrationError, 4, "calibration error"),
+    (hl.IntegrabilityError, 5, "integrability error"),
+])
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, error, code, prefix):
+    def runner(cfg):
+        raise error("raised by the runner")
+
+    monkeypatch.setitem(cli._RUNNERS, "trace", runner)
+    out = str(tmp_path / "out")
+    assert cli.main(["trace", "--out", out]) == code
+    assert capsys.readouterr().err == f"{prefix}: raised by the runner\n"
+    assert not os.path.exists(out)
+
+
 def test_verify_pipeline(tmp_path):
     cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL)
     out = str(tmp_path / "out")
@@ -186,12 +218,14 @@ def test_verify_degenerate_family_exits_4(tmp_path):
         assert not os.path.exists(out)
 
 
-def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path):
+def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path, capsys):
     # a config error, also when the training family would fail calibration
     out = str(tmp_path / "out")
     for extra in ("", "bump_width_lo = 50.0\nbump_width_hi = 50.0\n"):
-        cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + "heldout_size = 0\n" + extra)
+        text = VERIFY_SMALL.replace("heldout_size = 40", "heldout_size = 0") + extra
+        cfg = write_config(tmp_path / "cfg.txt", text)
         assert cli.main(["verify", "--config", cfg, "--out", out]) == 2
+        assert "config error: verify requires a nonempty held-out family" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -199,7 +233,7 @@ def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path):
 @pytest.mark.parametrize("times", ["2000", "0.25, 5000"])
 def test_overflowing_time_exits_3(tmp_path, command, times, capsys):
     # e^{2ct} of the bounds overflows a float at these times
-    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + f"times = {times}\n")
+    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL.replace("times = 0.5, 1.0", f"times = {times}"))
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 3
     assert not os.path.exists(out)
@@ -215,6 +249,18 @@ def test_out_of_range_exponent_parameter_exits_2(tmp_path, command, setting, cap
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     assert "config error: " + setting.split()[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("family", ["mu_a", "ou"])
+def test_kernel_half_width_below_the_nearest_node_exits_2(tmp_path, family, capsys):
+    # an even grid has no node at 0, so a half width below h/2 selects none
+    cfg = write_config(tmp_path / "cfg.txt", f"family = {family}\nn_points = 200\nkernel_half_width = 1e-9\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: kernel_half_width = 1e-09 holds no grid node" in err
+    assert "grid spacing" in err
     assert not os.path.exists(out)
 
 
@@ -365,7 +411,7 @@ def test_nash_scan_min_slack_over_pairs_above_the_floor():
     grid = hl.make_grid(model, cfg.n_points)
     op = hl.discretize(model, grid)
     family = cli._bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
-    rate = hl.empirical_rate(family, cli._build_weight(cfg, model), model, op,
+    rate = hl.empirical_rate(family, cli._build_weight(cfg, model), op,
                              exponents=hl.mu_a_exponents(cfg.a, cfg.beta), safety=cfg.safety)
     above = xq > rate.domain_floor
     slack = yq[above] - np.array([rate.evaluate(x) for x in xq[above]])

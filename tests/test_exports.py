@@ -26,3 +26,35 @@ def test_every_package_import_resolves():
         for alias in node.names:
             assert hasattr(mod, alias.name), (node.module, alias.name)
             assert getattr(heatlab, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+def _unread_parameters(tree):
+    """(function, line, parameter) for each parameter its body never reads;
+    nested functions and lambdas count as the body reading it."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                if p.arg not in read:
+                    yield getattr(node, "name", "<lambda>"), node.lineno, p.arg
+
+
+def test_every_parameter_is_read():
+    src = os.path.dirname(heatlab.__file__)
+    unread = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            unread += [(name, *hit) for hit in _unread_parameters(tree)]
+    assert not unread, unread
+
+
+def test_unread_parameter_is_found():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + (lambda x: d)(0)\n")
+    assert sorted(p for _, _, p in _unread_parameters(tree)) == ["b", "c", "e", "x"]

@@ -128,13 +128,6 @@ def test_mu_a_construction_memory(a):
     assert peak < 2**20
 
 
-def test_lebesgue_flags_infinite_mass():
-    model = hl.make_lebesgue(5.0)
-    assert not model.is_probability
-    assert model.density(1.3) == 1.0
-    assert model.drift(1.3) == 0.0
-
-
 def test_weight_mu_a_values():
     w = hl.weight_mu_a(1.5, 1.0)
     assert w.value(0.0) == pytest.approx(math.exp(0.5), rel=1e-12)
