@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -194,9 +195,14 @@ def _json_safe(obj):
     return obj
 
 
+#: a line up to its comment: a ``#`` outside every JSON string starts one
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\\n]|\\.)*")*')
+
+
 def parse_config(path: str) -> dict:
     """Read a key = value config file; values parse as JSON when possible.
-    A key set on two lines is a ConfigError naming both."""
+    A ``#`` outside a quoted string starts a comment.  A key set on two
+    lines, or a quote left open, is a ConfigError naming the line."""
     raw, line_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -204,7 +210,10 @@ def parse_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        code = _UNCOMMENTED.match(line).group()
+        if line[len(code):].startswith('"'):
+            raise ConfigError(f"{path}:{lineno}: unterminated string in {line.strip()!r}")
+        stripped = code.strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -264,10 +273,20 @@ def _decompose(cfg: ExperimentConfig, model, t_first=None):
 
 def _csv(header: list[str], rows: list[list]) -> str:
     """Numbers as ``%.17g`` (round-trip exact), anything else as ``str``;
-    the whole table is one ``%``-format over the flattened rows."""
-    lines = [",".join(header).replace("%", "%%")]
-    lines += [",".join(["%.17g" if isinstance(v, (int, float, np.floating)) else "%s" for v in row]) for row in rows]
-    return "\n".join(lines) % tuple(v for row in rows for v in row) + "\n"
+    each row is one ``%``-format, its template built once per row type
+    signature."""
+    templates, lines = {}, [",".join(header)]
+    for row in rows:
+        # not tuple(map(...)): built at a guessed size and shrunk, that
+        # tuple never reuses a freed one, so CPython's tuple free list would
+        # keep one per row (up to 2000 per length) after the table is done
+        kinds = (*map(type, row),)
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.17g" if issubclass(kind, (int, float, np.floating)) else "%s" for kind in kinds)
+        lines.append(template % tuple(row))
+    return "\n".join(lines) + "\n"
 
 
 def _bump_family(cfg: ExperimentConfig, grid, rng, count):

@@ -74,12 +74,16 @@ DEFAULT_T_MIN = 1e-3
 _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 
 #: Largest kept-mode fraction k/n for which the subset solve (bisection
-#: plus inverse iteration) is taken; above it every mode is computed.
-#: Measured on mu_a(1.5) with the parity split, the subset solve takes 0.36-0.48
-#: of the full solve's time at k/n = 0.075 and breaks even at k/n ~ 0.15-0.18
-#: (n = 800), 0.14-0.19 (n = 1600) and 0.16 (n = 3200); unsplit, at ~ 0.08
-#: (n = 800) and 0.095-0.105 (n = 1600, 3200).
-_PARTIAL_MAX_FRAC = 0.075
+#: plus inverse iteration) is taken; above it every mode is computed.  The
+#: largest k/n at which the subset solve costs at most about 0.8 of the full
+#: one for every n and family measured.  ``eigendecompose`` time, Sturm count
+#: and unfold included, subset over full, for mu_a(1.5), OU and Cauchy(2) at
+#: n = 400, 800, 1600 and 3200 (medians of 15-151, parity split, on a 2-vCPU
+#: x86-64 KVM guest with scipy 1.17.1):
+#:
+#:     k/n    0.084      0.10       0.12       0.135      0.15       0.20
+#:     ratio  0.40-0.63  0.52-0.70  0.47-0.80  0.72-0.92  0.76-1.11  1.10-1.39
+_PARTIAL_MAX_FRAC = 0.12
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,34 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys):
     assert read_report(out, "spectrum_report.json")["inputs"]["seed"] == 4
 
 
+def test_hash_inside_a_quoted_value_is_kept(tmp_path):
+    samples = tmp_path / "ks#1.csv"
+    samples.write_text("t,K\n0.1,5\n0.2,3\n0.4,2\n0.8,1.5\n")
+    cfg = write_config(tmp_path / "cfg.txt", f'k_samples_csv = "{samples}"  # samples\n')
+    out = str(tmp_path / "out")
+    assert cli.main(["converse", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "converse_report.json")["inputs"]["source"] == str(samples)
+    # an escaped quote does not end the string
+    cfg = write_config(tmp_path / "esc.txt", 'k_samples_csv = "a\\"#b.csv" # c\n')
+    assert cli.parse_config(cfg) == {"k_samples_csv": 'a"#b.csv'}
+
+
+def test_trailing_comment_after_an_unquoted_value(tmp_path):
+    cfg = write_config(tmp_path / "cfg.txt", "n_points = 50  # small\ntimes = 0.5, 1.0 # two\n# none\n")
+    assert cli.parse_config(cfg) == {"n_points": 50, "times": [0.5, 1.0]}
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "spectrum_report.json")["inputs"]["n_points"] == 50
+
+
+def test_unterminated_quote_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.txt", 'n_points = 50\nk_samples_csv = "ks#1.csv  # samples\n')
+    out = str(tmp_path / "out")
+    assert cli.main(["converse", "--config", cfg, "--out", out]) == 2
+    assert "cfg.txt:2: unterminated string in 'k_samples_csv = \"ks#1.csv  # samples'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("error,code,prefix", [
     (hl.ConfigError, 2, "config error"),
     (hl.NumericError, 3, "numeric error"),
@@ -559,7 +587,29 @@ def test_failing_kernel_check_scans_the_table(monkeypatch):
     assert len(scans) == 1
     assert not chk["pass"]
     assert chk["violations"] == 55148
-    assert chk["min_slack"] == -383073855.30967724
+    assert chk["min_slack"] == -383073855.30925167
+
+
+@pytest.mark.parametrize("text,kept,subset", [
+    ("", 67, True),
+    ("family = cauchy\nweight = universal\n", 433, False),
+    ("times = 0.001\n", 800, False),
+    ("family = ou\ntimes = 0.001\n", 800, False),
+    ("family = cauchy\nweight = universal\ntimes = 0.001\n", 800, False),
+], ids=["default", "cauchy", "mu_a-t1e-3", "ou-t1e-3", "cauchy-t1e-3"])
+def test_kernel_solve_path(tmp_path, text, kept, subset):
+    # kernel keeps the modes that weigh at least 2^-52 at its smallest time:
+    # by the subset solve when they are at most _PARTIAL_MAX_FRAC of the grid
+    # (67 of 800, k/n = 0.084, at the default), else by the full solve
+    cfg = cli.ExperimentConfig.from_mapping(cli.parse_config(write_config(tmp_path / "cfg.txt", text)))
+    grid, op, dec = cli._decompose(cfg, cli._build_model(cfg), t_first=min(cfg.times))
+    cut = hl.spectral._CUTOFF_EXPONENT / min(cfg.times)
+    assert hl.spectral._sturm_count(op.sym_diag, op.sym_offdiag, cut) == kept
+    assert (kept <= hl.spectral._PARTIAL_MAX_FRAC * grid.n_points) == subset
+    if subset:
+        assert dec.tail_rate == cut and dec.eigenvalues.size == kept
+    else:
+        assert math.isinf(dec.tail_rate) and dec.eigenvalues.size == grid.n_points
 
 
 @pytest.mark.parametrize("text", [
@@ -592,6 +642,16 @@ def test_csv_matches_per_value_formatter(rng):
     header = ["t", "p%", "slack"]
     assert cli._csv(header, rows) == _csv_per_value(header, rows)
     assert cli._csv(header, []) == _csv_per_value(header, []) == "t,p%,slack\n"
+
+
+def test_csv_leaves_no_objects_behind():
+    # rows of a length nothing else uses: every per-row object the formatter
+    # makes must be freed for reuse, not parked on a free list, one per row
+    rows = [[i] + [0.5] * 15 + ["x"] for i in range(3000)]
+    before = sys.getallocatedblocks()
+    text = cli._csv([f"c{i}" for i in range(17)], rows)
+    del text
+    assert sys.getallocatedblocks() - before < 100
 
 
 LOG_RATE = VERIFY_SMALL + "rate = log\n"

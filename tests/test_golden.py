@@ -11,8 +11,9 @@ CHANGES.md must then name) with
 
 which prints the golden files whose bytes changed and how far they
 drifted: the largest absolute and relative change of each CSV column and
-JSON number, and every other token that changed (a ``pass`` flag, a count,
-a tolerance, a string, a row or a file), marked ``CHANGED``.
+JSON number, and that absolute change over the column's or the number's
+largest magnitude; and every other token that changed (a ``pass`` flag, a
+count, a tolerance, a string, a row or a file), marked ``CHANGED``.
 """
 
 import contextlib
@@ -129,10 +130,10 @@ def test_write_goldens_names_changed_files(tmp_path, capsys):
         fh.write(text.replace("1,0.18319208463584102", "1,0.18"))
     assert write_goldens(golden_dir, cases) == ["converse/converse_phi.csv", "converse/converse_report.json"]
     err = capsys.readouterr().err
-    assert "      phi: max abs 0.00319, max rel 0.0177\n" in err and "x: max" not in err
+    assert "      phi: max abs 0.00319, max rel 0.0177, max abs / scale 1.74e-05\n" in err and "x: max" not in err
     for line in ("CHANGED checks.quotient_monotone.pass: False -> True",
                  "CHANGED checks.quotient_monotone.tolerance: 1e-08 -> 1e-09",
-                 "results.fitted_power: max abs 0.000107, max rel 3.56e-05",
+                 "results.fitted_power: max abs 0.000107, max rel 3.56e-05, max abs / scale 3.56e-05",
                  "CHANGED inputs.source: 'power' -> 'k_profile(power)'"):
         assert f"      {line}\n" in err
 
@@ -142,11 +143,17 @@ def test_drift_flags_counts_rows_and_labels():
     after = b'{"checks": {"a": {"violations": 4, "min_slack": -2.0}}, "new": 1.0}'
     assert drift("r.json", before, after) == [
         "CHANGED checks.a.violations: 3 -> 4",
-        "checks.a.min_slack: max abs 1, max rel 1",
+        "checks.a.min_slack: max abs 1, max rel 1, max abs / scale 0.5",
         "CHANGED new: added",
         "CHANGED old: removed",
     ]
     assert drift("t.csv", b"t,p\n1,0.5\n2,inf\n", b"t,p\n1,0.5\n2,1e300\n") == ["CHANGED p: 'inf' -> '1e300'"]
+    # a near-zero entry: relative to the column's largest magnitude the move
+    # is tiny; and a float written like an integer ("4", "1") is a float
+    assert drift("t.csv", b"t,p\n1,4\n2,1e-12\n", b"t,p\n1,4\n2,3e-12\n") == [
+        "p: max abs 2e-12, max rel 2, max abs / scale 5e-13"]
+    assert drift("t.csv", b"t,p\n1,1\n", b"t,p\n1,0.99999999999999989\n") == [
+        "p: max abs 1.11e-16, max rel 1.11e-16, max abs / scale 1.11e-16"]
     assert drift("t.csv", b"t,p\n1,0.5\n", b"t,p\n1,0.5\n2,0.25\n") == [
         "CHANGED t: 1 -> 2 rows", "CHANGED p: 1 -> 2 rows"]
 
@@ -175,11 +182,13 @@ def _tokens(name: str, data: bytes) -> dict:
 
 
 def _as_float(token):
-    """A float token as a float; None for an exact token (a bool, an integer,
-    a string, a tolerance), whose change is flagged rather than measured."""
+    """A float token as a float; None for an exact token (a bool, a JSON
+    integer, a string, a tolerance), whose change is flagged rather than
+    measured.  Every numeric CSV cell is a float: ``%.17g`` writes a float
+    that equals an integer as one."""
     if isinstance(token, float):
         return token
-    if isinstance(token, str) and not token.lstrip("-").isdigit():
+    if isinstance(token, str):
         try:
             return float(token)
         except ValueError:
@@ -189,8 +198,11 @@ def _as_float(token):
 
 def drift(name: str, before: bytes, after: bytes) -> list[str]:
     """One line per changed CSV column or JSON number, with its largest
-    absolute and relative change, and one ``CHANGED`` line per other token,
-    row count or label that changed."""
+    absolute and relative change and that absolute change over its scale,
+    the largest finite magnitude in the column or number before or after (a
+    relative change on a near-zero entry overstates a move that is tiny on
+    that scale); and one ``CHANGED`` line per other token, row count or
+    label that changed."""
     old, new = _tokens(name, before), _tokens(name, after)
     lines = []
     for label in list(new) + [label for label in old if label not in new]:
@@ -203,8 +215,11 @@ def drift(name: str, before: bytes, after: bytes) -> list[str]:
         if isinstance(a, list) and len(a) != len(b):
             lines.append(f"CHANGED {label}: {len(a)} -> {len(b)} rows")
             continue
+        pairs = list(zip(a, b)) if isinstance(a, list) else [(a, b)]
+        scale = max((abs(f) for pair in pairs for f in map(_as_float, pair)
+                     if f is not None and math.isfinite(f)), default=0.0)
         worst_abs = worst_rel = 0.0
-        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
+        for x, y in pairs:
             if x == y:
                 continue
             fx, fy = _as_float(x), _as_float(y)
@@ -215,7 +230,8 @@ def drift(name: str, before: bytes, after: bytes) -> list[str]:
             worst_abs = max(worst_abs, abs(fy - fx))
             worst_rel = max(worst_rel, abs(fy - fx) / abs(fx) if fx else math.inf)
         else:
-            lines.append(f"{label}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+            lines.append(f"{label}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "
+                         f"max abs / scale {worst_abs / scale if scale else 0.0:.3g}")
     return lines
 
 

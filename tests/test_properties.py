@@ -176,3 +176,30 @@ def test_non_finite_float_exits_2(word):
 @given(WORDS.filter(lambda w: w not in FIELDS))
 def test_unknown_key_exits_2(key):
     assert run_config(f"{key} = 1\n") == (2, False)
+
+
+# ----------------------------------------------------------------------
+# heat kernel on either solve path
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(1.0, 3.0, exclude_min=True, exclude_max=True), st.integers(50, 1600),
+       st.floats(1e-3, 2.0))
+def test_bulk_kernel_symmetric_positive_stochastic(a, n_points, t):
+    # t_first = t takes the subset solve when the modes kept at t are at most
+    # _PARTIAL_MAX_FRAC of the grid (t above about 0.1 here; 162 of 400 draws
+    # in a trial run), the full one otherwise
+    model = hl.make_mu_a(a, hl.suggest_radius(a))
+    grid = hl.make_grid(model, n_points)
+    dec = hl.eigendecompose(hl.discretize(model, grid), t_first=t)
+    idx = hl.bulk_indices(grid)
+    p = hl.kernel_matrix(dec, t, idx)
+    assert np.array_equal(p, p.T)
+    # positive up to the dropped modes (kernel_tail) and the rounding of a
+    # k-term spectral sum, k eps sum_n |e_n(x_i) e_n(x_j)| <= k eps / sqrt(m_i m_j)
+    eps, m, k = np.finfo(float).eps, grid.node_masses, dec.eigenvalues.size
+    assert np.all(p + hl.kernel_tail(dec, t, idx) >= -k * eps / np.sqrt(np.outer(m[idx], m[idx])))
+    # row sums: the rounding of sum_j m_j p_ij, n eps sum_j sqrt(m_j / m_i)
+    # (the eigenbasis is orthonormal to O(n eps)), plus (n - k) tail(t)
+    rounding = n_points * eps * np.sqrt(m).sum() / np.sqrt(m[idx].min())
+    assert hl.stochasticity_defect(dec, t) <= rounding + hl.trace_tail(dec, t)
