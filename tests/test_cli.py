@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -65,6 +66,58 @@ def test_spectrum_run_and_determinism(tmp_path):
     report = read_report(out1, "spectrum_report.json")
     assert report["schema"] == "heatlab.report.v1"
     assert all(chk["pass"] for chk in report["checks"].values())
+
+
+@pytest.mark.parametrize("family", ["mu_a", "ou", "cauchy"])
+@pytest.mark.parametrize("n_points", [50, 51, 800])
+def test_gram_identity_matches_a_plain_reference(family, n_points):
+    # the reference takes E^T (M E) - I as one full product; the two differ
+    # only in rounding, and the defect itself is a few tens of eps at most
+    cfg = cli.ExperimentConfig(family=family, n_points=n_points)
+    record, _ = cli.run_spectrum(cfg)
+    grid, _, dec = cli._decompose(cfg, cli._build_model(cfg))
+    e = dec.eigenfunctions
+    reference = np.max(np.abs(e.T @ (grid.node_masses[:, None] * e) - np.eye(n_points)))
+    check = record.checks["gram_identity"]
+    assert check["pass"] and check["tolerance"] == 1e-8
+    assert abs(check["value"] - reference) <= 4 * np.finfo(float).eps
+
+
+def _mutated_spectrum(monkeypatch, mutate):
+    """``run_spectrum``'s Gram check on the default config with the
+    eigenfunctions passed through ``mutate`` (an in-place edit of a copy)."""
+    solve = hl.spectral.eigendecompose
+
+    def mutated(*args, **kwargs):
+        dec = solve(*args, **kwargs)
+        e = dec.eigenfunctions.copy(order="F")
+        mutate(e)
+        return dataclasses.replace(dec, eigenfunctions=e)
+
+    monkeypatch.setattr(hl.spectral, "eigendecompose", mutated)
+    return cli.run_spectrum(cli.ExperimentConfig())[0].checks["gram_identity"]
+
+
+def test_gram_identity_sees_a_rotated_column(monkeypatch):
+    # column i turned by 1e-6 toward column j < i keeps every norm, so only
+    # the off-diagonal entry (i, j) = (j, i) of the Gram matrix moves
+    i, j, angle = 700, 3, 1e-6
+
+    def rotate(e):
+        e[:, i] = math.cos(angle) * e[:, i] + math.sin(angle) * e[:, j]
+
+    check = _mutated_spectrum(monkeypatch, rotate)
+    assert not check["pass"]
+    assert check["value"] == pytest.approx(angle, rel=1e-6)
+
+
+def test_gram_identity_sees_a_scaled_last_column(monkeypatch):
+    def scale(e):
+        e[:, -1] *= 1.0 + 1e-6
+
+    check = _mutated_spectrum(monkeypatch, scale)
+    assert not check["pass"]
+    assert check["value"] == pytest.approx(2e-6, rel=1e-5)
 
 
 def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
@@ -296,6 +349,17 @@ def test_kernel_time_below_floor_exits_3(tmp_path):
     cfg = write_config(tmp_path / "cfg.txt", OU_SPECTRUM + "times = 1e-4\n")
     out = str(tmp_path / "out")
     assert cli.main(["kernel", "--config", cfg, "--out", out]) == 3
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "kernel", "verify", "trace"])
+@pytest.mark.parametrize("t_min", ["0", "-1"])
+def test_nonpositive_t_min_exits_2(tmp_path, command, t_min, capsys):
+    # t_min = 0 would switch the small-time guard off and let t = 1e-6 run
+    cfg = write_config(tmp_path / "cfg.txt", f"n_points = 200\nt_min = {t_min}\ntimes = 1e-6\n")
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    assert f"config error: t_min must be positive, got {float(t_min)}" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -85,7 +85,7 @@ VALID_VALUES = {
     "weight": st.sampled_from(["mu_a", "universal", "unit"]),
     "beta": finite,
     "times": st.lists(positive, min_size=1, max_size=4).map(tuple),
-    "t_min": finite,
+    "t_min": positive,
     "seed": st.integers(0, 2**63),
     "theta": st.none() | st.floats(1e-6, 1.0 - 1e-6),
     "train_size": st.integers(1, 10**6),
