@@ -58,7 +58,6 @@ from .bounds import (
     converse_rate,
     empirical_rate,
     envelope_slack,
-    integrability_test,
     is_integrable,
     k_profile,
     kernel_bound,

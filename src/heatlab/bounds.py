@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
-from .measures import MeasureModel, Weight, _gauss_panels, _scalar_or_array
+from .measures import MeasureModel, Weight, _scalar_or_array
 from .spectral import Grid, TridiagonalOperator, dirichlet_energy, weighted_l1
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "power_rate",
     "classical_nash_rate",
     "log_rate",
-    "integrability_test",
     "is_integrable",
     "u_integral",
     "k_profile",
@@ -63,6 +62,7 @@ __all__ = [
 DEFAULT_CONVERSE_TIMES = np.geomspace(1e-3, 1e2, 64)
 
 _X_CAP = 1e250  # beyond this, U^{-1} is reported as inf
+_L2_ROUNDING = 1e-9  # how far below -1 the L^2 tail slope must be
 
 
 @dataclass(frozen=True)
@@ -172,48 +172,6 @@ def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6, n: int =
 
 # ----------------------------------------------------------------------
 # tail integrals U(x) = int_x^inf du/phi(u)
-
-def _log_integrand(rate: RateFunction) -> Callable:
-    """u -> x/phi(x) at x = e^u, the integrand of int dx/phi(x) after the
-    substitution x = e^u; inf where phi is not positive or not finite."""
-
-    def integrand(u):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = np.exp(u)
-            phi = np.asarray(rate.evaluate(x), dtype=float)
-            out = np.where(phi > 0.0, x / phi, np.inf)
-        return np.nan_to_num(out, nan=np.inf, posinf=np.inf)
-
-    return integrand
-
-
-def integrability_test(rate: RateFunction) -> bool:
-    """Numeric probe of int^inf dx/phi(x) convergence.
-
-    Integrates 1/phi over doubling blocks in u = log x and inspects the
-    ratio of successive block integrals: summable blocks (ratio staying
-    below 0.95) certify convergence, otherwise the tail is declared
-    divergent.  Rates with block ratio in [0.95, 1), i.e. log-power
-    exponents within ~7% above the harmonic borderline, are conservatively
-    classified as divergent.
-
-    It also errs the other way: a converse rate with large K, such as
-    ``converse_rate(ts, ts**-5)``, is called integrable, as the block ratios
-    of 1/(u - c) drop below 0.95 before u = 600.  Nothing in the package asks
-    it: ``is_integrable`` and ``k_profile`` answer from closed forms only.
-    """
-    u0 = max(1.0, math.log(max(2.0, 2.0 * rate.domain_floor)))
-    integrand = _log_integrand(rate)
-    n_blocks = int(math.log2(600.0 / u0))  # the blocks [u0 2^j, u0 2^(j+1)] below 600
-    blocks = np.array([_gauss_panels(integrand, np.linspace(u0 * 2 ** j, u0 * 2 ** (j + 1), 3))
-                       for j in range(n_blocks)])
-    if not np.all(np.isfinite(blocks)):
-        return False
-    if np.any(blocks[-3:] == 0.0):
-        return True
-    ratios = blocks[1:] / blocks[:-1]
-    return bool(np.mean(ratios[-3:]) < 0.95)
-
 
 def _closed_entry(rate: RateFunction) -> tuple[Callable, Callable, Callable]:
     """The ``_CLOSED_FORMS`` entry of a rate's kind; IntegrabilityError when
@@ -371,17 +329,22 @@ def weight_squared_mass(model: MeasureModel, weight: Weight, grid: Grid) -> floa
     """int V^2 dmu over the window, refused when V is not in L^2(mu) on the line.
 
     Membership is judged from the tail decay of g = V^2 rho near the window
-    edge: the integral over the line converges when d log g / d log x stays
-    below -1 (with a 0.05 margin), or trivially when g decays faster than
-    any power.  The universal weight gives g = 1 and is always refused.
+    edge, against T = sqrt(1 + x^2): the integral over the line converges
+    when d log g / d log T is below -1, or when g decays faster than any
+    power.  The slope must clear -1 by ``_L2_ROUNDING``, an allowance for
+    rounding: on mu_a, V = exp(T^a/2) T^{-beta} gives g = C T^{-2 beta}
+    exactly, so beta > 1/2 passes and beta = 1/2 is refused.  The universal
+    weight gives g = 1 and is always refused.
     """
     r = grid.radius
     x1, x2 = 0.70 * r, 0.95 * r
     logg = lambda x: 2.0 * weight.log_value(x) + model.log_density(x)
-    slope = (float(logg(x2)) - float(logg(x1))) / (math.log(x2) - math.log(x1))
-    if not slope < -1.05:
+    log_t = lambda x: 0.5 * math.log1p(x * x)
+    slope = (float(logg(x2)) - float(logg(x1))) / (log_t(x2) - log_t(x1))
+    if not slope < -1.0 - _L2_ROUNDING:
         raise IntegrabilityError(
-            f"V^2 rho has log-log tail slope {slope:.3f} >= -1.05: V not in L2(mu)"
+            f"V^2 rho has tail slope {slope:.12g} in log sqrt(1+x^2), not below -1 by "
+            f"the rounding allowance {_L2_ROUNDING:g}: V not in L2(mu)"
         )
     v = weight.value(grid.points)
     return float(np.sum(grid.node_masses * v * v))

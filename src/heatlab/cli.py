@@ -274,22 +274,12 @@ def _decompose(cfg: ExperimentConfig, model, t_first=None):
     return grid, op, dec
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    """Numbers as ``%.17g`` (round-trip exact), anything else as ``str``;
-    each row is one ``%``-format, its template built once per row type
-    signature."""
-    templates, lines = {}, [",".join(header)]
-    for row in rows:
-        # not tuple(map(...)): built at a guessed size and shrunk, that
-        # tuple never reuses a freed one, so CPython's tuple free list would
-        # keep one per row (up to 2000 per length) after the table is done
-        kinds = (*map(type, row),)
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(
-                "%.17g" if issubclass(kind, (int, float, np.floating)) else "%s" for kind in kinds)
-        lines.append(template % tuple(row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows) -> str:
+    """A numeric table, every value as ``%.17g`` (round-trip exact) by one
+    ``%``-format per row: ``rows`` holds rows of the header's width, or is a
+    2-D float array."""
+    template = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
 
 
 def _bump_family(cfg: ExperimentConfig, grid, rng, count):
@@ -603,8 +593,7 @@ def run_converse(cfg: ExperimentConfig):
         results={"fitted_power": power, "fitted_prefactor": prefactor},
         checks={"quotient_monotone": _within(mono_defect, 1e-9)},
     )
-    rows = [[x, p] for x, p in zip(xs, phi)]
-    return record, {"converse_phi.csv": _csv(["x", "phi"], rows)}
+    return record, {"converse_phi.csv": _csv(["x", "phi"], np.column_stack((xs, phi)))}
 
 
 def run_nash_scan(cfg: ExperimentConfig):
@@ -643,8 +632,8 @@ def run_nash_scan(cfg: ExperimentConfig):
         checks={"envelope_below_samples": _domination([bounds.envelope_slack(rate, xq, yq)])},
     )
     files = {
-        "nash_quotients.csv": _csv(["x_quotient", "y_quotient"], [[a, b] for a, b in zip(xq, yq)]),
-        "nash_envelope.csv": _csv(["x", "phi"], [[a, b] for a, b in zip(xs, env)]),
+        "nash_quotients.csv": _csv(["x_quotient", "y_quotient"], np.column_stack((xq, yq))),
+        "nash_envelope.csv": _csv(["x", "phi"], np.column_stack((xs, env))),
     }
     return record, files
 

@@ -7,16 +7,14 @@ The window is chosen large enough that the neglected tail mass is below
 ``TAIL_TOL``, so window-normalized models behave as probability measures
 for every downstream quadrature.
 
-Every integral in the package uses one composite 32-point Gauss-Legendre
-rule. ``bounds`` sums it over two equal panels per block of its
-integrability probe, its one numeric 1/phi integral. The normalization
-constants and the tail mass, integrals over [lo, hi], use panels graded away
-from the origin (breakpoints lo, 0 when inside, the +-2^j >= 1/4 inside, and
-hi): short where a density peaks and long where it decays. Such an integral
-is run with 2 and with 4 panels per interval and keeps the 4-panel sum; the
-two must agree to ``1e-13`` relative or the call raises
-:class:`~heatlab.errors.NumericError`, so the error is checked on every
-call. Normalization at ``suggest_radius`` takes 1.5k-8k nodes.
+Every integral in the package, a normalization constant or a tail mass
+over [lo, hi], uses one composite 32-point Gauss-Legendre rule on panels
+graded away from the origin (breakpoints lo, 0 when inside, the
++-2^j >= 1/4 inside, and hi): short where a density peaks and long where
+it decays. Such an integral is run with 2 and with 4 panels per interval
+and keeps the 4-panel sum; the two must agree to ``1e-13`` relative or the
+call raises :class:`~heatlab.errors.NumericError`, so the error is checked
+on every call. Normalization at ``suggest_radius`` takes 1.5k-8k nodes.
 
 The exponential-power family uses the smoothed radius ``T(x) = sqrt(1+x^2)``
 so the density ``C_a * exp(-T^a)`` is smooth at the origin for every

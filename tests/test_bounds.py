@@ -75,6 +75,48 @@ def test_u_integral_closed_forms():
         assert hl.u_integral(rate, x) == pytest.approx(x ** -0.5 / (3.0 * 0.5), rel=1e-14)
 
 
+def _envelope(shift: float, lam: float) -> hl.RateFunction:
+    r = 1.0 / lam
+    return hl.RateFunction(kind="empirical_envelope", domain_floor=shift,
+                           evaluate=lambda x: shift ** -r * (np.asarray(x) - shift) ** r,
+                           meta={"c_shift": shift, "lam": lam})
+
+
+def test_u_integral_closed_forms_match_mpmath():
+    # U(x) = int_x^inf du/phi(u) by 30-digit tanh-sinh, after substitutions
+    # that make the integrand decay exponentially: log u = log(x) e^w for
+    # log-power, u - C = (x - C) e^v for the envelope.  Left as power-law
+    # tails the reference is off by percents (3% at a = 2.1 in s = log u)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for a in (2.1, 2.5, 3.0):
+            for c in (1.0, 0.37):
+                rate = hl.log_rate(a, c)
+                p = mp.mpf(rate.meta["exponent"])
+                for x in (math.e, 10.0, 1e3, 1e50, 1e300):
+                    log_x = mp.log(x)
+
+                    def integrand(w):  # du/phi(u) = (u/phi(u)) d(log u)
+                        log_u = log_x * mp.exp(w)  # d(log u) = log_u dw
+                        return log_u / (c * log_u ** p)
+
+                    ref = mp.quad(integrand, [0, mp.inf])
+                    assert hl.u_integral(rate, x) == pytest.approx(float(ref), rel=1e-13, abs=0)
+        for lam, shift in ((0.5, 1.0), (0.7, 1.0), (0.7, 3.5),
+                           (0.9795918367346939, 0.6767895007816784)):
+            rate = _envelope(shift, lam)
+            r, big_c = 1 / mp.mpf(lam), mp.mpf(shift)
+            for x in (shift * 1.001, shift * 2.0, shift * 10.0, shift * 1e6):
+                d = x - big_c
+
+                def integrand(v):  # du/phi(u) with du = (u - C) dv
+                    gap = d * mp.exp(v)  # u - C
+                    return gap / (big_c ** -r * gap ** r)
+
+                ref = mp.quad(integrand, [0, mp.inf])
+                assert hl.u_integral(rate, x) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+
 def test_u_integral_divergent_cases():
     with pytest.raises(IntegrabilityError):
         hl.u_integral(hl.power_rate(1.0, 1.0), 2.0)
@@ -93,11 +135,10 @@ def test_u_integral_divergent_cases():
 
 
 def test_rates_without_a_closed_form_have_no_profile():
-    # the probe calls this converse rate integrable, and x^2 is integrable,
-    # but neither kind has a closed form: both are refused when built
+    # 1/phi of this converse rate ~ 1/(x log x) diverges, and x^2 is
+    # integrable, but neither kind has a closed form: both are refused when built
     ts = np.geomspace(0.01, 10.0, 64)
     converse = hl.converse_rate(ts, ts ** -5)
-    assert hl.integrability_test(converse) is True
     square = hl.RateFunction(
         kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2
     )
@@ -111,38 +152,25 @@ def test_rates_without_a_closed_form_have_no_profile():
 
 
 def test_is_integrable_answers_closed_forms_only():
-    # the exact criterion of a closed-form kind, where the probe disagrees
-    # (a = 2.1); a refusal, not the probe's answer, for any other kind
-    assert hl.is_integrable(hl.log_rate(2.1)) is True
-    assert hl.is_integrable(hl.log_rate(1.5)) is False
-    assert hl.is_integrable(hl.power_rate(1.0, 1.0)) is False
+    # the exact criterion of a closed-form kind, and a profile exactly when it
+    # holds: for log-power p = 2(1 - 1/a) > 1 iff a > 2, including just above
+    # the borderline (a = 2.1, p = 1.048)
+    cases = [(hl.log_rate(a), a > 2.0) for a in (1.5, 2.0, 2.1, 2.5, 3.0)]
+    cases += [(hl.power_rate(1.0, 1.0), False), (hl.power_rate(1.0, 2.0), True)]
+    for rate, expected in cases:
+        assert hl.is_integrable(rate) is expected
+        if expected:
+            kp = hl.k_profile(rate)
+            assert kp.u_at_floor > kp.u_at_cap > 0.0
+        else:
+            with pytest.raises(IntegrabilityError, match="not integrable"):
+                hl.k_profile(rate)
+    # a refusal, not a guess, for any other kind, whether its 1/phi converges
+    # or not
     ts = np.geomspace(0.01, 10.0, 64)
     for rate in (hl.converse_rate(ts, ts ** -5), hl.converse_rate(ts, ts ** -0.5)):
         with pytest.raises(IntegrabilityError, match="no closed-form tail integral"):
             hl.is_integrable(rate)
-
-
-@pytest.mark.parametrize(
-    "a,expected",
-    [(1.5, False), (2.0, False), (2.5, True), (3.0, True)],
-)
-def test_integrability_probe_log_rates(a, expected):
-    assert hl.integrability_test(hl.log_rate(a)) is expected
-    # analytic criterion: exponent 2(1-1/a) > 1 iff a > 2
-    assert (2.0 * (1.0 - 1.0 / a) > 1.0) is expected
-
-
-def test_closed_form_integrability_overrides_the_probe():
-    # just above the borderline a = 2 the numeric probe is conservative; for a
-    # closed-form kind the criterion p = 2(1 - 1/a) > 1 decides instead
-    rate = hl.log_rate(2.1)
-    assert hl.integrability_test(rate) is False
-    assert math.isfinite(hl.k_profile(rate).u_at_floor)
-
-
-def test_integrability_probe_power_rates():
-    assert hl.integrability_test(hl.power_rate(1.0, 2.0)) is True
-    assert hl.integrability_test(hl.power_rate(1.0, 1.0)) is False
 
 
 def test_k_profile_inverse_square():

@@ -268,9 +268,8 @@ def test_verify_pipeline(tmp_path):
 
 
 def test_verify_ultracontractive_uses_exact_criterion(tmp_path):
-    # phi = x (log x)^{2(1-1/a)} with a = 2.1 is integrable (exponent 1.05 > 1);
-    # the numeric probe, conservative near the borderline, says otherwise
-    assert hl.integrability_test(hl.log_rate(2.1)) is False
+    # phi = x (log x)^{2(1-1/a)} with a = 2.1 is integrable (exponent 1.048 > 1),
+    # just above the borderline a = 2
     cfg = write_config(tmp_path / "cfg.txt", "a = 2.1\nn_points = 300\ntrain_size = 40\nheldout_size = 40\n")
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -284,6 +283,21 @@ def test_verify_universal_weight_trace_exits_5(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out]) == 5
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("beta,code", [(0.51, 0), (0.5, 5)])
+def test_verify_trace_needs_beta_above_one_half(tmp_path, beta, code):
+    # V = exp(T^a/2) T^{-beta} is in L2(mu_a) exactly when beta > 1/2; with
+    # a = 2.5 the window is narrow (R = 3.47), where V^2 rho is far from a
+    # power of x but is exactly C T^{-2 beta}
+    cfg = write_config(tmp_path / "cfg.txt", f"a = 2.5\nbeta = {beta}\nn_points = 300\n"
+                       "train_size = 40\nheldout_size = 40\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == code
+    if code:
+        assert not os.path.exists(out)
+    else:
+        assert read_report(out, "verify_report.json")["checks"]["trace_domination"]["pass"]
 
 
 def test_verify_degenerate_family_exits_4(tmp_path):
@@ -689,29 +703,32 @@ def test_kernel_without_a_bound_leaves_the_check_out(tmp_path, text):
 
 
 def _csv_per_value(header, rows):
-    # reference formatter: one f-string or str() per value
+    # reference formatter: one f-string per value
     out = [",".join(header)]
     for row in rows:
-        out.append(",".join(f"{v:.17g}" if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+        out.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(out) + "\n"
 
 
 def test_csv_matches_per_value_formatter(rng):
     special = [0, -7, 2**70, True, False, math.inf, -math.inf, math.nan, -0.0, 5e-324,
-               -1.5e-310, np.float64(-0.0), np.float32(0.1), np.int64(2**60), np.bool_(True),
-               "50%", "%s %d", 1e308]
-    rows = [special[i:i + 6] for i in range(0, len(special), 6)]
+               -1.5e-310, np.float64(-0.0), np.float32(0.1), np.int64(2**60), 1e308, 0.1]
+    rows = [special[i:i + 4] for i in range(0, len(special), 4)]
     rows += (rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))).tolist()
-    rows += [[], ["x"]]
-    header = ["t", "p%", "slack"]
+    header = ["t", "p%", "slack", "x"]
     assert cli._csv(header, rows) == _csv_per_value(header, rows)
-    assert cli._csv(header, []) == _csv_per_value(header, []) == "t,p%,slack\n"
+    # a float array gives the bytes of its rows as Python floats
+    table = np.array(rows[4:], dtype=float)
+    assert cli._csv(header, table) == _csv_per_value(header, table.tolist())
+    assert cli._csv(header, []) == _csv_per_value(header, []) == "t,p%,slack,x\n"
+    with pytest.raises(TypeError):
+        cli._csv(header, [[1.0, 2.0]])
 
 
 def test_csv_leaves_no_objects_behind():
     # rows of a length nothing else uses: every per-row object the formatter
     # makes must be freed for reuse, not parked on a free list, one per row
-    rows = [[i] + [0.5] * 15 + ["x"] for i in range(3000)]
+    rows = [[i] + [0.5] * 16 for i in range(3000)]
     before = sys.getallocatedblocks()
     text = cli._csv([f"c{i}" for i in range(17)], rows)
     del text

@@ -144,6 +144,16 @@ def test_weight_mu_a_square_integrable(mua_model, mua_setup):
     w = hl.weight_mu_a(1.5, 1.0)
     mass = hl.weight_squared_mass(mua_model, w, grid)
     assert math.isfinite(mass) and mass > 0
+    # V^2 rho = C T^{-2 beta} exactly, so V is in L2(mu_a) iff beta > 1/2,
+    # however close to 1/2, and whatever the window
+    for a in (1.5, 2.5):
+        model = hl.make_mu_a(a, hl.suggest_radius(a))
+        grid = hl.make_grid(model, 201)
+        for beta in (0.51, 0.6):
+            assert hl.weight_squared_mass(model, hl.weight_mu_a(a, beta), grid) > 0
+        for beta in (0.5, 0.49):
+            with pytest.raises(hl.IntegrabilityError, match="rounding allowance 1e-09"):
+                hl.weight_squared_mass(model, hl.weight_mu_a(a, beta), grid)
 
 
 def test_weight_mu_a_derivatives_match_fd(rng):
