@@ -151,26 +151,52 @@ def test_rates_without_a_closed_form_have_no_profile():
         assert rate.meta == meta
 
 
-def test_is_integrable_answers_closed_forms_only():
+def _check_profile_iff_integrable(rate, expected):
     # the exact criterion of a closed-form kind, and a profile exactly when it
-    # holds: for log-power p = 2(1 - 1/a) > 1 iff a > 2, including just above
-    # the borderline (a = 2.1, p = 1.048)
-    cases = [(hl.log_rate(a), a > 2.0) for a in (1.5, 2.0, 2.1, 2.5, 3.0)]
-    cases += [(hl.power_rate(1.0, 1.0), False), (hl.power_rate(1.0, 2.0), True)]
-    for rate, expected in cases:
-        assert hl.is_integrable(rate) is expected
-        if expected:
-            kp = hl.k_profile(rate)
-            assert kp.u_at_floor > kp.u_at_cap > 0.0
-        else:
-            with pytest.raises(IntegrabilityError, match="not integrable"):
-                hl.k_profile(rate)
+    # holds
+    assert hl.is_integrable(rate) is expected
+    if expected:
+        kp = hl.k_profile(rate)
+        assert kp.u_at_floor > kp.u_at_cap > 0.0
+    else:
+        with pytest.raises(IntegrabilityError, match="not integrable"):
+            hl.k_profile(rate)
+
+
+def test_is_integrable_answers_closed_forms_only():
     # a refusal, not a guess, for any other kind, whether its 1/phi converges
     # or not
     ts = np.geomspace(0.01, 10.0, 64)
     for rate in (hl.converse_rate(ts, ts ** -5), hl.converse_rate(ts, ts ** -0.5)):
         with pytest.raises(IntegrabilityError, match="no closed-form tail integral"):
             hl.is_integrable(rate)
+
+
+# the next three tests keep the names they had when a numeric 1/phi probe
+# answered them; the closed forms answer the same cases now
+
+
+@pytest.mark.parametrize(
+    "a,expected",
+    [(1.5, False), (2.0, False), (2.5, True), (3.0, True)],
+)
+def test_integrability_probe_log_rates(a, expected):
+    _check_profile_iff_integrable(hl.log_rate(a), expected)
+    # analytic criterion: exponent 2(1-1/a) > 1 iff a > 2
+    assert (2.0 * (1.0 - 1.0 / a) > 1.0) is expected
+
+
+def test_closed_form_integrability_overrides_the_probe():
+    # just above the borderline a = 2 (p = 2(1 - 1/a) = 1.048), where the
+    # probe answered "not integrable"
+    rate = hl.log_rate(2.1)
+    _check_profile_iff_integrable(rate, True)
+    assert math.isfinite(hl.k_profile(rate).u_at_floor)
+
+
+def test_integrability_probe_power_rates():
+    _check_profile_iff_integrable(hl.power_rate(1.0, 2.0), True)
+    _check_profile_iff_integrable(hl.power_rate(1.0, 1.0), False)
 
 
 def test_k_profile_inverse_square():
