@@ -74,9 +74,6 @@ class RateFunction:
     evaluate: Callable
     meta: dict = field(default_factory=dict)
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
@@ -108,19 +105,17 @@ class LyapunovCertificate:
 # rate constructors
 
 
-def power_rate(coefficient: float, exponent: float, floor: float = 0.0) -> RateFunction:
-    """phi(x) = coefficient * x^exponent on (floor, inf)."""
+def power_rate(coefficient: float, exponent: float) -> RateFunction:
+    """phi(x) = coefficient * x^exponent on (0, inf)."""
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
-    if floor < 0:
-        raise ValueError(f"floor must be nonnegative, got {floor}")
 
     def evaluate(x):
         return _scalar_or_array(coefficient * np.asarray(x, dtype=float) ** exponent)
 
     return RateFunction(
         kind="power",
-        domain_floor=float(floor),
+        domain_floor=0.0,
         evaluate=evaluate,
         meta={"coefficient": float(coefficient), "exponent": float(exponent)},
     )
@@ -130,17 +125,15 @@ def classical_nash_rate(n: float, coefficient: float = 1.0) -> RateFunction:
     """Classical Nash rate phi(x) = C x^{1+2/n} with floor M = 0."""
     if not n > 0:
         raise ValueError(f"dimension parameter must be positive, got {n}")
-    return power_rate(coefficient, 1.0 + 2.0 / n, 0.0)
+    return power_rate(coefficient, 1.0 + 2.0 / n)
 
 
-def log_rate(a: float, coefficient: float = 1.0, floor: float = math.e) -> RateFunction:
-    """Log-power rate phi(x) = C x (log x)^{2(1-1/a)} on (floor, inf), floor > 1."""
+def log_rate(a: float, coefficient: float = 1.0) -> RateFunction:
+    """Log-power rate phi(x) = C x (log x)^{2(1-1/a)} on (e, inf)."""
     if not a > 1:
         raise ValueError(f"exponent a must exceed 1, got {a}")
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
-    if not floor > 1:
-        raise ValueError(f"floor must exceed 1, got {floor}")
     p = 2.0 * (1.0 - 1.0 / a)
 
     def evaluate(x):
@@ -149,19 +142,19 @@ def log_rate(a: float, coefficient: float = 1.0, floor: float = math.e) -> RateF
 
     return RateFunction(
         kind="log_power",
-        domain_floor=float(floor),
+        domain_floor=math.e,
         evaluate=evaluate,
-        meta={"coefficient": float(coefficient), "exponent": p, "a": float(a)},
+        meta={"coefficient": float(coefficient), "exponent": p},
     )
 
 
-def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6, n: int = 400) -> float:
-    """Largest decrease of phi(x)/x along a geometric sample of the domain.
+def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6) -> float:
+    """Largest decrease of phi(x)/x along a 400-point geometric sample of the domain.
 
     Nonpositive (up to rounding) for a valid rate function.
     """
     lo = max(rate.domain_floor * (1.0 + 1e-9), 1e-12)
-    xs = np.geomspace(lo + 1e-12, max(x_hi, 10.0 * lo + 10.0), n)
+    xs = np.geomspace(lo + 1e-12, max(x_hi, 10.0 * lo + 10.0), 400)
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.asarray(rate.evaluate(xs)) / xs
     q = q[np.isfinite(q)]
@@ -367,32 +360,23 @@ def trace_bound(
 # Lyapunov certificates
 
 
-def lyapunov_constant(
-    model: MeasureModel, weight: Weight, grid: Grid, fd_step: float = 1e-5
-) -> LyapunovCertificate:
+def lyapunov_constant(model: MeasureModel, weight: Weight, grid: Grid) -> LyapunovCertificate:
     """Certify LV <= cV with c = sup over the grid of L(log V) + (log V)'^2.
 
     The expression is (log V)'' + (log V)'^2 + b (log V)' with the model
-    drift b; the weight's closed-form ``dlog`` / ``d2log`` supply the
-    derivatives of log V where it has them (``weight_mu_a`` has both),
-    central finite differences otherwise.  When the sampled maximum sits
-    at a window edge where the expression is still growing, the sup may
-    lie outside the window and no certificate is issued.
+    drift b, from the weight's closed-form ``dlog`` and ``d2log``, or a
+    central difference of ``dlog`` (step 1e-5 max(1, |x|)) without ``d2log``.
+    When the sampled maximum sits at a window edge where the expression is
+    still growing, the sup may lie outside the window and no certificate is
+    issued.
     """
     x = grid.points
-    step = fd_step * np.maximum(1.0, np.abs(x))
-    if weight.dlog is not None:
-        d1 = np.asarray(weight.dlog(x), dtype=float)
-    else:
-        d1 = (weight.log_value(x + step) - weight.log_value(x - step)) / (2.0 * step)
+    d1 = np.asarray(weight.dlog(x), dtype=float)
     if weight.d2log is not None:
         d2 = np.asarray(weight.d2log(x), dtype=float)
-    elif weight.dlog is not None:
-        d2 = (weight.dlog(x + step) - weight.dlog(x - step)) / (2.0 * step)
     else:
-        d2 = (
-            weight.log_value(x + step) - 2.0 * weight.log_value(x) + weight.log_value(x - step)
-        ) / (step * step)
+        step = 1e-5 * np.maximum(1.0, np.abs(x))
+        d2 = (weight.dlog(x + step) - weight.dlog(x - step)) / (2.0 * step)
     expr = d2 + d1 * d1 + model.drift(x) * d1
 
     # refuse when the sampled maximum sits at a window edge that is still
@@ -427,50 +411,33 @@ def nash_quotients(
     return l2sq / l1w ** 2, dirichlet_energy(family, op) / l1w ** 2
 
 
-def empirical_rate(
-    family: np.ndarray,
-    weight: Weight,
-    op: TridiagonalOperator,
-    exponents: "MuAExponents | None" = None,
-    lam: float | None = None,
-    floor: float | None = None,
-    floor_scale: float = 1.5,
-    safety: float = 1.0,
-) -> RateFunction:
-    """Fit the greatest envelope phi(x) = C^{-1/lam}(x-C)^{1/lam} below a family.
+def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
+                   safety: float = 1.0) -> RateFunction:
+    """Fit the greatest envelope phi(x) = C^{-1/lam}(x-C)^{1/lam} below the
+    quotient pairs (xq, yq) of a family, as ``nash_quotients`` returns them.
 
-    ``lam`` (or ``exponents.lam``) fixes the shape; C is the least shift keeping
-    phi below every quotient pair (x, y) with x above the floor (default:
-    ``floor_scale`` times the quotient of the constant function).  As phi_C(x)
-    <= y exactly when C >= x / (1 + y^lam), C is the maximum of that over the
-    pairs, walked a few ulps to the least float whose computed phi_C passes.
-    ``safety > 1`` inflates C, weakening the envelope for held-out data.
+    ``lam`` fixes the shape; C is the least shift keeping phi below every
+    pair with x above ``floor``.  As phi_C(x) <= y exactly when C >= x / (1 +
+    y^lam), C is the maximum of that over the pairs, walked a few ulps to the
+    least float whose computed phi_C passes.  ``safety > 1`` inflates C,
+    weakening the envelope for held-out data.
 
-    A family with no sample above the floor yields a flagged degenerate rate.
+    Pairs with none above the floor yield a flagged degenerate rate.
     """
-    if exponents is not None:
-        lam = exponents.lam
-    if lam is None:
-        raise ValueError("supply lam or exponents")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0,1), got {lam}")
     if not safety >= 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety}")
 
-    xq, yq = nash_quotients(family, weight, op)
-    v = weight.value(op.grid.points)
-    x_const = 1.0 / float(np.sum(op.grid.node_masses * v)) ** 2
-    m_floor = float(floor) if floor is not None else floor_scale * x_const
-
     r = 1.0 / lam
-    above = xq > m_floor
+    above = xq > floor
     degenerate = not bool(np.any(above))
     if degenerate:
-        c_fit = m_floor
+        c_fit = floor
     else:
 
         def feasible(c: float) -> bool:
-            sel = xq > max(m_floor, c)
+            sel = xq > max(floor, c)
             phi = c ** -r * (xq[sel] - c) ** r
             return bool(np.all(yq[sel] >= phi))
 
@@ -486,7 +453,7 @@ def empirical_rate(
         else:
             raise CalibrationError("the envelope shift did not settle within 64 ulps")
     c_fit *= safety
-    floor_eff = max(m_floor, c_fit)
+    floor_eff = max(floor, c_fit)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -501,11 +468,8 @@ def empirical_rate(
         meta={
             "c_shift": float(c_fit),
             "lam": float(lam),
-            "configured_floor": m_floor,
-            "constant_quotient": x_const,
+            "configured_floor": float(floor),
             "degenerate": degenerate,
-            "safety": float(safety),
-            "n_samples": int(np.atleast_2d(family).shape[0]),
         },
     )
 
@@ -608,11 +572,6 @@ def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
         kind="converse",
         domain_floor=0.0,
         evaluate=evaluate,
-        meta={
-            "n_samples": int(times.size),
-            "t_lo": float(times.min()),
-            "t_hi": float(times.max()),
-            # phi is positive exactly above the smallest sampled K(t)^2
-            "positivity_floor": float(np.min(ksq)),
-        },
+        # phi is positive exactly above the smallest sampled K(t)^2
+        meta={"positivity_floor": float(np.min(ksq))},
     )

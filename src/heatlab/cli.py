@@ -136,14 +136,17 @@ class ReportRecord:
 def _domination(slacks, tolerance: float = 1e-9, **extra) -> dict:
     """The check "bound - actual >= -tolerance everywhere" over an iterable of
     slack arrays, consumed one at a time: the least slack and the count of
-    slacks below -tolerance, passing when that count is zero."""
-    min_slack, violations = math.inf, 0
+    slacks below -tolerance, passing when that count is zero.  Judged slacks all
+    +inf (an infinite bound certifies nothing) make it vacuous, not passing."""
+    min_slack, violations, judged = math.inf, 0, 0
     for slack in slacks:
         slack = np.asarray(slack)
         min_slack = min(min_slack, float(slack.min(initial=math.inf)))
         violations += int(np.count_nonzero(slack < -tolerance))
-    return {"pass": violations == 0, "min_slack": min_slack, "violations": violations,
-            "tolerance": tolerance, **extra}
+        judged += slack.size
+    vacuous = {"vacuous": True} if judged and min_slack == math.inf else {}
+    return {"pass": violations == 0 and not vacuous, "min_slack": min_slack,
+            "violations": violations, "tolerance": tolerance, **vacuous, **extra}
 
 
 def _within(value, tolerance: float, deviation=None) -> dict:
@@ -311,6 +314,15 @@ def _exponents(cfg: ExperimentConfig) -> bounds.MuAExponents:
     return exps
 
 
+def _fit_envelope(cfg: ExperimentConfig, grid, weight, xq, yq):
+    """(envelope, exponents): the envelope at the config's lam below the pairs
+    (xq, yq) above ``floor_scale`` times 1/(sum_i m_i V_i)^2, a constant's x."""
+    exps = _exponents(cfg)
+    m, v = grid.node_masses, weight.value(grid.points)
+    floor = cfg.floor_scale * (1.0 / float(np.sum(m * v)) ** 2)
+    return bounds.empirical_rate(xq, yq, exps.lam, floor, safety=cfg.safety), exps
+
+
 def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     """(weight, Lyapunov certificate, rate, exponents, K profile) for the mu_a
     family.  The training family is drawn from ``rng`` whatever the rate
@@ -322,11 +334,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     train = _bump_family(cfg, grid, rng, cfg.train_size)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
-        exps = _exponents(cfg)
-        rate = bounds.empirical_rate(
-            train, weight, op,
-            exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
-        )
+        rate, exps = _fit_envelope(cfg, grid, weight, *bounds.nash_quotients(train, weight, op))
         if rate.meta["degenerate"]:
             raise CalibrationError("empirical rate degenerate: no training sample above the floor")
     return weight, cert, rate, exps, bounds.k_profile(rate)
@@ -366,15 +374,15 @@ def run_spectrum(cfg: ExperimentConfig):
     return record, {"spectrum.csv": _csv(["index", "lambda", "exp_minus_lambda_t1"], rows)}
 
 
-def _kernel_sample_nodes(grid, half_width, max_count=21):
-    """At most ``max_count`` evenly spread nodes with |x| <= half_width; a
-    ConfigError when there is none."""
+def _kernel_sample_nodes(grid, half_width):
+    """At most 21 evenly spread nodes with |x| <= half_width; a ConfigError
+    when there is none."""
     idx = spectral.bulk_indices(grid, half_width)
     if not idx.size:
         raise ConfigError(f"kernel_half_width = {half_width!r} holds no grid node: the nearest "
                           f"is at |x| = {float(np.abs(grid.points).min())!r} (grid spacing {grid.spacing!r})")
-    if len(idx) > max_count:
-        idx = idx[np.linspace(0, len(idx) - 1, max_count).astype(int)]
+    if len(idx) > 21:
+        idx = idx[np.linspace(0, len(idx) - 1, 21).astype(int)]
     return idx
 
 
@@ -413,7 +421,7 @@ def run_kernel(cfg: ExperimentConfig):
             bound = np.full_like(p, math.nan)
         slack = bound - (p + spectral.kernel_tail(dec, t, idx))
         judged = slack / np.maximum(p, noise_floor) if is_ou else slack
-        measured.append(judged[np.isfinite(slack)])
+        measured.append(judged)
         cols = [np.full_like(p, t), xi, xj, p, bound, slack]
         if is_ou:
             me = measures.mehler_kernel(t, xi, xj)
@@ -609,11 +617,7 @@ def run_nash_scan(cfg: ExperimentConfig):
     else:
         family = _bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
     xq, yq = bounds.nash_quotients(family, weight, op)
-    exps = _exponents(cfg)
-    rate = bounds.empirical_rate(
-        family, weight, op,
-        exponents=exps, floor_scale=cfg.floor_scale, safety=cfg.safety,
-    )
+    rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))
     degenerate = bool(rate.meta.get("degenerate", False))
@@ -714,7 +718,8 @@ def main(argv=None) -> int:
         return 3
 
     if not args.quiet:
-        failed = [k for k, v in record.checks.items() if not v["pass"]]
+        failed = [f"{k} (vacuous)" if v.get("vacuous") else k
+                  for k, v in record.checks.items() if not v["pass"]]
         status = "ok" if not failed else f"FAILED checks: {', '.join(failed)}"
         print(f"{record.experiment}: {status}; outputs in {args.out}")
     return 0

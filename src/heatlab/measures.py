@@ -101,15 +101,15 @@ class MeasureModel:
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight function V, given by log V alone.
+    """A positive weight function V, given by log V and its derivative.
 
-    ``value`` is ``exp(log_value)``.  ``dlog`` / ``d2log`` are optional
-    closed-form derivatives of ``log V``; when absent, consumers fall back
-    to central finite differences.
+    ``value`` is ``exp(log_value)``.  ``dlog`` is the closed-form (log V)',
+    which every weight has; ``d2log`` is the closed-form (log V)'' where
+    there is one, and ``lyapunov_constant`` differences ``dlog`` otherwise.
     """
 
     log_value: Callable
-    dlog: Optional[Callable] = None
+    dlog: Callable
     d2log: Optional[Callable] = None
 
     def value(self, x):
@@ -198,7 +198,7 @@ def make_cauchy(beta: float, radius: float) -> MeasureModel:
                   lambda x: -beta * np.log1p(x * x), lambda x: -2.0 * beta * x / (1.0 + x * x))
 
 
-def make_ou(radius: float = 8.0) -> MeasureModel:
+def make_ou(radius: float) -> MeasureModel:
     """Ornstein-Uhlenbeck model: standard Gaussian measure, drift ``-x``.
 
     Normalized over the whole line; with ``radius >= 7`` the tail mass
@@ -321,17 +321,15 @@ def mehler_diag_bound(t: float, x, y):
     return _scalar_or_array(pref * np.exp(x * x / denom + y * y / denom))
 
 
-def suggest_radius(a: float, tail_tol: float = TAIL_TOL) -> float:
-    """Window radius for the exponential-power family with tail below tail_tol.
+def suggest_radius(a: float) -> float:
+    """Window radius for the exponential-power family with tail below TAIL_TOL.
 
     Uses the tail estimate q(R) ~ rho(R) / (a T(R)^{a-1}) with a x100 safety
     margin; a few fixed-point iterations on T^a = log(.) suffice.
     """
     if not a > 0:
         raise ValueError(f"exponent a must be positive, got {a}")
-    if not 0 < tail_tol < 1:
-        raise ValueError(f"tail_tol must be in (0,1), got {tail_tol}")
-    target = math.log(100.0 / tail_tol)
+    target = math.log(100.0 / TAIL_TOL)
     ta = max(target, 2.0)
     for _ in range(60):
         ta = target - math.log(a) - (a - 1.0) / a * math.log(ta)

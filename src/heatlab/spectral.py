@@ -137,16 +137,14 @@ class SpectralDecomposition:
         return 0.0 if math.isinf(self.tail_rate) else math.exp(-self.tail_rate * t)
 
 
-def make_grid(model: MeasureModel, n_points: int, radius: float | None = None) -> Grid:
-    """``n_points`` mirror-exact nodes on [-radius, radius]: the lower half and
-    h of ``np.linspace``, the upper half their exact negation, the center of
-    an odd grid exactly 0.  An even density thus gives palindromic masses."""
+def make_grid(model: MeasureModel, n_points: int) -> Grid:
+    """``n_points`` mirror-exact nodes on the model window [-R, R]: the lower
+    half and h of ``np.linspace``, the upper half their exact negation, the
+    center of an odd grid exactly 0.  An even density thus gives palindromic
+    masses."""
     if n_points < 3:
         raise ValueError(f"need at least 3 grid points, got {n_points}")
-    r = model.radius if radius is None else float(radius)
-    if not 0 < r <= model.radius:
-        raise ValueError(f"radius {r} outside the model window (0, {model.radius}]")
-    x = np.linspace(-r, r, n_points)
+    x = np.linspace(-model.radius, model.radius, n_points)
     h = x[1] - x[0]
     half = n_points // 2
     x[n_points - half:] = -x[half - 1::-1]
@@ -157,15 +155,19 @@ def make_grid(model: MeasureModel, n_points: int, radius: float | None = None) -
     m[-1] *= 0.5
     if not np.all(m > 0.0):
         raise ValueError("degenerate grid: vanishing node mass (density underflow)")
-    return Grid(radius=r, n_points=n_points, points=x, spacing=float(h), node_masses=m)
+    return Grid(radius=model.radius, n_points=n_points, points=x, spacing=float(h), node_masses=m)
 
 
 def discretize(model: MeasureModel, grid: Grid) -> TridiagonalOperator:
-    """Assemble the midpoint-weighted form and its symmetrized tridiagonal."""
+    """Assemble the midpoint-weighted form and its symmetrized tridiagonal;
+    NumericError where a mass product m_i m_{i+1} underflows to 0."""
     x, h, m = grid.points, grid.spacing, grid.node_masses
-    if not np.all(m > 0.0):
-        raise ValueError("degenerate grid: vanishing node mass")
     mid = 0.5 * (x[:-1] + x[1:])
+    pair = m[:-1] * m[1:]
+    if not np.all(pair > 0.0):
+        i = min(np.flatnonzero(pair == 0.0), key=lambda j: abs(mid[j]))  # the innermost
+        raise NumericError(f"node masses {float(m[i])!r} at x = {float(x[i])!r} and {float(m[i + 1])!r} at "
+                           f"x = {float(x[i + 1])!r} have a product that underflows to 0: narrow the window")
     c = model.density(mid) / h
     diag = np.zeros_like(x)
     diag[:-1] += c
@@ -174,7 +176,7 @@ def discretize(model: MeasureModel, grid: Grid) -> TridiagonalOperator:
         grid=grid,
         midpoint_weights=c,
         sym_diag=diag / m,
-        sym_offdiag=-c / np.sqrt(m[:-1] * m[1:]),
+        sym_offdiag=-c / np.sqrt(pair),
     )
 
 
@@ -353,21 +355,16 @@ def bulk_indices(grid: Grid, half_width: float | None = None) -> np.ndarray:
     return np.nonzero(np.abs(grid.points) <= half_width)[0]
 
 
-def chapman_kolmogorov_residual(
-    dec: SpectralDecomposition,
-    s: float,
-    t: float,
-    half_width: float | None = None,
-) -> float:
-    """max over sampled (i,j) of |int p_t(x_i,.) p_s(.,x_j) dmu - p_{t+s}(x_i,x_j)|
-    relative to p_{t+s}(x_i,x_j).
+def chapman_kolmogorov_residual(dec: SpectralDecomposition, s: float, t: float) -> float:
+    """max over the bulk (i,j) of |int p_t(x_i,.) p_s(.,x_j) dmu - p_{t+s}(x_i,x_j)|
+    relative to p_{t+s}(x_i,x_j), the bulk as ``bulk_indices`` defaults it.
 
     Only the bulk rows of p_t and p_s are synthesized (p_s is symmetric),
     so memory is O(n * bulk size).
     """
     _check_time(dec, s)
     _check_time(dec, t)
-    idx = bulk_indices(dec.grid, half_width)
+    idx = bulk_indices(dec.grid)
     pt = kernel_matrix(dec, t, idx, slice(None))
     ps = pt if s == t else kernel_matrix(dec, s, idx, slice(None))
     comp = pt @ (dec.node_masses[:, None] * ps.T)
@@ -375,11 +372,9 @@ def chapman_kolmogorov_residual(
     return float(np.max(np.abs(comp - direct) / direct))
 
 
-def stochasticity_defect(
-    dec: SpectralDecomposition, t: float, half_width: float | None = None
-) -> float:
-    """max over sampled rows of |int p_t(x_i, .) dmu - 1|."""
-    idx = bulk_indices(dec.grid, half_width)
+def stochasticity_defect(dec: SpectralDecomposition, t: float) -> float:
+    """max over the bulk rows (``bulk_indices``) of |int p_t(x_i, .) dmu - 1|."""
+    idx = bulk_indices(dec.grid)
     rows = kernel_matrix(dec, t, idx, slice(None)) @ dec.node_masses
     return float(np.max(np.abs(rows - 1.0)))
 
@@ -458,9 +453,7 @@ def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator):
     return _scalar_or_array((np.diff(f, axis=-1) ** 2 * op.midpoint_weights).sum(axis=-1))
 
 
-def ground_state_transform_residual(
-    model: MeasureModel, g: np.ndarray, grid: Grid, fd_step: float = 1e-6
-) -> float:
+def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Grid) -> float:
     """Defect of the ground-state transform identity for f = g sqrt(rho):
 
         int (f')^2 dx  =  E(g,g) + int (LV/V) g^2 dmu,   V = rho^{-1/2},
@@ -483,7 +476,7 @@ def ground_state_transform_residual(
     flat_energy = float(np.sum(np.diff(f) ** 2)) / h
     form_energy = float(np.sum(rho_mid * np.diff(g) ** 2)) / h
 
-    step = fd_step * np.maximum(1.0, np.abs(mid))
+    step = 1e-6 * np.maximum(1.0, np.abs(mid))
     b = model.drift(mid)
     b_prime = (model.drift(mid + step) - model.drift(mid - step)) / (2.0 * step)
     potential = -0.5 * b_prime - 0.25 * b * b

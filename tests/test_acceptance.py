@@ -136,9 +136,9 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     rng = np.random.default_rng(7)
     train = hl.gaussian_bump_family(grid, 200, rng)
     heldout = hl.gaussian_bump_family(grid, 200, rng)
-    rate = hl.empirical_rate(
-        train, weight, op, exponents=exps, safety=1.5
-    )
+    xq, yq = hl.nash_quotients(train, weight, op)
+    floor = 1.5 * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
+    rate = hl.empirical_rate(xq, yq, exps.lam, floor, safety=1.5)
     kp = hl.k_profile(rate)
     v = weight.value(grid.points)
 

@@ -8,6 +8,18 @@ from heatlab.bounds import _X_CAP, u_integral
 from heatlab.errors import CalibrationError, IntegrabilityError
 
 
+def _floor(grid, weight, floor_scale=1.5):
+    """``floor_scale`` times the quotient x of a constant function, the
+    floor the cli fits the envelope above."""
+    return floor_scale * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
+
+
+def _fit(family, weight, op, lam, safety=1.0):
+    """The envelope below a family's quotient pairs, above ``_floor``."""
+    xq, yq = hl.nash_quotients(family, weight, op)
+    return hl.empirical_rate(xq, yq, lam, _floor(op.grid, weight), safety=safety)
+
+
 @pytest.fixture(scope="module")
 def mua_pipeline(mua_model, mua_setup):
     """Certificate + calibrated rate + profile for mu_{1.5}, beta = 1."""
@@ -18,7 +30,7 @@ def mua_pipeline(mua_model, mua_setup):
     rng = np.random.default_rng(777)
     train = hl.gaussian_bump_family(grid, 100, rng)
     heldout = hl.gaussian_bump_family(grid, 100, rng)
-    rate = hl.empirical_rate(train, weight, op, exponents=exps, safety=1.5)
+    rate = _fit(train, weight, op, exps.lam, safety=1.5)
     kp = hl.k_profile(rate)
     return weight, cert, exps, rate, kp, train, heldout
 
@@ -30,7 +42,7 @@ def mua_pipeline(mua_model, mua_setup):
 def test_classical_nash_rate():
     rate = hl.classical_nash_rate(2.0, 1.0)
     xs = np.linspace(0.1, 50, 40)
-    assert np.allclose(rate(xs), xs ** 2, rtol=1e-14)
+    assert np.allclose(rate.evaluate(xs), xs ** 2, rtol=1e-14)
     assert hl.quotient_monotonicity_defect(rate) <= 1e-12
     with pytest.raises(ValueError):
         hl.classical_nash_rate(0.0)
@@ -221,7 +233,8 @@ def test_k_profile_power_exponent():
 
 
 def test_k_profile_flat_after_u_floor():
-    rate = hl.log_rate(2.5, floor=math.e)
+    rate = hl.log_rate(2.5)
+    assert rate.domain_floor == math.e
     kp = hl.k_profile(rate)
     assert math.isfinite(kp.u_at_floor)
     assert kp.evaluate(kp.u_at_floor * 1.5) == pytest.approx(math.sqrt(math.e), rel=1e-14)
@@ -343,7 +356,8 @@ def test_lyapunov_mu_a_bounded_above(a, beta):
 def test_lyapunov_refuses_growing_expression():
     ou = hl.make_ou(8.0)
     grid = hl.make_grid(ou, 801)
-    quartic = hl.Weight(log_value=lambda x: np.asarray(x, dtype=float) ** 4)
+    quartic = hl.Weight(log_value=lambda x: np.asarray(x, dtype=float) ** 4,
+                        dlog=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3)
     with pytest.raises(CalibrationError):
         hl.lyapunov_constant(ou, quartic, grid)
 
@@ -442,7 +456,7 @@ def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
     xq, yq = hl.nash_quotients(heldout, weight, op)
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
     # it is an actual envelope: without the safety factor it touches the data
-    tight = hl.empirical_rate(train, weight, op, exponents=exps, safety=1.0)
+    tight = _fit(train, weight, op, exps.lam)
     xt, yt = hl.nash_quotients(train, weight, op)
     sel = xt > tight.domain_floor
     margins = yt[sel] - np.asarray(tight.evaluate(xt[sel]))
@@ -454,20 +468,20 @@ def test_empirical_rate_degenerate_family(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     constants = np.ones((3, grid.n_points))
-    rate = hl.empirical_rate(constants, weight, op, lam=0.9)
+    rate = _fit(constants, weight, op, 0.9)
     assert rate.meta["degenerate"]
 
 
 def test_empirical_rate_parameter_validation(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
-    fam = np.ones((2, grid.n_points))
+    xq, yq = hl.nash_quotients(np.ones((2, grid.n_points)), weight, op)
+    with pytest.raises(TypeError):
+        hl.empirical_rate(xq, yq)  # no lam, no floor
     with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, op)  # no lam
+        hl.empirical_rate(xq, yq, 1.2, 0.0)
     with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, op, lam=1.2)
-    with pytest.raises(ValueError):
-        hl.empirical_rate(fam, weight, op, lam=0.9, safety=0.5)
+        hl.empirical_rate(xq, yq, 0.9, 0.0, safety=0.5)
     with pytest.raises(ValueError):
         hl.nash_quotients(np.ones((2, 7)), weight, op)
 
@@ -476,10 +490,10 @@ def test_empirical_rate_explicit_floor(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     fam = hl.gaussian_bump_family(grid, 20, rng)
-    rate = hl.empirical_rate(fam, weight, op, lam=0.95, floor=5.0)
+    xq, yq = hl.nash_quotients(fam, weight, op)
+    rate = hl.empirical_rate(xq, yq, 0.95, 5.0)
     assert rate.meta["configured_floor"] == 5.0
     assert rate.domain_floor >= 5.0
-    xq, yq = hl.nash_quotients(fam, weight, op)
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
 
 
@@ -534,9 +548,8 @@ def test_empirical_shift_is_the_least_feasible_float(a):
                 xq, yq = hl.nash_quotients(family, weight, op)
                 for exps in (default, near_min):
                     for floor_scale in (1.5, 0.0):
-                        rate = hl.empirical_rate(family, weight, op, exponents=exps,
-                                                 floor_scale=floor_scale, safety=1.0)
-                        m_floor = rate.meta["configured_floor"]
+                        m_floor = _floor(grid, weight, floor_scale)
+                        rate = hl.empirical_rate(xq, yq, exps.lam, m_floor)
                         shift, feasible = _bisection_shift(xq, yq, m_floor, exps.lam)
                         c = rate.meta["c_shift"]
                         assert c == shift

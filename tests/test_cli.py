@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -515,10 +517,9 @@ def test_nash_scan_min_slack_over_pairs_above_the_floor():
     xq, yq = np.array([[float(v) for v in line.split(",")] for line in lines]).T
     model = cli._build_model(cfg)
     grid = hl.make_grid(model, cfg.n_points)
-    op = hl.discretize(model, grid)
-    family = cli._bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
-    rate = hl.empirical_rate(family, cli._build_weight(cfg, model), op,
-                             exponents=hl.mu_a_exponents(cfg.a, cfg.beta), safety=cfg.safety)
+    weight = cli._build_weight(cfg, model)
+    floor = cfg.floor_scale * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
+    rate = hl.empirical_rate(xq, yq, hl.mu_a_exponents(cfg.a, cfg.beta).lam, floor, safety=cfg.safety)
     above = xq > rate.domain_floor
     slack = yq[above] - np.array([rate.evaluate(x) for x in xq[above]])
     assert 0 < above.sum() < len(xq)
@@ -532,6 +533,19 @@ def test_domination_check():
     chk = cli._domination((np.array([s, 1.0]) for s in (-1e-9, -2e-9)), relative=True)
     assert chk == {"pass": False, "min_slack": -2e-9, "violations": 1, "tolerance": 1e-9, "relative": True}
     assert cli._domination([np.array([-0.5]), np.empty(0), 0.5], tolerance=0.5)["pass"]
+    # every judged slack +inf: a bound that certifies nothing does not pass
+    inf = math.inf
+    chk = cli._domination([np.array([inf, inf]), np.empty(0), inf])
+    assert chk == {"pass": False, "min_slack": inf, "violations": 0, "tolerance": 1e-9,
+                   "vacuous": True}
+    assert cli._domination(iter([np.full((2, 3), inf)]), relative=True)["vacuous"]
+    # one finite slack judges the check; zero judged slacks still pass
+    assert "vacuous" not in cli._domination([np.array([inf, 2.0])])
+    assert cli._domination([np.array([inf, 2.0])])["pass"]
+    assert cli._domination([np.empty(0)]) == cli._domination([])
+    assert cli._domination([])["pass"]
+    # a violation is reported as one, not as vacuous
+    assert "vacuous" not in cli._domination([np.array([inf, -1.0])])
 
 
 def test_within_check():
@@ -739,12 +753,15 @@ LOG_RATE = VERIFY_SMALL + "rate = log\n"
 
 
 def test_log_rate_honours_log_a(tmp_path):
-    cfg = write_config(tmp_path / "cfg.txt", LOG_RATE)
+    # at log_a = 3 every kernel and verify bound is finite, so each check
+    # judges a bound (at the default 2.5, K(t) overflows at both kernel times)
+    cfg = write_config(tmp_path / "cfg.txt", LOG_RATE + "log_a = 3.0\n")
     for command in ("kernel", "verify"):
         out = str(tmp_path / command)
         assert cli.main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
         report = read_report(out, f"{command}_report.json")
         assert all(chk["pass"] for chk in report["checks"].values()), command
+        assert "inf" not in [chk.get("min_slack") for chk in report["checks"].values()], command
 
     # phi(x) = C x (log x)^{2(1-1/a)} with a = 1.5 < 2 is not integrable
     bad = write_config(tmp_path / "bad.txt", LOG_RATE + "log_a = 1.5\n")
@@ -783,3 +800,60 @@ def test_verify_checks_carry_the_tail(monkeypatch):
         assert not record.checks[name]["pass"], name
     record, _ = cli.run_kernel(cfg)
     assert record.checks["bound_dominates"]["violations"] > 0
+
+
+def test_infinite_bound_checks_are_vacuous(tmp_path, capsys):
+    # U^{-1}(t) = exp((C (p - 1) t)^{-1/(p - 1)}) with 1/(p - 1) = 21 at
+    # log_a = 2.1 overflows at every time: each domination check then holds
+    # over an infinite bound only, and must not read as a pass
+    cfg = write_config(tmp_path / "cfg.txt", LOG_RATE + "log_a = 2.1\n")
+    expected = {"verify": ["l2_domination", "kernel_domination", "trace_domination"],
+                "kernel": ["bound_dominates"]}
+    for command, names in expected.items():
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", cfg, "--out", out]) == 0
+        status = capsys.readouterr().out
+        assert "FAILED checks: " + ", ".join(f"{n} (vacuous)" for n in names) + ";" in status
+        checks = read_report(out, f"{command}_report.json")["checks"]
+        for name in names:
+            assert checks[name]["vacuous"] is True and checks[name]["pass"] is False
+            assert checks[name]["min_slack"] == "inf" and checks[name]["violations"] == 0
+    # the held-out envelope of verify judges finite slacks and still passes
+    assert read_report(str(tmp_path / "verify"), "verify_report.json")["checks"]["heldout_envelope"]["pass"]
+
+
+@pytest.mark.parametrize("command, config, x_pair", [
+    ("spectrum", "a = 2.5\nradius = 12.0\nn_points = 1921\n", (-10.6, -10.5875)),
+    ("kernel", "a = 2.2\nradius = 16.0\nn_points = 2561\n", (-14.65, -14.6375)),
+], ids=["spectrum", "kernel"])
+def test_mass_product_underflow_exits_3_naming_the_edge(tmp_path, capsys, command, config, x_pair):
+    # every node mass is positive, but m_i m_(i+1) underflows to 0 near the
+    # window edge: discretize refuses before numpy divides by that zero
+    cfg = write_config(tmp_path / "cfg.txt", config)
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", cfg, "--out", out]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not os.path.exists(out)
+    err = capsys.readouterr().err
+    named = re.fullmatch(r"numeric error: node masses (\S+) at x = (\S+) and (\S+) at x = (\S+) "
+                         r"have a product that underflows to 0: narrow the window\n", err)
+    assert named, err  # plain floats, not np.float64(...)
+    m0, x0, m1, x1 = map(float, named.groups())
+    assert (x0, x1) == x_pair
+    assert m0 > 0.0 and m1 > 0.0 and m0 * m1 == 0.0
+
+
+def test_nash_scan_makes_one_quotient_pass(monkeypatch):
+    # the envelope is fitted on the pairs the scan writes, not recomputed
+    calls = []
+    original = hl.bounds.nash_quotients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hl.bounds, "nash_quotients", counting)
+    cli.run_nash_scan(cli.ExperimentConfig.from_mapping({}))
+    assert len(calls) == 1

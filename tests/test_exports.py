@@ -1,10 +1,12 @@
 import ast
 import importlib
 import os
+import sys
 
 import pytest
 
 import heatlab
+from heatlab import bounds, cli, measures, spectral
 
 
 @pytest.mark.parametrize("module", ["measures", "spectral", "bounds"])
@@ -58,3 +60,29 @@ def test_every_parameter_is_read():
 def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + (lambda x: d)(0)\n")
     assert sorted(p for _, _, p in _unread_parameters(tree)) == ["b", "c", "e", "x"]
+
+
+def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
+    # bench/tracer.py replaces library and cli names by hand; a renamed hook
+    # would break the benchmark without failing any other test here
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    owners = [measures, spectral, bounds, cli, bounds.KProfile, cli.ExperimentConfig, cli.ReportRecord]
+    before = [dict(vars(owner)) for owner in owners] + [dict(cli._RUNNERS)]
+    (tmp_path / "converse.txt").write_text("rate = classical\n")
+    (tmp_path / "scan.txt").write_text("n_points = 200\ntrain_size = 20\n")
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        for command, cfg in (("converse", "converse.txt"), ("nash-scan", "scan.txt")):
+            argv = [command, "--config", str(tmp_path / cfg), "--out", str(tmp_path / command), "--quiet"]
+            assert cli.main(argv) == 0
+    finally:
+        tr.remove()
+    for span in ("cli.run_nash_scan", "bounds.empirical_rate", "bounds.nash_quotients",
+                 "bounds.KProfile.evaluate"):
+        assert tr.stats.get(span, [0])[0] > 0, span
+    after = [dict(vars(owner)) for owner in owners] + [dict(cli._RUNNERS)]
+    for old, new in zip(before, after):
+        assert all(new.get(key) is value for key, value in old.items())

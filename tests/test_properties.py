@@ -203,3 +203,16 @@ def test_bulk_kernel_symmetric_positive_stochastic(a, n_points, t):
     # (the eigenbasis is orthonormal to O(n eps)), plus (n - k) tail(t)
     rounding = n_points * eps * np.sqrt(m).sum() / np.sqrt(m[idx].min())
     assert hl.stochasticity_defect(dec, t) <= rounding + hl.trace_tail(dec, t)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(1e-4, 1e3), min_size=2, max_size=80, unique=True), st.data())
+def test_converse_quotient_nondecreasing(times, data):
+    # phi(x)/x = max(0, max_t log(x / K(t)^2) / 2t), a maximum of increasing
+    # functions of x: nondecreasing up to rounding, here 1e-12 times the
+    # largest |phi(x)/x| on the defect's own sample (2e-12 to 1e4)
+    log_k = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=len(times), max_size=len(times)))
+    rate = hl.converse_rate(np.sort(times), np.exp(log_k))
+    xs = np.geomspace(2e-12, 1e4, 400)
+    allowance = 1e-12 * float(np.max(np.abs(np.asarray(rate.evaluate(xs)) / xs)))
+    assert hl.quotient_monotonicity_defect(rate, x_hi=1e4) <= allowance

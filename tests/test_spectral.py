@@ -138,8 +138,6 @@ def test_eigendecompose_memory(mua_model, mua_setup, ou_fine_setup):
 def test_grid_validation(ou_model):
     with pytest.raises(ValueError):
         hl.make_grid(ou_model, 2)
-    with pytest.raises(ValueError):
-        hl.make_grid(ou_model, 100, radius=9.0)  # beyond the model window
 
 
 def test_dirichlet_energy_basics(ou_setup, rng):
