@@ -15,8 +15,9 @@ sum_n exp(-2 lambda_n t) <= K(2t)^2 e^{2ct} int V^2 dmu.
 
 Every rate satisfies phi(x)/x nondecreasing on its domain.  Only the
 closed-form kinds (powers, log-powers, the fitted envelope shape
-C^{-1/lam}(x - C)^{1/lam}) have a decay profile, from their analytic U and
-U^{-1}.  Converse rates grow at most like x log x, so their 1/phi is never
+C^{-1/lam}(x - C)^{1/lam}) have a decay profile: each constructor attaches
+its exact integrability criterion, U and U^{-1} to the rate it returns.
+Converse rates grow at most like x log x, so their 1/phi is never
 integrable: they are evaluated, never profiled.
 """
 
@@ -67,11 +68,17 @@ _L2_ROUNDING = 1e-9  # how far below -1 the L^2 tail slope must be
 
 @dataclass(frozen=True)
 class RateFunction:
-    """A rate phi > 0 on (domain_floor, inf) with phi(x)/x nondecreasing."""
+    """A rate phi > 0 on (domain_floor, inf) with phi(x)/x nondecreasing.
+
+    ``closed`` is (whether 1/phi is integrable at infinity, U(x), U^{-1}(t))
+    in closed form, built by the rate's constructor; None for a kind without
+    one, which then has no decay profile.
+    """
 
     kind: str
     domain_floor: float
     evaluate: Callable
+    closed: tuple[bool, Callable, Callable] | None
     meta: dict = field(default_factory=dict)
 
 
@@ -110,15 +117,19 @@ def power_rate(coefficient: float, exponent: float) -> RateFunction:
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
 
+    c, r = float(coefficient), float(exponent)
+
     def evaluate(x):
         return _scalar_or_array(coefficient * np.asarray(x, dtype=float) ** exponent)
 
-    return RateFunction(
-        kind="power",
-        domain_floor=0.0,
-        evaluate=evaluate,
-        meta={"coefficient": float(coefficient), "exponent": float(exponent)},
-    )
+    def u(x: float) -> float:
+        return math.inf if x <= 0.0 else x ** (1.0 - r) / (c * (r - 1.0))
+
+    def inverse(t: float) -> float:
+        return (c * (r - 1.0) * t) ** (1.0 / (1.0 - r))
+
+    return RateFunction(kind="power", domain_floor=0.0, evaluate=evaluate,
+                        closed=(r > 1.0, u, inverse), meta={"exponent": r})
 
 
 def classical_nash_rate(n: float, coefficient: float = 1.0) -> RateFunction:
@@ -134,18 +145,20 @@ def log_rate(a: float, coefficient: float = 1.0) -> RateFunction:
         raise ValueError(f"exponent a must exceed 1, got {a}")
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
-    p = 2.0 * (1.0 - 1.0 / a)
+    c, p = float(coefficient), 2.0 * (1.0 - 1.0 / a)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return _scalar_or_array(coefficient * x * np.log(x) ** p)
 
-    return RateFunction(
-        kind="log_power",
-        domain_floor=math.e,
-        evaluate=evaluate,
-        meta={"coefficient": float(coefficient), "exponent": p},
-    )
+    def u(x: float) -> float:
+        return math.inf if x <= 1.0 else math.log(x) ** (1.0 - p) / (c * (p - 1.0))
+
+    def inverse(t: float) -> float:
+        return math.exp((c * (p - 1.0) * t) ** (1.0 / (1.0 - p)))
+
+    return RateFunction(kind="log_power", domain_floor=math.e, evaluate=evaluate,
+                        closed=(p > 1.0, u, inverse), meta={"exponent": p})
 
 
 def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6) -> float:
@@ -166,36 +179,28 @@ def quotient_monotonicity_defect(rate: RateFunction, x_hi: float = 1e6) -> float
 # ----------------------------------------------------------------------
 # tail integrals U(x) = int_x^inf du/phi(u)
 
-def _closed_entry(rate: RateFunction) -> tuple[Callable, Callable, Callable]:
-    """The ``_CLOSED_FORMS`` entry of a rate's kind; IntegrabilityError when
-    the kind has none."""
-    closed = _CLOSED_FORMS.get(rate.kind)
-    if closed is None:
-        raise IntegrabilityError(f"no closed-form tail integral for rate kind {rate.kind!r}")
-    return closed
-
-
 def is_integrable(rate: RateFunction) -> bool:
-    """Whether 1/phi is integrable at infinity, by the exact criterion of the
-    rate's kind in ``_CLOSED_FORMS``; IntegrabilityError for any other kind."""
-    return _closed_entry(rate)[0](rate.meta)
+    """Whether 1/phi is integrable at infinity, by the exact criterion the
+    rate carries in ``closed``; IntegrabilityError for a rate without one."""
+    if rate.closed is None:
+        raise IntegrabilityError(f"no closed-form tail integral for rate kind {rate.kind!r}")
+    return rate.closed[0]
 
 
 def _closed_form(rate: RateFunction) -> tuple[Callable, Callable]:
-    """The closed (U, U^{-1}) of a rate; IntegrabilityError when its kind has
-    none or the kind's criterion says 1/phi is not integrable at infinity."""
-    closed = _closed_entry(rate)
-    if not closed[0](rate.meta):
+    """The closed (U, U^{-1}) of a rate; IntegrabilityError when it has none
+    or its criterion says 1/phi is not integrable at infinity."""
+    if not is_integrable(rate):
         raise IntegrabilityError(
             f"1/phi not integrable at infinity for rate kind {rate.kind!r}: "
             "no decay profile exists"
         )
-    return closed[1:]
+    return rate.closed[1:]
 
 
 def u_integral(rate: RateFunction, x: float) -> float:
     """U(x) = int_x^inf du/phi(u), strictly decreasing; closed forms only (``_closed_form``)."""
-    return _closed_form(rate)[0](rate.meta, x)
+    return _closed_form(rate)[0](x)
 
 
 def _cap_point(rate: RateFunction) -> float:
@@ -206,53 +211,11 @@ def _cap_point(rate: RateFunction) -> float:
     return h
 
 
-def _power_u(meta: dict, x: float) -> float:
-    c, r = meta["coefficient"], meta["exponent"]
-    return math.inf if x <= 0.0 else x ** (1.0 - r) / (c * (r - 1.0))
-
-
-def _power_inverse(meta: dict, t: float) -> float:
-    c, r = meta["coefficient"], meta["exponent"]
-    return (c * (r - 1.0) * t) ** (1.0 / (1.0 - r))
-
-
-def _log_power_u(meta: dict, x: float) -> float:
-    c, p = meta["coefficient"], meta["exponent"]
-    return math.inf if x <= 1.0 else math.log(x) ** (1.0 - p) / (c * (p - 1.0))
-
-
-def _log_power_inverse(meta: dict, t: float) -> float:
-    c, p = meta["coefficient"], meta["exponent"]
-    return math.exp((c * (p - 1.0) * t) ** (1.0 / (1.0 - p)))
-
-
-def _envelope_u(meta: dict, x: float) -> float:
-    shift, r = meta["c_shift"], 1.0 / meta["lam"]
-    if x <= shift:
-        return math.inf
-    with np.errstate(over="ignore"):
-        return float(shift ** r * (x - shift) ** (1.0 - r) / (r - 1.0))
-
-
-def _envelope_inverse(meta: dict, t: float) -> float:
-    shift, r = meta["c_shift"], 1.0 / meta["lam"]
-    return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
-
-
-#: The only rate kinds with a decay profile: kind -> (whether 1/phi is integrable
-#: at infinity, given the meta; U(x); U^{-1}(t)).  ``_closed_form`` refuses the rest.
-_CLOSED_FORMS = {
-    "power": (lambda meta: meta["exponent"] > 1.0, _power_u, _power_inverse),
-    "log_power": (lambda meta: meta["exponent"] > 1.0, _log_power_u, _log_power_inverse),
-    "empirical_envelope": (lambda meta: 0.0 < meta["lam"] < 1.0, _envelope_u, _envelope_inverse),
-}
-
-
 @dataclass(frozen=True)
 class KProfile:
     """Decay profile K(t) = sqrt(U^{-1}(t)) for t < U(M), sqrt(M) afterwards.
 
-    U and U^{-1} are the closed forms of the rate's kind.  U^{-1}(t) is
+    U and U^{-1} are the closed forms the rate carries.  U^{-1}(t) is
     reported as inf, not as an overflow, for t <= ``u_at_cap``, U at
     ``_cap_point`` (the last point max(1, 2M) 2^k below ~1e250).
     """
@@ -275,7 +238,7 @@ class KProfile:
         if t <= self.u_at_cap:
             return math.inf
         try:
-            return _closed_form(self.rate)[1](self.rate.meta, t)
+            return _closed_form(self.rate)[1](t)
         except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
             return math.inf
 
@@ -364,19 +327,15 @@ def lyapunov_constant(model: MeasureModel, weight: Weight, grid: Grid) -> Lyapun
     """Certify LV <= cV with c = sup over the grid of L(log V) + (log V)'^2.
 
     The expression is (log V)'' + (log V)'^2 + b (log V)' with the model
-    drift b, from the weight's closed-form ``dlog`` and ``d2log``, or a
-    central difference of ``dlog`` (step 1e-5 max(1, |x|)) without ``d2log``.
+    drift b, from the weight's closed-form ``dlog`` and ``d2log``: exact up
+    to rounding, with no difference quotient.
     When the sampled maximum sits at a window edge where the expression is
     still growing, the sup may lie outside the window and no certificate is
     issued.
     """
     x = grid.points
     d1 = np.asarray(weight.dlog(x), dtype=float)
-    if weight.d2log is not None:
-        d2 = np.asarray(weight.d2log(x), dtype=float)
-    else:
-        step = 1e-5 * np.maximum(1.0, np.abs(x))
-        d2 = (weight.dlog(x + step) - weight.dlog(x - step)) / (2.0 * step)
+    d2 = np.asarray(weight.d2log(x), dtype=float)
     expr = d2 + d1 * d1 + model.drift(x) * d1
 
     # refuse when the sampled maximum sits at a window edge that is still
@@ -453,25 +412,34 @@ def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
         else:
             raise CalibrationError("the envelope shift did not settle within 64 ulps")
     c_fit *= safety
-    floor_eff = max(floor, c_fit)
+    return _envelope(c_fit, lam, floor, degenerate)
+
+
+def _envelope(shift: float, lam: float, floor: float, degenerate: bool) -> RateFunction:
+    """The envelope phi(x) = C^{-1/lam}(x - C)^{1/lam} at the shift C =
+    ``shift``, with its closed U and U^{-1}, on (max(floor, C), inf)."""
+    shift, lam = float(shift), float(lam)
+    r = 1.0 / lam
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return _scalar_or_array(
-            np.where(x > c_fit, c_fit ** -r * np.clip(x - c_fit, 0.0, None) ** r, 0.0)
+            np.where(x > shift, shift ** -r * np.clip(x - shift, 0.0, None) ** r, 0.0)
         )
 
-    return RateFunction(
-        kind="empirical_envelope",
-        domain_floor=floor_eff,
-        evaluate=evaluate,
-        meta={
-            "c_shift": float(c_fit),
-            "lam": float(lam),
-            "configured_floor": float(floor),
-            "degenerate": degenerate,
-        },
-    )
+    def u(x: float) -> float:
+        if x <= shift:
+            return math.inf
+        with np.errstate(over="ignore"):
+            return float(shift ** r * (x - shift) ** (1.0 - r) / (r - 1.0))
+
+    def inverse(t: float) -> float:
+        return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
+
+    return RateFunction(kind="empirical_envelope", domain_floor=max(floor, shift),
+                        evaluate=evaluate, closed=(0.0 < lam < 1.0, u, inverse),
+                        meta={"c_shift": shift, "lam": lam, "configured_floor": float(floor),
+                              "degenerate": degenerate})
 
 
 def envelope_slack(rate: RateFunction, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
@@ -572,6 +540,7 @@ def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
         kind="converse",
         domain_floor=0.0,
         evaluate=evaluate,
+        closed=None,
         # phi is positive exactly above the smallest sampled K(t)^2
         meta={"positivity_floor": float(np.min(ksq))},
     )

@@ -137,16 +137,22 @@ def _domination(slacks, tolerance: float = 1e-9, **extra) -> dict:
     """The check "bound - actual >= -tolerance everywhere" over an iterable of
     slack arrays, consumed one at a time: the least slack and the count of
     slacks below -tolerance, passing when that count is zero.  Judged slacks all
-    +inf (an infinite bound certifies nothing) make it vacuous, not passing."""
-    min_slack, violations, judged = math.inf, 0, 0
+    +inf (an infinite bound certifies nothing) make it vacuous, not passing;
+    some but not all +inf leave the pass as it is and are counted as
+    ``unbounded``, since the check then holds only where the bound is finite."""
+    min_slack, violations, judged, unbounded = math.inf, 0, 0, 0
     for slack in slacks:
         slack = np.asarray(slack)
         min_slack = min(min_slack, float(slack.min(initial=math.inf)))
         violations += int(np.count_nonzero(slack < -tolerance))
         judged += slack.size
-    vacuous = {"vacuous": True} if judged and min_slack == math.inf else {}
-    return {"pass": violations == 0 and not vacuous, "min_slack": min_slack,
-            "violations": violations, "tolerance": tolerance, **vacuous, **extra}
+        unbounded += int(np.count_nonzero(slack == math.inf))
+    if judged and min_slack == math.inf:
+        flag = {"vacuous": True}
+    else:
+        flag = {"unbounded": unbounded} if unbounded else {}
+    return {"pass": violations == 0 and "vacuous" not in flag, "min_slack": min_slack,
+            "violations": violations, "tolerance": tolerance, **flag, **extra}
 
 
 def _within(value, tolerance: float, deviation=None) -> dict:
@@ -721,6 +727,10 @@ def main(argv=None) -> int:
         failed = [f"{k} (vacuous)" if v.get("vacuous") else k
                   for k, v in record.checks.items() if not v["pass"]]
         status = "ok" if not failed else f"FAILED checks: {', '.join(failed)}"
+        partial = [f"{k} ({v['unbounded']} inf slacks)" for k, v in record.checks.items()
+                   if v.get("unbounded")]
+        if partial:
+            status += f"; unbounded in part: {', '.join(partial)}"
         print(f"{record.experiment}: {status}; outputs in {args.out}")
     return 0
 

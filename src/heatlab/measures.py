@@ -1,8 +1,9 @@
 """Closed-form measure families on the real line, weights, and exact kernels.
 
 Each family is packaged as a :class:`MeasureModel`: a density ``rho`` on a
-truncation window ``[-R, R]``, its logarithm, and the drift ``(log rho)'``
-of the associated Sturm-Liouville generator ``L f = f'' + (log rho)' f'``.
+truncation window ``[-R, R]``, its logarithm, the drift ``b = (log rho)'``
+of the associated Sturm-Liouville generator ``L f = f'' + (log rho)' f'``,
+and the drift's derivative ``b'``, all in closed form.
 The window is chosen large enough that the neglected tail mass is below
 ``TAIL_TOL``, so window-normalized models behave as probability measures
 for every downstream quadrature.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -83,12 +84,14 @@ def soft_abs(x):
 class MeasureModel:
     """A measure ``rho(x) dx = c f(x) dx`` on ``[-radius, radius]``.
 
-    Every family builds it from its unnormalized density f, log f and the
-    drift (log f)' alone: ``density`` is ``c f`` and ``log_density`` is
-    ``log c + log f``.  ``normalization`` is the constant c.  Closed forms
-    give it where they exist (OU); otherwise it is the inverse of the graded
-    Gauss-Legendre window mass of f with 4 panels per interval, which agreed
-    with the 2-panel sum to 1e-13 relative (see the module docstring).
+    Every family builds it from its unnormalized density f, log f, the
+    drift b = (log f)' and its derivative b' alone: ``density`` is ``c f``
+    and ``log_density`` is ``log c + log f``; ``drift_prime`` is the closed
+    form of b', which gives the universal weight its (log V)''.
+    ``normalization`` is the constant c.  Closed forms give it where they
+    exist (OU); otherwise it is the inverse of the graded Gauss-Legendre
+    window mass of f with 4 panels per interval, which agreed with the
+    2-panel sum to 1e-13 relative (see the module docstring).
     """
 
     name: str
@@ -96,21 +99,22 @@ class MeasureModel:
     density: Callable
     log_density: Callable
     drift: Callable
+    drift_prime: Callable
     normalization: float
 
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight function V, given by log V and its derivative.
+    """A positive weight function V, given by log V and its two derivatives.
 
-    ``value`` is ``exp(log_value)``.  ``dlog`` is the closed-form (log V)',
-    which every weight has; ``d2log`` is the closed-form (log V)'' where
-    there is one, and ``lyapunov_constant`` differences ``dlog`` otherwise.
+    ``value`` is ``exp(log_value)``.  ``dlog`` and ``d2log`` are the
+    closed-form (log V)' and (log V)'', which every weight has;
+    ``lyapunov_constant`` reads both.
     """
 
     log_value: Callable
     dlog: Callable
-    d2log: Optional[Callable] = None
+    d2log: Callable
 
     def value(self, x):
         return np.exp(self.log_value(x))
@@ -158,11 +162,11 @@ def _window_normalization(unnormalized: Callable, radius: float) -> float:
 
 
 def _model(name: str, radius: float, f: Callable, log_f: Callable, drift: Callable,
-           c: float | None = None) -> MeasureModel:
+           drift_prime: Callable, c: float | None = None) -> MeasureModel:
     """The model ``c f(x) dx`` on ``[-radius, radius]``: density ``c f``, log
-    density ``log c + log f`` and the given drift, each called on x as a float
-    array.  ``c`` is the closed-form constant when given, otherwise the inverse
-    of f's certified window mass."""
+    density ``log c + log f``, the given drift and its derivative, each called
+    on x as a float array.  ``c`` is the closed-form constant when given,
+    otherwise the inverse of f's certified window mass."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if c is None:
@@ -174,6 +178,7 @@ def _model(name: str, radius: float, f: Callable, log_f: Callable, drift: Callab
         density=lambda x: c * f(np.asarray(x, dtype=float)),
         log_density=lambda x: log_c + log_f(np.asarray(x, dtype=float)),
         drift=lambda x: drift(np.asarray(x, dtype=float)),
+        drift_prime=lambda x: drift_prime(np.asarray(x, dtype=float)),
         normalization=c,
     )
 
@@ -181,31 +186,38 @@ def _model(name: str, radius: float, f: Callable, log_f: Callable, drift: Callab
 def make_mu_a(a: float, radius: float) -> MeasureModel:
     """Exponential-power measure ``C_a exp(-T(x)^a) dx`` on ``[-radius, radius]``.
 
-    The drift is the closed form ``-a T^{a-1} T'`` with ``T'(x) = x/T(x)``.
+    The drift is the closed form ``-a T^{a-1} T'`` with ``T'(x) = x/T(x)``,
+    and its derivative ``-a T^{a-4} (1 + (a-1) x^2)``.
     """
     if not a > 0:
         raise ValueError(f"exponent a must be positive, got {a}")
     log_f = lambda x: -soft_abs(x) ** a
     return _model(f"mu_a(a={a:g})", radius, lambda x: np.exp(log_f(x)), log_f,
-                  lambda x: -a * x * soft_abs(x) ** (a - 2.0))
+                  lambda x: -a * x * soft_abs(x) ** (a - 2.0),
+                  lambda x: -a * soft_abs(x) ** (a - 4.0) * (1.0 + (a - 1.0) * x * x))
 
 
 def make_cauchy(beta: float, radius: float) -> MeasureModel:
-    """Cauchy-type measure ``C (1+x^2)^{-beta} dx`` with ``beta > 1``."""
+    """Cauchy-type measure ``C (1+x^2)^{-beta} dx`` with ``beta > 1``.
+
+    Drift ``-2 beta x / (1+x^2)``, with derivative
+    ``-2 beta (1 - x^2) / (1+x^2)^2``.
+    """
     if not beta > 1:
         raise ValueError(f"beta must exceed 1 for finite mass, got {beta}")
     return _model(f"cauchy(beta={beta:g})", radius, lambda x: (1.0 + x * x) ** (-beta),
-                  lambda x: -beta * np.log1p(x * x), lambda x: -2.0 * beta * x / (1.0 + x * x))
+                  lambda x: -beta * np.log1p(x * x), lambda x: -2.0 * beta * x / (1.0 + x * x),
+                  lambda x: -2.0 * beta * (1.0 - x * x) / (1.0 + x * x) ** 2)
 
 
 def make_ou(radius: float) -> MeasureModel:
-    """Ornstein-Uhlenbeck model: standard Gaussian measure, drift ``-x``.
+    """Ornstein-Uhlenbeck model: standard Gaussian measure, drift ``-x`` (b' = -1).
 
     Normalized over the whole line; with ``radius >= 7`` the tail mass
     outside the window is below TAIL_TOL.
     """
     return _model("ou", radius, lambda x: np.exp(-0.5 * x * x), lambda x: -0.5 * x * x,
-                  lambda x: -x, c=1.0 / math.sqrt(2.0 * math.pi))
+                  lambda x: -x, lambda x: np.full_like(x, -1.0), c=1.0 / math.sqrt(2.0 * math.pi))
 
 
 def weight_mu_a(a: float, beta: float) -> Weight:
@@ -240,7 +252,8 @@ def weight_mu_a(a: float, beta: float) -> Weight:
 
 
 def universal_weight(model: MeasureModel) -> Weight:
-    """The universal weight ``V = rho^{-1/2}`` of a measure model."""
+    """The universal weight ``V = rho^{-1/2}`` of a measure model:
+    (log V)' = -b/2 and (log V)'' = -b'/2 from the model's closed forms."""
 
     def log_value(x):
         return -0.5 * model.log_density(x)
@@ -248,7 +261,10 @@ def universal_weight(model: MeasureModel) -> Weight:
     def dlog(x):
         return -0.5 * model.drift(x)
 
-    return Weight(log_value=log_value, dlog=dlog)
+    def d2log(x):
+        return -0.5 * model.drift_prime(x)
+
+    return Weight(log_value=log_value, dlog=dlog, d2log=d2log)
 
 
 def unit_weight() -> Weight:

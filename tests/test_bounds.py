@@ -87,13 +87,6 @@ def test_u_integral_closed_forms():
         assert hl.u_integral(rate, x) == pytest.approx(x ** -0.5 / (3.0 * 0.5), rel=1e-14)
 
 
-def _envelope(shift: float, lam: float) -> hl.RateFunction:
-    r = 1.0 / lam
-    return hl.RateFunction(kind="empirical_envelope", domain_floor=shift,
-                           evaluate=lambda x: shift ** -r * (np.asarray(x) - shift) ** r,
-                           meta={"c_shift": shift, "lam": lam})
-
-
 def test_u_integral_closed_forms_match_mpmath():
     # U(x) = int_x^inf du/phi(u) by 30-digit tanh-sinh, after substitutions
     # that make the integrand decay exponentially: log u = log(x) e^w for
@@ -116,7 +109,7 @@ def test_u_integral_closed_forms_match_mpmath():
                     assert hl.u_integral(rate, x) == pytest.approx(float(ref), rel=1e-13, abs=0)
         for lam, shift in ((0.5, 1.0), (0.7, 1.0), (0.7, 3.5),
                            (0.9795918367346939, 0.6767895007816784)):
-            rate = _envelope(shift, lam)
+            rate = hl.bounds._envelope(shift, lam, 0.0, False)
             r, big_c = 1 / mp.mpf(lam), mp.mpf(shift)
             for x in (shift * 1.001, shift * 2.0, shift * 10.0, shift * 1e6):
                 d = x - big_c
@@ -138,6 +131,7 @@ def test_u_integral_divergent_cases():
         kind="generic",
         domain_floor=math.e,
         evaluate=lambda x: np.asarray(x) * np.log(np.asarray(x)),
+        closed=None,
     )
     with pytest.raises(IntegrabilityError):
         hl.u_integral(xlogx, 5.0)
@@ -152,7 +146,7 @@ def test_rates_without_a_closed_form_have_no_profile():
     ts = np.geomspace(0.01, 10.0, 64)
     converse = hl.converse_rate(ts, ts ** -5)
     square = hl.RateFunction(
-        kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2
+        kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2, closed=None
     )
     for rate in (converse, square):
         meta = dict(rate.meta)
@@ -311,6 +305,23 @@ def test_lyapunov_ou_universal_weight():
     assert np.max(cert.residual_profile) <= 1e-9
 
 
+@pytest.mark.parametrize("make_model,sup", [
+    (lambda: hl.make_mu_a(1.2, 10.0), 0.6),
+    (lambda: hl.make_mu_a(1.5, 10.0), 0.75),
+    (lambda: hl.make_mu_a(2.5, 6.0), 1.25),
+    (lambda: hl.make_cauchy(2.0, 50.0), 2.0),
+    (lambda: hl.make_ou(8.0), 0.5),
+], ids=["mu_a-1.2", "mu_a-1.5", "mu_a-2.5", "cauchy-2", "ou"])
+def test_universal_weight_lyapunov_constant_is_exact(make_model, sup):
+    # for V = rho^{-1/2}, LV/V = -b'/2 - b^2/4 peaks at x = 0 at -b'(0)/2
+    # (a/2, beta, 1/2), which the closed-form b' gives at the grid node 0
+    # to rounding
+    model = make_model()
+    grid = hl.make_grid(model, 801)
+    cert = hl.lyapunov_constant(model, hl.universal_weight(model), grid)
+    assert abs(cert.constant - sup) <= 4 * math.ulp(sup)
+
+
 def test_lyapunov_unit_weight(mua_model, mua_setup):
     grid, _, _ = mua_setup
     cert = hl.lyapunov_constant(mua_model, hl.unit_weight(), grid)
@@ -357,7 +368,8 @@ def test_lyapunov_refuses_growing_expression():
     ou = hl.make_ou(8.0)
     grid = hl.make_grid(ou, 801)
     quartic = hl.Weight(log_value=lambda x: np.asarray(x, dtype=float) ** 4,
-                        dlog=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3)
+                        dlog=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
+                        d2log=lambda x: 12.0 * np.asarray(x, dtype=float) ** 2)
     with pytest.raises(CalibrationError):
         hl.lyapunov_constant(ou, quartic, grid)
 

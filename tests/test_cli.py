@@ -546,6 +546,16 @@ def test_domination_check():
     assert cli._domination([])["pass"]
     # a violation is reported as one, not as vacuous
     assert "vacuous" not in cli._domination([np.array([inf, -1.0])])
+    # some but not all judged slacks +inf: counted, the pass left as it is
+    chk = cli._domination([np.array([inf, 2.0]), np.array([inf, inf, 3.0])])
+    assert chk == {"pass": True, "min_slack": 2.0, "violations": 0, "tolerance": 1e-9,
+                   "unbounded": 3}
+    chk = cli._domination([np.array([inf, -1.0])], relative=True)
+    assert chk == {"pass": False, "min_slack": -1.0, "violations": 1, "tolerance": 1e-9,
+                   "unbounded": 1, "relative": True}
+    # the key appears only then: not on a finite check, nor beside vacuous
+    assert "unbounded" not in cli._domination([np.array([1.0, 2.0])])
+    assert "unbounded" not in cli._domination([np.array([inf, inf])])
 
 
 def test_within_check():
@@ -820,6 +830,36 @@ def test_infinite_bound_checks_are_vacuous(tmp_path, capsys):
             assert checks[name]["min_slack"] == "inf" and checks[name]["violations"] == 0
     # the held-out envelope of verify judges finite slacks and still passes
     assert read_report(str(tmp_path / "verify"), "verify_report.json")["checks"]["heldout_envelope"]["pass"]
+
+
+def test_partly_infinite_bound_checks_are_flagged(tmp_path, capsys):
+    # at the default log_a = 2.5, U^{-1}(2t) overflows at t = 0.5 but not at
+    # t = 1: each domination check then certifies t = 1 only, passes on it,
+    # and counts the +inf slacks of t = 0.5
+    cfg = write_config(tmp_path / "cfg.txt", "rate = log\nradius = 10\nn_points = 300\n"
+                       "times = 0.5, 1.0\ntrain_size = 40\nheldout_size = 40\nseed = 7\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+    status = capsys.readouterr().out
+    assert status.startswith("verify: ok; unbounded in part: l2_domination (40 inf slacks), "
+                             "kernel_domination (300 inf slacks), trace_domination (1 inf slacks);")
+    report = read_report(out, "verify_report.json")
+    assert report["results"]["k_times_exp_ct"][0] == [0.5, "inf"]
+    checks = report["checks"]
+    expected = {"l2_domination": 40, "kernel_domination": 300, "trace_domination": 1}
+    for name, count in expected.items():
+        assert checks[name]["pass"] and checks[name]["unbounded"] == count, name
+        assert "vacuous" not in checks[name] and checks[name]["min_slack"] != "inf", name
+    assert "unbounded" not in checks["heldout_envelope"]
+
+
+def test_universal_weight_lyapunov_constant_is_exact_in_the_report(tmp_path):
+    # c = -b'(0)/2 = a/2 at the grid node x = 0, from the closed-form b'
+    cfg = write_config(tmp_path / "cfg.txt",
+                       "weight = universal\ntrace_check = false\nn_points = 801\nseed = 7\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "verify_report.json")["results"]["lyapunov_constant"] == 0.75
 
 
 @pytest.mark.parametrize("command, config, x_pair", [

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import sys
 
 import pytest
@@ -86,3 +87,13 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
     after = [dict(vars(owner)) for owner in owners] + [dict(cli._RUNNERS)]
     for old, new in zip(before, after):
         assert all(new.get(key) is value for key, value in old.items())
+
+
+def test_readme_quick_start_runs():
+    # the one python block of README.md, run as written, so the library
+    # quick start follows every signature change
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -156,8 +156,17 @@ def test_weight_mu_a_square_integrable(mua_model, mua_setup):
                 hl.weight_squared_mass(model, hl.weight_mu_a(a, beta), grid)
 
 
-def test_weight_mu_a_derivatives_match_fd(rng):
-    w = hl.weight_mu_a(1.5, 1.0)
+@pytest.mark.parametrize("make_weight", [
+    lambda: hl.weight_mu_a(1.5, 1.0),
+    lambda: hl.universal_weight(hl.make_mu_a(1.5, 10.0)),
+    lambda: hl.universal_weight(hl.make_cauchy(2.0, 50.0)),
+    lambda: hl.universal_weight(hl.make_ou(8.0)),
+    hl.unit_weight,
+    lambda: hl.mehler_weight(0.5),
+], ids=["mu_a", "universal-mu_a", "universal-cauchy", "universal-ou", "unit", "mehler"])
+def test_weight_mu_a_derivatives_match_fd(rng, make_weight):
+    # every built-in weight's closed-form dlog and d2log against differences
+    w = make_weight()
     x = rng.uniform(-6, 6, 50)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     fd1 = (w.log_value(x + h) - w.log_value(x - h)) / (2 * h)
@@ -255,6 +264,32 @@ def test_tail_mass_matches_mpmath(family, param):
                 assert hl.tail_mass(model, x) == pytest.approx(q, rel=1e-11, abs=0.0)
                 checked.append(q)
     assert len(checked) >= 12 and min(checked) < 1e-3
+
+
+def _mpmath_drift(mp, family, param):
+    """A model and its drift b = (log rho)' written out as an mpmath function."""
+    if family == "mu_a":
+        model = hl.make_mu_a(param, hl.suggest_radius(param))
+        return model, lambda u: -param * u * (1 + u * u) ** ((param - 2) / 2)
+    if family == "cauchy":
+        return hl.make_cauchy(param, 50.0), lambda u: -2 * param * u / (1 + u * u)
+    return hl.make_ou(8.0), lambda u: -u
+
+
+@pytest.mark.parametrize("family,param", [
+    ("mu_a", 0.3), ("mu_a", 1.5), ("mu_a", 2.5), ("mu_a", 4.0),
+    ("cauchy", 1.01), ("cauchy", 2.0), ("cauchy", 3.0), ("ou", None),
+])
+def test_drift_prime_matches_mpmath(family, param):
+    # the closed-form b' against a 30-digit derivative of the drift, at 25
+    # points out to the window edge
+    mp = pytest.importorskip("mpmath")
+    model, drift = _mpmath_drift(mp, family, param)
+    r = model.radius
+    with mp.workdps(30):
+        for x in np.append(np.linspace(-r, r, 24), 0.0):
+            ref = float(mp.diff(drift, mp.mpf(float(x))))
+            assert float(model.drift_prime(x)) == pytest.approx(ref, rel=1e-13, abs=0.0), x
 
 
 def test_mehler_kernel_values(rng):

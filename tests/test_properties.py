@@ -20,22 +20,6 @@ from heatlab import cli  # noqa: E402
 fractions = st.floats(1e-3, 1.0 - 1e-3)
 
 
-def envelope_rate(shift: float, lam: float) -> hl.RateFunction:
-    """The fitted envelope shape C^{-1/lam}(x - C)^{1/lam} at a given shift."""
-    r = 1.0 / lam
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return shift ** -r * np.clip(x - shift, 0.0, None) ** r
-
-    return hl.RateFunction(
-        kind="empirical_envelope",
-        domain_floor=shift,
-        evaluate=evaluate,
-        meta={"c_shift": shift, "lam": lam},
-    )
-
-
 def assert_round_trip(rate: hl.RateFunction, q: float, x_lo: float) -> None:
     """U(U^{-1}(t)) = t at the log-fraction q of the way from U at the cap
     (at least 1e-6) up to U(x_lo)."""
@@ -63,8 +47,9 @@ def test_log_power_round_trip(coefficient, a, q):
 @settings(deadline=None)
 @given(st.floats(1e-3, 10.0), st.floats(0.5, 0.95), fractions)
 def test_envelope_round_trip(shift, lam, q):
+    # the fitted envelope shape C^{-1/lam}(x - C)^{1/lam} at a given shift;
     # U(x) subtracts C from x: keep x - C well above the rounding of x
-    assert_round_trip(envelope_rate(shift, lam), q, 1.001 * shift)
+    assert_round_trip(hl.bounds._envelope(shift, lam, 0.0, False), q, 1.001 * shift)
 
 
 # ----------------------------------------------------------------------
