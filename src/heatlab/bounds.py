@@ -24,7 +24,7 @@ integrable: they are evaluated, never profiled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -79,7 +79,7 @@ class RateFunction:
     domain_floor: float
     evaluate: Callable
     closed: tuple[bool, Callable, Callable] | None
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,6 @@ def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
     if not safety >= 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety}")
 
-    r = 1.0 / lam
     above = xq > floor
     degenerate = not bool(np.any(above))
     if degenerate:
@@ -397,8 +396,7 @@ def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
 
         def feasible(c: float) -> bool:
             sel = xq > max(floor, c)
-            phi = c ** -r * (xq[sel] - c) ** r
-            return bool(np.all(yq[sel] >= phi))
+            return bool(np.all(yq[sel] >= _envelope(c, lam, floor, False).evaluate(xq[sel])))
 
         c_fit = float(np.max(xq[above] / (1.0 + yq[above] ** lam)))
         # up while infeasible, down while the float below is still feasible
@@ -428,10 +426,7 @@ def _envelope(shift: float, lam: float, floor: float, degenerate: bool) -> RateF
         )
 
     def u(x: float) -> float:
-        if x <= shift:
-            return math.inf
-        with np.errstate(over="ignore"):
-            return float(shift ** r * (x - shift) ** (1.0 - r) / (r - 1.0))
+        return math.inf if x <= shift else shift * (shift / (x - shift)) ** (r - 1.0) / (r - 1.0)
 
     def inverse(t: float) -> float:
         return shift + (t * (r - 1.0) / shift ** r) ** (1.0 / (1.0 - r))
@@ -457,15 +452,14 @@ def envelope_slack(rate: RateFunction, xq: np.ndarray, yq: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class MuAExponents:
-    """Interpolation exponents governing the exponential-power decay bounds."""
+    """Interpolation exponents governing the exponential-power decay bounds;
+    ``theta`` lies in (``theta_min``, 1)."""
 
-    a: float
-    beta: float
     theta: float
     gamma: float
     lam: float
     delta: float
-    theta_bounds: tuple[float, float]
+    theta_min: float
 
 
 def _theta_lower_bound(a: float, beta: float) -> float:
@@ -498,15 +492,7 @@ def mu_a_exponents(a: float, beta: float, theta: float | None = None) -> MuAExpo
             f"a={a} is so close to 1 that lambda rounds to 1; no usable exponent"
         )
     delta = 2.0 * lam / (1.0 - lam)
-    return MuAExponents(
-        a=float(a),
-        beta=float(beta),
-        theta=float(theta),
-        gamma=gamma,
-        lam=lam,
-        delta=delta,
-        theta_bounds=(theta_min, 1.0),
-    )
+    return MuAExponents(theta=float(theta), gamma=gamma, lam=lam, delta=delta, theta_min=theta_min)
 
 
 # ----------------------------------------------------------------------

@@ -43,16 +43,12 @@ class ExperimentConfig:
     weight: str = "mu_a"
     beta: float = 1.0
     times: tuple = (0.25, 0.5, 1.0)
-    t_min: float = spectral.DEFAULT_T_MIN
     seed: int = 0
     theta: float | None = None
     train_size: int = 200
     heldout_size: int = 200
     floor_scale: float = 1.5
     safety: float = 1.5
-    bump_width_lo: float = 0.2
-    bump_width_hi: float = 2.0
-    kernel_half_width: float = 2.0
     rate: str = "empirical"
     rate_n: float = 1.0
     rate_c: float = 1.0
@@ -90,12 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.weight not in ("mu_a", "universal", "unit"):
             raise ConfigError(f"unknown weight kind {self.weight!r}")
-        if not self.kernel_half_width > 0:
-            raise ConfigError(f"kernel_half_width must be positive, got {self.kernel_half_width}")
         if not self.times or any(t <= 0 for t in self.times):
             raise ConfigError(f"times must be positive, got {self.times}")
-        if not self.t_min > 0:
-            raise ConfigError(f"t_min must be positive, got {self.t_min}")
         if self.theta is not None and not 0 < self.theta < 1:
             raise ConfigError(f"theta must lie in (0,1), got {self.theta}")
         if self.rate not in ("empirical", "classical", "log"):
@@ -108,8 +100,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family kind {self.family_kind!r}")
         if not self.safety >= 1.0:
             raise ConfigError(f"safety must be >= 1, got {self.safety}")
-        if not 0 < self.bump_width_lo <= self.bump_width_hi:
-            raise ConfigError("bump widths must satisfy 0 < lo <= hi")
         if self.train_size < 1 or self.heldout_size < 0:
             raise ConfigError("train_size must be >= 1 and heldout_size >= 0")
 
@@ -279,7 +269,7 @@ def _build_weight(cfg: ExperimentConfig, model: measures.MeasureModel) -> measur
 def _decompose(cfg: ExperimentConfig, model, t_first=None):
     grid = spectral.make_grid(model, cfg.n_points)
     op = spectral.discretize(model, grid)
-    dec = spectral.eigendecompose(op, t_min=cfg.t_min, t_first=t_first)
+    dec = spectral.eigendecompose(op, t_first=t_first)
     return grid, op, dec
 
 
@@ -289,12 +279,6 @@ def _csv(header: list[str], rows) -> str:
     2-D float array."""
     template = ",".join(["%.17g"] * len(header))
     return "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
-
-
-def _bump_family(cfg: ExperimentConfig, grid, rng, count):
-    return spectral.gaussian_bump_family(
-        grid, count, rng, width_range=(cfg.bump_width_lo, cfg.bump_width_hi)
-    )
 
 
 def _closed_rate(cfg: ExperimentConfig):
@@ -314,8 +298,8 @@ def _exponents(cfg: ExperimentConfig) -> bounds.MuAExponents:
         exps = bounds.mu_a_exponents(cfg.a, cfg.beta, cfg.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.theta is not None and not cfg.theta > exps.theta_bounds[0]:
-        raise ConfigError(f"theta must exceed {exps.theta_bounds[0]} for a = {cfg.a}, "
+    if cfg.theta is not None and not cfg.theta > exps.theta_min:
+        raise ConfigError(f"theta must exceed {exps.theta_min} for a = {cfg.a}, "
                           f"beta = {cfg.beta}, got {cfg.theta}")
     return exps
 
@@ -330,20 +314,21 @@ def _fit_envelope(cfg: ExperimentConfig, grid, weight, xq, yq):
 
 
 def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
-    """(weight, Lyapunov certificate, rate, exponents, K profile) for the mu_a
-    family.  The training family is drawn from ``rng`` whatever the rate
-    kind, so what the caller draws next does not depend on it."""
+    """(Lyapunov certificate, exponents, K profile) for the mu_a family: the
+    weight is ``cert.weight``, the rate ``kp.rate``, and the exponents None
+    unless the rate is fitted.  The training family is drawn from ``rng``
+    whatever the rate kind, so what the caller draws next does not depend on it."""
     if cfg.family != "mu_a" or not cfg.a > 1:
         raise ConfigError("the verification pipeline requires the mu_a family with a > 1")
     weight = _build_weight(cfg, model)
     cert = bounds.lyapunov_constant(model, weight, grid).nonnegative()
-    train = _bump_family(cfg, grid, rng, cfg.train_size)
+    train = spectral.gaussian_bump_family(grid, cfg.train_size, rng)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
         rate, exps = _fit_envelope(cfg, grid, weight, *bounds.nash_quotients(train, weight, op))
         if rate.meta["degenerate"]:
             raise CalibrationError("empirical rate degenerate: no training sample above the floor")
-    return weight, cert, rate, exps, bounds.k_profile(rate)
+    return cert, exps, bounds.k_profile(rate)
 
 
 # ----------------------------------------------------------------------
@@ -380,13 +365,13 @@ def run_spectrum(cfg: ExperimentConfig):
     return record, {"spectrum.csv": _csv(["index", "lambda", "exp_minus_lambda_t1"], rows)}
 
 
-def _kernel_sample_nodes(grid, half_width):
-    """At most 21 evenly spread nodes with |x| <= half_width; a ConfigError
-    when there is none."""
-    idx = spectral.bulk_indices(grid, half_width)
+def _kernel_sample_nodes(grid):
+    """At most 21 evenly spread nodes with |x| <= 2; a ConfigError when
+    the grid is too coarse to put one there."""
+    idx = spectral.bulk_indices(grid, 2.0)
     if not idx.size:
-        raise ConfigError(f"kernel_half_width = {half_width!r} holds no grid node: the nearest "
-                          f"is at |x| = {float(np.abs(grid.points).min())!r} (grid spacing {grid.spacing!r})")
+        raise ConfigError(f"no grid node within |x| <= 2.0: the nearest is at "
+                          f"|x| = {float(np.abs(grid.points).min())!r} (grid spacing {grid.spacing!r})")
     if len(idx) > 21:
         idx = idx[np.linspace(0, len(idx) - 1, 21).astype(int)]
     return idx
@@ -395,12 +380,12 @@ def _kernel_sample_nodes(grid, half_width):
 def run_kernel(cfg: ExperimentConfig):
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model, t_first=min(cfg.times))
-    idx = _kernel_sample_nodes(grid, cfg.kernel_half_width)
+    idx = _kernel_sample_nodes(grid)
     x = grid.points
 
     kp = cert = None
     if cfg.family == "mu_a" and cfg.a > 1 and cfg.weight == "mu_a":
-        _, cert, _, _, kp = _pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
+        cert, _, kp = _pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
 
     header = ["t", "x", "y", "p_t", "bound", "slack"]
     is_ou = cfg.family == "ou"
@@ -509,8 +494,9 @@ def run_verify(cfg: ExperimentConfig):
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model, t_first=min(cfg.times))
     rng = np.random.default_rng(cfg.seed)
-    weight, cert, rate, exps, kp = _pipeline(cfg, model, grid, op, rng)
-    heldout = _bump_family(cfg, grid, rng, cfg.heldout_size)
+    cert, exps, kp = _pipeline(cfg, model, grid, op, rng)
+    weight, rate = cert.weight, kp.rate
+    heldout = spectral.gaussian_bump_family(grid, cfg.heldout_size, rng)
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
@@ -621,7 +607,7 @@ def run_nash_scan(cfg: ExperimentConfig):
     if cfg.family_kind == "constants":
         family = np.ones((max(cfg.train_size, 1), grid.n_points))
     else:
-        family = _bump_family(cfg, grid, np.random.default_rng(cfg.seed), cfg.train_size)
+        family = spectral.gaussian_bump_family(grid, cfg.train_size, np.random.default_rng(cfg.seed))
     xq, yq = bounds.nash_quotients(family, weight, op)
     rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)

@@ -65,8 +65,7 @@ __all__ = [
 ]
 
 #: Pointwise kernel evaluations below this time are refused: the truncated
-#: spectral sum oscillates before enough modes have decayed.  Configurable
-#: per decomposition.
+#: spectral sum oscillates before enough modes have decayed.
 DEFAULT_T_MIN = 1e-3
 
 #: A truncated decomposition keeps the modes with lambda t_first <= 52 ln 2,
@@ -124,8 +123,8 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     grid: Grid
-    t_min: float = DEFAULT_T_MIN
-    tail_rate: float = math.inf
+    t_min: float
+    tail_rate: float
 
     @property
     def node_masses(self) -> np.ndarray:
@@ -232,9 +231,7 @@ def _unfold(v: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return ef
 
 
-def eigendecompose(
-    op: TridiagonalOperator, t_min: float = DEFAULT_T_MIN, t_first: float | None = None
-) -> SpectralDecomposition:
+def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> SpectralDecomposition:
     """Eigensystem of the symmetrized operator, all modes or a certified part.
 
     With ``t_first=None`` every mode is computed (LAPACK divide and conquer).
@@ -243,7 +240,8 @@ def eigendecompose(
     sequence, are then computed alone (LAPACK bisection and inverse
     iteration, O(n k) memory), provided they are at most
     ``_PARTIAL_MAX_FRAC`` of the grid; otherwise all modes are, exactly as
-    with ``t_first=None``.  The truncated decomposition records
+    with ``t_first=None``.  Kernel evaluations are refused below ``t_min``,
+    which is ``DEFAULT_T_MIN``; the truncated decomposition records
     lambda_cut as ``tail_rate`` and raises ``t_min`` to ``t_first``, where
     each dropped mode weighs at most 2^-52; ``kernel_tail``, ``trace_tail``
     and ``SpectralDecomposition.tail`` bound what the dropped modes add.
@@ -278,7 +276,7 @@ def eigendecompose(
         eigenvalues=w,
         eigenfunctions=ef,
         grid=op.grid,
-        t_min=t_min if math.isinf(cut) else max(t_min, t_first),
+        t_min=DEFAULT_T_MIN if math.isinf(cut) else max(DEFAULT_T_MIN, t_first),
         tail_rate=cut,
     )
 
@@ -485,24 +483,15 @@ def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Gr
     return abs(flat_energy - form_energy - potential_term) / max(1.0, form_energy)
 
 
-def gaussian_bump_family(
-    grid: Grid,
-    count: int,
-    rng: np.random.Generator,
-    width_range: tuple[float, float] = (0.2, 2.0),
-    center_span: float = 0.5,
-) -> np.ndarray:
+def gaussian_bump_family(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded Gaussian bumps: rows exp(-(x-c)^2 / 2w^2).
 
-    Centers uniform in [-center_span*R, center_span*R], widths log-uniform
-    in ``width_range`` so the family spans both concentration regimes.
+    Centers uniform in [-R/2, R/2], then widths log-uniform in [0.2, 2], so
+    the family spans both concentration regimes.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    lo, hi = width_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"invalid width range {width_range}")
-    centers = rng.uniform(-center_span * grid.radius, center_span * grid.radius, count)
-    widths = np.exp(rng.uniform(np.log(lo), np.log(hi), count))
+    centers = rng.uniform(-0.5 * grid.radius, 0.5 * grid.radius, count)
+    widths = np.exp(rng.uniform(np.log(0.2), np.log(2.0), count))
     x = grid.points
     return np.exp(-((x[None, :] - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))

@@ -122,6 +122,19 @@ def test_u_integral_closed_forms_match_mpmath():
                 assert hl.u_integral(rate, x) == pytest.approx(float(ref), rel=1e-13, abs=0)
 
 
+def test_envelope_u_at_a_large_shift_matches_mpmath():
+    # C^r alone overflows a float here, U = C (C/(x - C))^(r-1)/(r-1) does not
+    mp = pytest.importorskip("mpmath")
+    for lam, x in ((0.5, 3e200), (0.25, 1e201)):
+        rate = hl.bounds._envelope(1e200, lam, 0.0, False)
+        with mp.workdps(30):
+            r, big_c, d = 1 / mp.mpf(lam), mp.mpf(1e200), mp.mpf(x) - mp.mpf(1e200)
+            # du/phi(u) with u - C = d e^v, as in the test above
+            ref = mp.quad(lambda v: big_c ** r * (d * mp.exp(v)) ** (1 - r), [0, mp.inf])
+        assert hl.u_integral(rate, x) == pytest.approx(float(ref), rel=1e-13, abs=0)
+        assert hl.k_profile(rate).evaluate(1.0) == math.inf
+
+
 def test_u_integral_divergent_cases():
     with pytest.raises(IntegrabilityError):
         hl.u_integral(hl.power_rate(1.0, 1.0), 2.0)
@@ -132,6 +145,7 @@ def test_u_integral_divergent_cases():
         domain_floor=math.e,
         evaluate=lambda x: np.asarray(x) * np.log(np.asarray(x)),
         closed=None,
+        meta={},
     )
     with pytest.raises(IntegrabilityError):
         hl.u_integral(xlogx, 5.0)
@@ -146,7 +160,7 @@ def test_rates_without_a_closed_form_have_no_profile():
     ts = np.geomspace(0.01, 10.0, 64)
     converse = hl.converse_rate(ts, ts ** -5)
     square = hl.RateFunction(
-        kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2, closed=None
+        kind="generic", domain_floor=0.0, evaluate=lambda x: np.asarray(x) ** 2, closed=None, meta={}
     )
     for rate in (converse, square):
         meta = dict(rate.meta)
@@ -553,7 +567,7 @@ def test_empirical_shift_is_the_least_feasible_float(a):
         for beta in (1.0, 2.0):
             weight = hl.weight_mu_a(a, beta)
             default = hl.mu_a_exponents(a, beta)
-            theta_min = default.theta_bounds[0]
+            theta_min = default.theta_min
             near_min = hl.mu_a_exponents(a, beta, theta_min + 1e-3 * (1.0 - theta_min))
             for seed, count in [(0, 5), (1, 5), (0, 200), (1, 200)]:
                 family = hl.gaussian_bump_family(grid, count, np.random.default_rng(seed))
@@ -581,7 +595,7 @@ def test_empirical_shift_is_the_least_feasible_float(a):
 def test_mu_a_exponents_closed_forms():
     exps = hl.mu_a_exponents(2.0, 1.5)
     assert exps.gamma == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert exps.theta_bounds[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert exps.theta_min == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     # lambda = 0.8 gives delta = 8
     theta = (0.8 - exps.gamma) / (1.0 - exps.gamma)
@@ -673,7 +687,10 @@ def test_mehler_contraction_oracle(ou_setup, rng):
     grid, _, dec = ou_setup
     t = 0.5
     vt = hl.mehler_weight(t)
-    fam = hl.gaussian_bump_family(grid, 30, rng, width_range=(0.3, 1.5), center_span=0.25)
+    # narrower bumps than the cli family's, centered within R/4
+    centers = rng.uniform(-0.25 * grid.radius, 0.25 * grid.radius, 30)
+    widths = np.exp(rng.uniform(np.log(0.3), np.log(1.5), 30))
+    fam = np.exp(-((grid.points[None, :] - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
     ratios = []
     for f in fam:
         lhs = hl.l2_norm(hl.apply_semigroup(dec, f, t), grid)

@@ -141,7 +141,7 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("converse", "rate = classical\nrate_n = 0\n"),
     ("converse", "rate = classical\nrate_c = -1\n"),
     ("converse", "rate = log\nlog_a = 1\n"),
-    ("kernel", "kernel_half_width = -1\n"),
+    ("kernel", "rate_n = -1\n"),
     ("verify", "trace_check = off\n"),
     ("verify", "trace_check = none\n"),
     ("verify", "trace_check = 1\n"),
@@ -152,12 +152,12 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("spectrum", "a = true\n"),
     ("spectrum", "safety = true\n"),
     ("spectrum", "times = true\n"),
-    ("spectrum", "t_min = NaN\n"),
+    ("spectrum", "rate_c = NaN\n"),
     ("spectrum", "floor_scale = nan\n"),
     ("spectrum", "times = NaN\n"),
     ("spectrum", "times = 0.5, Infinity\n"),
     ("spectrum", "a = \"1.5\"\n"),
-    ("kernel", "bump_width_hi = Infinity\n"),
+    ("kernel", "beta = Infinity\n"),
     # an integer literal too large for a float: a config error, not exit 3
     pytest.param("spectrum", "a = 1" + "0" * 400 + "\n", id="spectrum-a-beyond-float-range"),
 ])
@@ -303,12 +303,9 @@ def test_verify_trace_needs_beta_above_one_half(tmp_path, beta, code):
 
 
 def test_verify_degenerate_family_exits_4(tmp_path):
-    # near-constant bumps: every quotient sits below the floor; kernel
-    # certifies from the same uncalibrated envelope, so it refuses too
-    cfg = write_config(
-        tmp_path / "cfg.txt",
-        VERIFY_SMALL + "bump_width_lo = 50.0\nbump_width_hi = 50.0\n",
-    )
+    # a floor far above every training quotient; kernel certifies from the
+    # same uncalibrated envelope, so it refuses too
+    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + "floor_scale = 1e6\n")
     out = str(tmp_path / "out")
     for command in ("verify", "kernel"):
         assert cli.main([command, "--config", cfg, "--out", out]) == 4
@@ -318,7 +315,7 @@ def test_verify_degenerate_family_exits_4(tmp_path):
 def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path, capsys):
     # a config error, also when the training family would fail calibration
     out = str(tmp_path / "out")
-    for extra in ("", "bump_width_lo = 50.0\nbump_width_hi = 50.0\n"):
+    for extra in ("", "floor_scale = 1e6\n"):
         text = VERIFY_SMALL.replace("heldout_size = 40", "heldout_size = 0") + extra
         cfg = write_config(tmp_path / "cfg.txt", text)
         assert cli.main(["verify", "--config", cfg, "--out", out]) == 2
@@ -351,13 +348,14 @@ def test_out_of_range_exponent_parameter_exits_2(tmp_path, command, setting, cap
 
 @pytest.mark.parametrize("family", ["mu_a", "ou"])
 def test_kernel_half_width_below_the_nearest_node_exits_2(tmp_path, family, capsys):
-    # an even grid has no node at 0, so a half width below h/2 selects none
-    cfg = write_config(tmp_path / "cfg.txt", f"family = {family}\nn_points = 200\nkernel_half_width = 1e-9\n")
+    # four nodes, at +-R/3 and +-R: none within the sampled |x| <= 2
+    cfg = write_config(tmp_path / "cfg.txt", f"family = {family}\nn_points = 4\n")
     out = str(tmp_path / "out")
     assert cli.main(["kernel", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "config error: kernel_half_width = 1e-09 holds no grid node" in err
-    assert "grid spacing" in err
+    assert "config error: no grid node within |x| <= 2.0: the nearest is at |x| = " in err
+    if family == "ou":
+        assert "|x| = 2.666666666666667 (grid spacing 5.333333333333333)" in err
     assert not os.path.exists(out)
 
 
@@ -371,11 +369,23 @@ def test_kernel_time_below_floor_exits_3(tmp_path):
 @pytest.mark.parametrize("command", ["spectrum", "kernel", "verify", "trace"])
 @pytest.mark.parametrize("t_min", ["0", "-1"])
 def test_nonpositive_t_min_exits_2(tmp_path, command, t_min, capsys):
-    # t_min = 0 would switch the small-time guard off and let t = 1e-6 run
+    # t_min = 0 would switch the small-time guard off and let t = 1e-6 run;
+    # no config key sets it
     cfg = write_config(tmp_path / "cfg.txt", f"n_points = 200\nt_min = {t_min}\ntimes = 1e-6\n")
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
-    assert f"config error: t_min must be positive, got {float(t_min)}" in capsys.readouterr().err
+    assert "config error: unknown config keys: ['t_min']" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key,value", [("kernel_half_width", "2.0"), ("bump_width_lo", "0.2"), ("bump_width_hi", "2.0")])
+def test_retired_config_key_exits_2(tmp_path, key, value, capsys):
+    # each is the constant it always was (t_min too, tested above); set, even
+    # to that value, it is an unknown key
+    cfg = write_config(tmp_path / "cfg.txt", f"n_points = 200\ntrain_size = 20\n{key} = {value}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out]) == 2
+    assert f"config error: unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -426,9 +436,9 @@ def test_kernel_table_matches_entrywise_reference():
 
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model)
-    _, cert, _, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
+    cert, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     x = grid.points
-    nodes = cli._kernel_sample_nodes(grid, cfg.kernel_half_width)
+    nodes = cli._kernel_sample_nodes(grid)
     ref = []
     for t in cfg.times:
         pmat = hl.kernel_matrix(dec, t)
@@ -595,7 +605,7 @@ def _scan_setup(**raw):
     cfg = cli.ExperimentConfig.from_mapping(raw or {"n_points": 800, "train_size": 40, "seed": 3})
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
-    _, cert, _, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
+    cert, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     return cfg, grid, dec, cert, kp
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -87,6 +88,19 @@ def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
     after = [dict(vars(owner)) for owner in owners] + [dict(cli._RUNNERS)]
     for old, new in zip(before, after):
         assert all(new.get(key) is value for key, value in old.items())
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    # one row per ExperimentConfig field, in field order; each default, set
+    # as a config value, gives the default config
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text[text.index("| key | default | read by | meaning |"):].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", table, re.M)
+    assert [key for key, _ in rows] == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    for key, default in rows:
+        assert cli.ExperimentConfig.from_mapping({key: cli._parse_value(default)}) == cli.ExperimentConfig(), key
 
 
 def test_readme_quick_start_runs():

@@ -70,16 +70,12 @@ VALID_VALUES = {
     "weight": st.sampled_from(["mu_a", "universal", "unit"]),
     "beta": finite,
     "times": st.lists(positive, min_size=1, max_size=4).map(tuple),
-    "t_min": positive,
     "seed": st.integers(0, 2**63),
     "theta": st.none() | st.floats(1e-6, 1.0 - 1e-6),
     "train_size": st.integers(1, 10**6),
     "heldout_size": st.integers(0, 10**6),
     "floor_scale": finite,
     "safety": st.floats(1.0, 1e6),
-    "bump_width_lo": st.floats(1e-3, 2.0),
-    "bump_width_hi": st.floats(2.0, 1e3),
-    "kernel_half_width": positive,
     "rate": st.sampled_from(["empirical", "classical", "log"]),
     "rate_n": positive,
     "rate_c": positive,

@@ -280,7 +280,7 @@ def test_apply_semigroup(mua_setup, rng):
 
 def test_log_convexity_of_l2_decay(mua_setup, rng):
     grid, _, dec = mua_setup
-    fam = hl.gaussian_bump_family(grid, 20, rng, center_span=0.5)
+    fam = hl.gaussian_bump_family(grid, 20, rng)
     ts = np.linspace(0.05, 1.0, 10)
     for f in fam:
         h = np.array([hl.l2_norm(hl.apply_semigroup(dec, f, t), grid) ** 2 for t in ts])
