@@ -25,6 +25,7 @@ from .measures import (
 )
 from .spectral import (
     DEFAULT_T_MIN,
+    FamilyNorms,
     Grid,
     SpectralDecomposition,
     TridiagonalOperator,
@@ -35,6 +36,8 @@ from .spectral import (
     dirichlet_energy,
     discretize,
     eigendecompose,
+    family_norms,
+    gaussian_bump_blocks,
     gaussian_bump_family,
     ground_state_transform_residual,
     kernel_diagonal,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
 from .measures import MeasureModel, Weight, _scalar_or_array
-from .spectral import Grid, TridiagonalOperator, dirichlet_energy, weighted_l1
+from .spectral import FamilyNorms, Grid, TridiagonalOperator, family_norms
 
 __all__ = [
     "RateFunction",
@@ -358,16 +358,20 @@ def lyapunov_constant(model: MeasureModel, weight: Weight, grid: Grid) -> Lyapun
 
 
 def nash_quotients(
-    family: np.ndarray, weight: Weight, op: TridiagonalOperator
+    family, weight: Weight, op: TridiagonalOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row,
-    the coordinates a weighted Nash inequality constrains: y >= phi(x)."""
-    family = np.atleast_2d(np.asarray(family, dtype=float))
-    l1w = weighted_l1(family, weight, op.grid)
+    the coordinates a weighted Nash inequality constrains: y >= phi(x).
+
+    ``family`` is a stack of grid functions, or the ``FamilyNorms`` of a pass
+    over one (``family_norms``, with this weight and operator), whose sums
+    are then used as they are."""
+    if not isinstance(family, FamilyNorms):
+        family = family_norms(np.atleast_2d(np.asarray(family, dtype=float)), weight, op, None)
+    l1w = family.l1w
     if np.any(l1w <= 0.0):
         raise ValueError("vanishing weighted L1 norm in the family")
-    l2sq = (family * family) @ op.grid.node_masses
-    return l2sq / l1w ** 2, dirichlet_energy(family, op) / l1w ** 2
+    return family.l2sq / l1w ** 2, family.energy / l1w ** 2
 
 
 def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,

@@ -316,16 +316,18 @@ def _fit_envelope(cfg: ExperimentConfig, grid, weight, xq, yq):
 def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     """(Lyapunov certificate, exponents, K profile) for the mu_a family: the
     weight is ``cert.weight``, the rate ``kp.rate``, and the exponents None
-    unless the rate is fitted.  The training family is drawn from ``rng``
-    whatever the rate kind, so what the caller draws next does not depend on it."""
+    unless the rate is fitted.  The training family's centers and widths are
+    drawn from ``rng`` whatever the rate kind, so what the caller draws next
+    does not depend on it; its rows are built only for a fitted rate."""
     if cfg.family != "mu_a" or not cfg.a > 1:
         raise ConfigError("the verification pipeline requires the mu_a family with a > 1")
     weight = _build_weight(cfg, model)
     cert = bounds.lyapunov_constant(model, weight, grid).nonnegative()
-    train = spectral.gaussian_bump_family(grid, cfg.train_size, rng)
+    train = spectral.gaussian_bump_blocks(grid, cfg.train_size, rng)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
-        rate, exps = _fit_envelope(cfg, grid, weight, *bounds.nash_quotients(train, weight, op))
+        xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op, None), weight, op)
+        rate, exps = _fit_envelope(cfg, grid, weight, xq, yq)
         if rate.meta["degenerate"]:
             raise CalibrationError("empirical rate degenerate: no training sample above the floor")
     return cert, exps, bounds.k_profile(rate)
@@ -496,18 +498,19 @@ def run_verify(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     cert, exps, kp = _pipeline(cfg, model, grid, op, rng)
     weight, rate = cert.weight, kp.rate
-    heldout = spectral.gaussian_bump_family(grid, cfg.heldout_size, rng)
+    # one pass over the held-out rows gives every per-row value used below
+    heldout = spectral.family_norms(
+        spectral.gaussian_bump_blocks(grid, cfg.heldout_size, rng), weight, op, dec)
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
 
     # (a) semigroup norm domination on held-out functions, the norms by
     # Parseval from their spectral coefficients
-    l1w = spectral.weighted_l1(heldout, weight, grid)
-    f_l2 = spectral.l2_norm(heldout, grid)
+    f_l2 = np.sqrt(heldout.l2sq)
     norms = spectral.semigroup_norms(dec, heldout, cfg.times)
     checks = {"l2_domination": _domination(
-        bounds.l2_bound(kp, cert, t) * l1w - (norm + dec.tail(t) * f_l2)
+        bounds.l2_bound(kp, cert, t) * heldout.l1w - (norm + dec.tail(t) * f_l2)
         for t, norm in zip(cfg.times, norms)
     )}
 
@@ -597,18 +600,18 @@ def run_converse(cfg: ExperimentConfig):
 
 
 def run_nash_scan(cfg: ExperimentConfig):
-    model = _build_model(cfg)
-    weight = _build_weight(cfg, model)
     if cfg.family != "mu_a" or not cfg.a > 1:
         raise ConfigError("nash-scan requires the mu_a family with a > 1")
+    model = _build_model(cfg)
+    weight = _build_weight(cfg, model)
     # the quotients need the discretized form only, not its spectrum
     grid = spectral.make_grid(model, cfg.n_points)
     op = spectral.discretize(model, grid)
     if cfg.family_kind == "constants":
-        family = np.ones((max(cfg.train_size, 1), grid.n_points))
+        family = np.ones((cfg.train_size, grid.n_points))
     else:
-        family = spectral.gaussian_bump_family(grid, cfg.train_size, np.random.default_rng(cfg.seed))
-    xq, yq = bounds.nash_quotients(family, weight, op)
+        family = spectral.gaussian_bump_blocks(grid, cfg.train_size, np.random.default_rng(cfg.seed))
+    xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op, None), weight, op)
     rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))
@@ -617,7 +620,7 @@ def run_nash_scan(cfg: ExperimentConfig):
         experiment="nash_scan",
         inputs={
             "model": model.name, "n_points": grid.n_points, "seed": cfg.seed,
-            "family_kind": cfg.family_kind, "family_size": int(family.shape[0]),
+            "family_kind": cfg.family_kind, "family_size": cfg.train_size,
         },
         results={
             "envelope_shift": rate.meta.get("c_shift"),

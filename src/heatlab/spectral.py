@@ -43,6 +43,7 @@ __all__ = [
     "Grid",
     "TridiagonalOperator",
     "SpectralDecomposition",
+    "FamilyNorms",
     "make_grid",
     "discretize",
     "eigendecompose",
@@ -59,9 +60,11 @@ __all__ = [
     "l2_norm",
     "weighted_l1",
     "dirichlet_energy",
+    "family_norms",
     "ground_state_transform_residual",
     "bulk_indices",
     "gaussian_bump_family",
+    "gaussian_bump_blocks",
 ]
 
 #: Pointwise kernel evaluations below this time are refused: the truncated
@@ -83,6 +86,24 @@ _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 #:     k/n    0.084      0.10       0.12       0.135      0.15       0.20
 #:     ratio  0.40-0.63  0.52-0.70  0.47-0.80  0.72-0.92  0.76-1.11  1.10-1.39
 _PARTIAL_MAX_FRAC = 0.12
+
+#: Rows of a function family built and reduced at once (``gaussian_bump_blocks``,
+#: ``family_norms`` and the norm helpers on stacks).  ``heatlab verify``
+#: with the default config, seed 5, in-process (medians of 15 on a 2-vCPU
+#: x86-64 KVM guest, numpy's OpenBLAS 0.3.31 on its SkylakeX kernels; peak
+#: by tracemalloc):
+#:
+#:     rows                    16     20     25     32     50     100    200
+#:     n = 3200  ms            74.3   70.9   69.0   68.5   69.9   77.5   79.5
+#:               peak MiB      3.65   3.65   3.65   3.65   4.39   6.81   11.69
+#:     n = 800   ms            23.0   20.9   21.0   18.5   18.8   19.6   21.8
+#:
+#: A BLAS product may round a row differently with another row count.  With
+#: 20 rows every ||fV||_1, ||f||_2^2 and coefficient of a 200-bump family
+#: equals the one a single 200-row product gives, at n = 800 to 6400 (k = 67
+#: and k = n); 25 changes the matrix-vector sums, and 24, 32, 40, 48 and 64
+#: some coefficients.  So 20, not the marginally faster 32.
+_FAMILY_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -410,11 +431,15 @@ def semigroup_norms(dec: SpectralDecomposition, f: np.ndarray, times) -> np.ndar
     synthesized on the grid.  It equals ``l2_norm(apply_semigroup(dec, f,
     t))`` up to the Gram defect of the computed eigenbasis.  Returns shape
     ``(len(times),) + f.shape[:-1]``; times are checked as in
-    ``apply_semigroup``.
+    ``apply_semigroup``.  ``f`` may also be the ``FamilyNorms`` of a family,
+    reduced with ``dec``: its coefficients are then used as they are.
     """
     for t in times:
         _check_semigroup_time(dec, t)
-    c2 = _coefficients(dec, f) ** 2
+    if isinstance(f, FamilyNorms):
+        c2 = f.coefficients ** 2
+    else:
+        c2 = _by_rows(lambda b: _coefficients(dec, b), _grid_functions(f, dec.grid)) ** 2
     return np.stack([np.sqrt(c2 @ np.exp(-2.0 * t * dec.eigenvalues)) for t in times])
 
 
@@ -430,25 +455,94 @@ def diagonal_trace_quadrature(dec: SpectralDecomposition, t: float) -> float:
     return float(np.sum(dec.node_masses * kernel_diagonal(dec, t)))
 
 
+def _row_blocks(f: np.ndarray):
+    """The rows of a (..., n) stack, ``_FAMILY_ROWS`` at a time, as (rows, n) views."""
+    rows = f.reshape(-1, f.shape[-1])
+    return (rows[lo:lo + _FAMILY_ROWS] for lo in range(0, max(rows.shape[0], 1), _FAMILY_ROWS))
+
+
+def _by_rows(reduce, f: np.ndarray) -> np.ndarray:
+    """``reduce`` of each row block of the stack ``f``, joined in f's leading
+    shape.  A stack is reduced in the blocks a streamed family of its size
+    comes in, so both give the same values to the last bit: a BLAS product's
+    rounding may depend on how many rows it is given."""
+    out = np.concatenate([reduce(block) for block in _row_blocks(f)])
+    return out.reshape(f.shape[:-1] + out.shape[1:])
+
+
+def _l2_squared(f: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return (f * f) @ m
+
+
+def _weighted_l1(f: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    return np.abs(f) @ mv
+
+
+def _energy(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i c_i (f_{i+1} - f_i)^2 along the last axis, in one difference array."""
+    d = np.diff(f, axis=-1)
+    np.square(d, out=d)
+    d *= c
+    return d.sum(axis=-1)
+
+
 def l2_norm(f: np.ndarray, grid: Grid):
     """L2(mu) norm ||f||_2 = sqrt(sum_i m_i f_i^2).
 
     Like ``weighted_l1`` and ``dirichlet_energy``, it takes one grid function
     (a float back) or a stack of shape ``(..., n)`` (one value per row)."""
-    f = _grid_functions(f, grid)
-    return _scalar_or_array(np.sqrt((f * f) @ grid.node_masses))
+    m = grid.node_masses
+    return _scalar_or_array(np.sqrt(_by_rows(lambda b: _l2_squared(b, m), _grid_functions(f, grid))))
 
 
 def weighted_l1(f: np.ndarray, weight: Weight, grid: Grid):
     """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i)."""
-    f = _grid_functions(f, grid)
-    return _scalar_or_array(np.abs(f) @ (grid.node_masses * weight.value(grid.points)))
+    mv = grid.node_masses * weight.value(grid.points)
+    return _scalar_or_array(_by_rows(lambda b: _weighted_l1(b, mv), _grid_functions(f, grid)))
 
 
 def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator):
     """E_h(f,f) = sum_i rho(x_{i+1/2}) h ((f_{i+1}-f_i)/h)^2; zero on constants."""
-    f = _grid_functions(f, op.grid)
-    return _scalar_or_array((np.diff(f, axis=-1) ** 2 * op.midpoint_weights).sum(axis=-1))
+    c = op.midpoint_weights
+    return _scalar_or_array(_by_rows(lambda b: _energy(b, c), _grid_functions(f, op.grid)))
+
+
+@dataclass(frozen=True)
+class FamilyNorms:
+    """Per-row sums of a function family, from one pass over its rows
+    (``family_norms``): ||fV||_1, ||f||_2^2, E_h(f,f) and, when the pass was
+    given a decomposition, the coefficients <f, e_n>_mu (rows x k; else None)."""
+
+    l1w: np.ndarray
+    l2sq: np.ndarray
+    energy: np.ndarray
+    coefficients: np.ndarray | None
+
+
+def family_norms(family, weight: Weight, op: TridiagonalOperator,
+                 dec: SpectralDecomposition | None) -> FamilyNorms:
+    """The ``FamilyNorms`` of a family, with the coefficients in ``dec``'s
+    eigenbasis unless ``dec`` is None.
+
+    ``family`` is a (..., n) stack, taken ``_FAMILY_ROWS`` rows at a time, or
+    an iterable of (rows, n) blocks such as ``gaussian_bump_blocks`` returns.
+    Each block is reduced before the next is taken, so a streamed family is
+    never held whole; m, mV and the midpoint weights are formed once.  The
+    values equal, row for row and bit for bit, those of ``weighted_l1``,
+    ``l2_norm`` (squared), ``dirichlet_energy`` and the coefficients of
+    ``semigroup_norms`` on the whole stack.
+    """
+    m = op.grid.node_masses
+    mv = m * weight.value(op.grid.points)
+    blocks = _row_blocks(family) if isinstance(family, np.ndarray) else family
+    parts = []
+    for block in blocks:
+        block = _grid_functions(block, op.grid)
+        parts.append((_weighted_l1(block, mv), _l2_squared(block, m), _energy(block, op.midpoint_weights),
+                      None if dec is None else _coefficients(dec, block)))
+    l1w, l2sq, energy, coeff = zip(*parts)
+    return FamilyNorms(np.concatenate(l1w), np.concatenate(l2sq), np.concatenate(energy),
+                       None if dec is None else np.concatenate(coeff))
 
 
 def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Grid) -> float:
@@ -483,15 +577,32 @@ def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Gr
     return abs(flat_energy - form_energy - potential_term) / max(1.0, form_energy)
 
 
-def gaussian_bump_family(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded Gaussian bumps: rows exp(-(x-c)^2 / 2w^2).
+def gaussian_bump_blocks(grid: Grid, count: int, rng: np.random.Generator):
+    """Seeded Gaussian bumps exp(-(x-c)^2 / 2w^2), ``_FAMILY_ROWS`` rows at a time.
 
     Centers uniform in [-R/2, R/2], then widths log-uniform in [0.2, 2], so
-    the family spans both concentration regimes.
+    the family spans both concentration regimes.  All ``count`` centers and
+    widths are drawn from ``rng`` at the call; each (rows, n) block is built
+    only when the returned iterator reaches it, so what the caller draws
+    next does not depend on how many blocks it takes.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     centers = rng.uniform(-0.5 * grid.radius, 0.5 * grid.radius, count)
     widths = np.exp(rng.uniform(np.log(0.2), np.log(2.0), count))
-    x = grid.points
-    return np.exp(-((x[None, :] - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+    return (_bumps(grid.points, centers[lo:lo + _FAMILY_ROWS], widths[lo:lo + _FAMILY_ROWS])
+            for lo in range(0, count, _FAMILY_ROWS))
+
+
+def _bumps(x: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Rows exp(-(x-c)^2 / 2w^2), built in place in one array."""
+    f = np.subtract(x[None, :], centers[:, None])
+    np.square(f, out=f)
+    np.negative(f, out=f)
+    f /= 2.0 * widths[:, None] ** 2
+    return np.exp(f, out=f)
+
+
+def gaussian_bump_family(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The blocks of ``gaussian_bump_blocks`` as one ``count`` x n array."""
+    return np.concatenate(list(gaussian_bump_blocks(grid, count, rng)))

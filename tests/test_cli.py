@@ -792,8 +792,10 @@ def test_log_rate_honours_log_a(tmp_path):
 
 
 def test_verify_memory_at_n3200():
-    # the truncated decomposition and the diagonal certificate keep verify at
-    # O(n k) memory; three full 3200 x 3200 tables would need 234 MiB
+    # the truncated decomposition, the diagonal certificate and the families
+    # streamed in row blocks keep verify at O(n (k + rows per block)) memory,
+    # below one whole 200 x 3200 family (4.88 MiB); three full 3200 x 3200
+    # tables would need 234 MiB
     cfg = cli.ExperimentConfig.from_mapping({"n_points": 3200})
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -803,7 +805,39 @@ def test_verify_memory_at_n3200():
     finally:
         tracemalloc.stop()
     assert all(chk["pass"] for chk in record.checks.values())
-    assert peak < 64 * 2**20
+    assert peak < cfg.heldout_size * cfg.n_points * 8
+
+
+def test_closed_rate_builds_no_training_rows(tmp_path, monkeypatch):
+    # rate = log draws the training centers and widths but builds none of the
+    # rows; the held-out family drawn next is the one a built training family
+    # leaves, so the outputs are byte-identical to a run that builds it
+    built = []
+    bumps = hl.spectral._bumps
+    monkeypatch.setattr(hl.spectral, "_bumps", lambda x, c, w: built.append(len(c)) or bumps(x, c, w))
+    cfg = write_config(tmp_path / "cfg.txt", "rate = log\n")
+    lazy, eager = str(tmp_path / "lazy"), str(tmp_path / "eager")
+    sizes = cli.ExperimentConfig()
+    assert cli.main(["verify", "--config", cfg, "--out", lazy, "--quiet"]) == 0
+    assert sum(built) == sizes.heldout_size
+    blocks = hl.spectral.gaussian_bump_blocks
+    monkeypatch.setattr(hl.spectral, "gaussian_bump_blocks", lambda *args: iter(list(blocks(*args))))
+    assert cli.main(["verify", "--config", cfg, "--out", eager, "--quiet"]) == 0
+    assert sum(built) == 2 * sizes.heldout_size + sizes.train_size
+    assert sorted(os.listdir(lazy)) == sorted(os.listdir(eager))
+    for name in os.listdir(lazy):
+        assert open(os.path.join(lazy, name), "rb").read() == open(os.path.join(eager, name), "rb").read()
+
+
+@pytest.mark.parametrize("family", ["ou", "cauchy"])
+def test_nash_scan_names_its_family_requirement(tmp_path, family, capsys):
+    # the family is checked before the weight, whose own mu_a requirement
+    # would otherwise be the message
+    cfg = write_config(tmp_path / "cfg.txt", f"family = {family}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["nash-scan", "--config", cfg, "--out", out]) == 2
+    assert "nash-scan requires the mu_a family with a > 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_verify_checks_carry_the_tail(monkeypatch):

@@ -367,6 +367,56 @@ def test_gaussian_bump_family_determinism(mua_setup):
     assert a.shape == (5, grid.n_points)
 
 
+def test_bump_rows_keep_their_one_expression_values(mua_setup):
+    # built in place block by block, the rows equal the one-expression bumps
+    # of the same draws, bit for bit
+    grid, _, _ = mua_setup
+    count = 2 * hl.spectral._FAMILY_ROWS + 3
+    fam = hl.gaussian_bump_family(grid, count, np.random.default_rng(9))
+    draw = np.random.default_rng(9)
+    c = draw.uniform(-0.5 * grid.radius, 0.5 * grid.radius, count)
+    w = np.exp(draw.uniform(np.log(0.2), np.log(2.0), count))
+    assert np.array_equal(fam, np.exp(-((grid.points[None, :] - c[:, None]) ** 2) / (2.0 * w[:, None] ** 2)))
+
+
+def test_heldout_family_follows_unbuilt_training_draws(mua_setup):
+    # the blocks draw every center and width at the call, so a training family
+    # whose rows are never built leaves the held-out family unchanged
+    grid, _, _ = mua_setup
+    rng = np.random.default_rng(3)
+    hl.gaussian_bump_blocks(grid, 200, rng)
+    lazy = hl.gaussian_bump_family(grid, 200, rng)
+    rng = np.random.default_rng(3)
+    hl.gaussian_bump_family(grid, 200, rng)
+    assert np.array_equal(hl.gaussian_bump_family(grid, 200, rng), lazy)
+
+
+@pytest.mark.parametrize("count", [1, hl.spectral._FAMILY_ROWS, hl.spectral._FAMILY_ROWS + 1, 200])
+def test_blocked_family_pass_is_exact(mua_model, count):
+    # one pass over the streamed blocks gives the quotients, norms and
+    # coefficients of the whole-array functions, bit for bit, a short last
+    # block included
+    grid = hl.make_grid(mua_model, 3200)
+    op = hl.discretize(mua_model, grid)
+    dec = hl.eigendecompose(op, t_first=0.25)
+    weight = hl.weight_mu_a(1.5, 1.0)
+    times = (0.25, 0.5, 1.0)
+    blocks = list(hl.gaussian_bump_blocks(grid, count, np.random.default_rng(count)))
+    fam = hl.gaussian_bump_family(grid, count, np.random.default_rng(count))
+    assert max(len(b) for b in blocks) <= hl.spectral._FAMILY_ROWS
+    assert np.array_equal(np.concatenate(blocks), fam)
+    norms = hl.family_norms(iter(blocks), weight, op, dec)
+    assert np.array_equal(norms.l1w, hl.weighted_l1(fam, weight, grid))
+    assert np.array_equal(np.sqrt(norms.l2sq), hl.l2_norm(fam, grid))
+    assert np.array_equal(norms.energy, hl.dirichlet_energy(fam, op))
+    assert np.array_equal(norms.coefficients, hl.family_norms(fam, weight, op, dec).coefficients)
+    assert norms.coefficients.shape == (count, dec.eigenvalues.size)
+    assert np.array_equal(hl.semigroup_norms(dec, norms, times), hl.semigroup_norms(dec, fam, times))
+    for blocked, whole in zip(hl.nash_quotients(norms, weight, op), hl.nash_quotients(fam, weight, op)):
+        assert np.array_equal(blocked, whole)
+    assert hl.family_norms(fam, weight, op, None).coefficients is None
+
+
 def _truncated(op, t_first, monkeypatch):
     # take the subset solve whatever fraction of the modes it keeps, so the
     # certificate is tested on every model, not only where it pays off
