@@ -46,6 +46,10 @@ CASES = {f"{name}-{command}": (command, text)
 CASES["default-verify-n3200"] = ("verify", "n_points = 3200\n")
 CASES["default-converse-classical"] = ("converse", "rate = classical\n")
 CASES["default-converse-log"] = ("converse", "rate = log\n")
+# the full eigensolve: sweep-mixed's largest (with its known failing
+# mehler_match at t = 1e-3) and an odd grid's center row
+CASES["ou-kernel-small"] = ("kernel", "family = ou\nn_points = 1600\ntimes = 0.001, 0.01, 0.1\n")
+CASES["default-spectrum-n801"] = ("spectrum", "n_points = 801\n")
 
 
 def run_case(case: str, work_dir: str, cases=CASES) -> dict:
