@@ -17,7 +17,8 @@ p_t(x_i,x_j) = sum_n exp(-lambda_n t) e_n(x_i) e_n(x_j).
 
 Every built-in density is even, and the grid is mirror-exact, so the matrix
 is an exact palindrome and commutes with x -> -x: ``eigendecompose`` solves
-its even and its odd modes as two half-size blocks.
+its even and its odd modes as two half-size blocks, in one LAPACK call per
+block for the full spectrum and in one call for both for a truncated one.
 
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
@@ -104,6 +105,18 @@ _PARTIAL_MAX_FRAC = 0.12
 #: and k = n); 25 changes the matrix-vector sums, and 24, 32, 40, 48 and 64
 #: some coefficients.  So 20, not the marginally faster 32.
 _FAMILY_ROWS = 20
+
+#: Largest n x n eigenfunction table a full decomposition may allocate: 2 GiB,
+#: n <= 16384, at which the whole full solve holds 3 GiB (1.5 n^2 doubles).
+#: ``spectrum`` and ``trace`` at n = 51200 would otherwise ask for a 21 GB
+#: table.  The truncated solve is not capped.
+_FULL_MAX_BYTES = 2 ** 31
+
+#: LAPACK's dstedc solves a matrix of at most this order in one QL/QR pass
+#: (its SMLSIZ), whose zeros off each parity block may come out as -0.0 and
+#: whose exactly tied eigenpairs it orders by the pass, not by block: such
+#: a full solve stays one call on both blocks, so its output is unchanged.
+_DSTEDC_SMLSIZ = 25
 
 
 @dataclass(frozen=True)
@@ -252,6 +265,50 @@ def _unfold(v: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return ef
 
 
+def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarray):
+    """(eigenvalues, eigenfunctions) of every mode of a palindromic operator,
+    one LAPACK call per block of ``_parity_blocks``.
+
+    Each block's eigenvectors are scaled in place and written into one
+    Fortran-ordered n x n array: the upper rows as they are, the lower rows
+    mirrored (even modes) or mirrored and negated (odd modes).  Both equal,
+    signed zeros included, what one call on both blocks and ``_unfold``
+    give: that call leaves +0.0 off each block, so its sums turn an upper
+    -0.0 and a lower odd-mode zero into +0.0.  (Scaling before the sums
+    could differ only where an entry times sqrt(1/2 m_i) underflows, which
+    needs a node mass above 1/2.)"""
+    n = diag.size
+    half, center = divmod(n, 2)
+    size = half + center
+    d, e = _parity_blocks(diag, offdiag)
+    w_even, v_even = eigh_tridiagonal(d[:size], e[:size - 1])
+    w_odd, v_odd = eigh_tridiagonal(d[size:], e[size:])
+    w = np.concatenate((w_even, w_odd))
+    # one call's dstedc orders both blocks by a selection sort, which on two
+    # strictly increasing runs is a stable merge: the even mode first on a tie
+    # (126 grids measured: each block strictly increasing, 340 even/odd ties)
+    order = np.argsort(w, kind="stable")
+    cols = np.empty(n, dtype=np.intp)
+    cols[order] = np.arange(n)
+    cols_even, cols_odd = cols[:size], cols[size:]
+    ef = np.empty((n, n), order="F")
+    upper, lower = ef[size:], ef[half - 1::-1]
+    scale = (math.sqrt(0.5) / np.sqrt(masses[size:]))[:, None]
+    if center:
+        ef[half, cols_even] = v_even[0] / math.sqrt(masses[half])
+        ef[half, cols_odd] = 0.0
+    even = v_even[center:]
+    even *= scale
+    lower[:, cols_even] = even
+    even += 0.0
+    upper[:, cols_even] = even
+    v_odd *= scale
+    v_odd += 0.0
+    upper[:, cols_odd] = v_odd
+    lower[:, cols_odd] = np.subtract(0.0, v_odd, out=v_odd)
+    return w[order], ef
+
+
 def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> SpectralDecomposition:
     """Eigensystem of the symmetrized operator, all modes or a certified part.
 
@@ -270,29 +327,40 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     An operator with palindromic entries commutes with the reflection and is
     orthogonally similar to its even block plus its odd block
     (``_parity_blocks``), so eigenvalues, Sturm count and tail are unchanged.
-    One LAPACK call solves both, splitting at their exact zero coupling, each
-    at half-size cost; any other operator gets the unsplit call.
+    All modes take one LAPACK call per block (``_solve_parity_blocks``, 1.5
+    n^2 doubles); a truncated set, or every mode of n <= ``_DSTEDC_SMLSIZ``
+    nodes, one call on both blocks, which splits at their exact zero
+    coupling; any other operator gets the unsplit call.  A full
+    decomposition whose n x n table exceeds ``_FULL_MAX_BYTES`` is
+    refused with a NumericError before anything of its size is allocated.
     """
     diag, offdiag = op.sym_diag, op.sym_offdiag
+    n = diag.size
     cut = math.inf
     if t_first is not None:
         if not t_first > 0:
             raise ValueError(f"t_first must be positive, got {t_first}")
         cut = _CUTOFF_EXPONENT / t_first
-        if _sturm_count(diag, offdiag, cut) > _PARTIAL_MAX_FRAC * diag.size:
+        if _sturm_count(diag, offdiag, cut) > _PARTIAL_MAX_FRAC * n:
             cut = math.inf
+    if math.isinf(cut) and 8 * n * n > _FULL_MAX_BYTES:
+        raise NumericError(f"a full eigensolve at n = {n} needs {12 * n * n} bytes (1.5 n^2 doubles), over the "
+                           f"{_FULL_MAX_BYTES}-byte cap on its n x n table (n <= {math.isqrt(_FULL_MAX_BYTES // 8)})")
     fold = np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1])
-    if fold:
-        diag, offdiag = _parity_blocks(diag, offdiag)
+    masses = op.grid.node_masses
     try:
-        if math.isinf(cut):
-            w, v = eigh_tridiagonal(diag, offdiag)
+        if fold and math.isinf(cut) and n > _DSTEDC_SMLSIZ:
+            w, ef = _solve_parity_blocks(diag, offdiag, masses)
         else:
-            w, v = eigh_tridiagonal(diag, offdiag, select="v", select_range=(-math.inf, cut))
+            if fold:
+                diag, offdiag = _parity_blocks(diag, offdiag)
+            if math.isinf(cut):
+                w, v = eigh_tridiagonal(diag, offdiag)
+            else:
+                w, v = eigh_tridiagonal(diag, offdiag, select="v", select_range=(-math.inf, cut))
+            ef = _unfold(v, masses) if fold else v / np.sqrt(masses)[:, None]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
-    masses = op.grid.node_masses
-    ef = _unfold(v, masses) if fold else v / np.sqrt(masses)[:, None]
     return SpectralDecomposition(
         eigenvalues=w,
         eigenfunctions=ef,

@@ -808,6 +808,30 @@ def test_verify_memory_at_n3200():
     assert peak < cfg.heldout_size * cfg.n_points * 8
 
 
+@pytest.mark.parametrize("command, text", [
+    ("spectrum", ""), ("trace", ""), ("kernel", "family = cauchy\nradius = 60.0\ntimes = 0.001\n"),
+], ids=["spectrum", "trace", "kernel"])
+def test_oversized_full_solve_exits_3_before_allocating(tmp_path, capsys, command, text):
+    # a full solve at n = 51200 would need a 21 GB table; kernel makes one when
+    # over 12% of the modes count at its smallest time, as 7313 of 51200 do in
+    # this Cauchy window at t = 1e-3 (the default mu_a keeps 1058 of them).
+    # The refusal comes after the O(n) grid, operator and Sturm count: at
+    # most 15 doubles a node are traced, against 1.5 n^2 for the solve
+    cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 51200\n")
+    out = str(tmp_path / "out")
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", cfg, "--out", out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not os.path.exists(out)
+    assert capsys.readouterr().err == (
+        "numeric error: a full eigensolve at n = 51200 needs 31457280000 bytes (1.5 n^2 doubles), "
+        "over the 2147483648-byte cap on its n x n table (n <= 16384)\n")
+    assert peak < 32 * 8 * 51200
+
+
 def test_closed_rate_builds_no_training_rows(tmp_path, monkeypatch):
     # rate = log draws the training centers and widths but builds none of the
     # rows; the held-out family drawn next is the one a built training family

@@ -29,6 +29,32 @@ def _raw_solve(op, dec):
     return eigh_tridiagonal(op.sym_diag, op.sym_offdiag, select="v", select_range=(-math.inf, dec.tail_rate))
 
 
+def _one_call_solve(op):
+    """Every mode by one LAPACK call on both parity blocks, unfolded by
+    (even + odd) * scale and (even - odd) * scale: the full solve
+    ``eigendecompose`` made before it called LAPACK once per block."""
+    m = op.grid.node_masses
+    w, v = eigh_tridiagonal(*hl.spectral._parity_blocks(op.sym_diag, op.sym_offdiag))
+    half, center = divmod(v.shape[0], 2)
+    even, odd = v[center:half + center], v[half + center:]
+    scale = (math.sqrt(0.5) / np.sqrt(m[half + center:]))[:, None]
+    ef = np.empty_like(v)
+    ef[half + center:] = (even + odd) * scale
+    ef[half - 1::-1] = (even - odd) * scale
+    if center:
+        ef[half] = v[0] / math.sqrt(m[half])
+    return w, ef
+
+
+def assert_one_call_bits(op, dec):
+    """``dec`` holds the eigenvalues and eigenfunctions of ``_one_call_solve``
+    bit for bit, signed zeros included, in a Fortran-ordered table."""
+    w, ef = _one_call_solve(op)
+    for got, want in ((dec.eigenvalues, w), (dec.eigenfunctions, ef)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert dec.eigenfunctions.flags.f_contiguous
+
+
 def assert_parity_split(op, dec):
     """Eigenvalues as accurate as the raw call's, residual and Gram defect
     within the ``spectrum`` tolerances, each eigenfunction exactly even or
@@ -99,9 +125,85 @@ def test_parity_split_property():
         op = hl.discretize(model, hl.make_grid(model, n_points))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
-            assert_parity_split(op, hl.eigendecompose(op, t_first=t_first))
+            dec = hl.eigendecompose(op, t_first=t_first)
+        assert_parity_split(op, dec)
+        if t_first is None:
+            assert_one_call_bits(op, dec)
 
     check()
+
+
+@pytest.mark.parametrize("family", ["mu_a", "cauchy", "ou"])
+@pytest.mark.parametrize("n_points", [3, 4, 5, 6, 300, 800, 801, 1600])
+def test_full_solve_matches_one_call_bit_for_bit(family, n_points):
+    model = _family(family, 1.5)
+    op = hl.discretize(model, hl.make_grid(model, n_points))
+    assert_one_call_bits(op, hl.eigendecompose(op))
+
+
+@pytest.mark.parametrize("model, n_points", [
+    (hl.make_mu_a(1.9, 20.0), 1601), (hl.make_ou(8.0), 800),
+], ids=["mu_a1.9-R20-n1601", "ou-n800"])
+def test_full_solve_keeps_ties_and_signed_zeros(model, n_points):
+    # exact even/odd eigenvalue ties at the top of both spectra, and at
+    # a = 1.9, R = 20 eigenfunction entries that are exactly zero
+    op = hl.discretize(model, hl.make_grid(model, n_points))
+    dec = hl.eigendecompose(op)
+    assert np.any(np.diff(dec.eigenvalues) == 0)
+    assert n_points % 2 == 0 or np.sum(dec.eigenfunctions[n_points // 2 + 1:] == 0) > 1000
+    assert_one_call_bits(op, dec)
+
+
+def test_full_solve_zero_signs_follow_the_one_call_sums(monkeypatch):
+    # one call leaves +0.0 off each block, so (even + odd) * scale makes an
+    # upper zero +0.0, and (even - odd) * scale keeps the sign of an even
+    # mode's lower zero but makes an odd mode's +0.0; here each block's
+    # LAPACK output has its exact zeros turned into -0.0
+    def negative_zeros(d, e):
+        w, v = eigh_tridiagonal(d, e)
+        v[v == 0.0] = -0.0
+        return w, v
+
+    monkeypatch.setattr(hl.spectral, "eigh_tridiagonal", negative_zeros)
+    model = hl.make_mu_a(1.9, 20.0)
+    ef = hl.eigendecompose(hl.discretize(model, hl.make_grid(model, 1600))).eigenfunctions
+    even = np.all(ef == ef[::-1], axis=0)
+    upper, lower = ef[800:], ef[:800]
+    assert not np.any(np.signbit(upper[upper == 0.0]))
+    assert np.all(np.signbit(lower[:, even][lower[:, even] == 0.0]))
+    assert not np.any(np.signbit(lower[:, ~even][lower[:, ~even] == 0.0]))
+    assert min(np.sum(upper == 0.0), np.sum(lower[:, even] == 0.0), np.sum(lower[:, ~even] == 0.0)) > 1000
+
+
+def test_stable_merge_is_dstedc_selection_sort(rng):
+    # the order eigendecompose gives the eigenvalues of the two blocks is
+    # that of dstedc's final sort of one call on both: swap the first least
+    # remaining entry into place, which for two strictly increasing runs,
+    # ties between the runs included, is a stable sort
+    def selection_sort(w):
+        d, order = list(w), list(range(len(w)))
+        for i in range(len(d) - 1):
+            k = min(range(i, len(d)), key=d.__getitem__)
+            d[i], d[k], order[i], order[k] = d[k], d[i], order[k], order[i]
+        return order
+
+    for _ in range(300):
+        w = np.concatenate([np.unique(rng.integers(0, 8, rng.integers(1, 9))).astype(float) for _ in range(2)])
+        assert np.argsort(w, kind="stable").tolist() == selection_sort(w)
+
+
+def test_full_solve_size_cap(mua_model, monkeypatch):
+    # the n x n table may take _FULL_MAX_BYTES, not a byte more; a truncated
+    # solve is not capped
+    monkeypatch.setattr(hl.spectral, "_FULL_MAX_BYTES", 8 * 300 * 300)
+    monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
+    assert hl.eigendecompose(hl.discretize(mua_model, hl.make_grid(mua_model, 300))).eigenvalues.size == 300
+    op = hl.discretize(mua_model, hl.make_grid(mua_model, 301))
+    with pytest.raises(hl.NumericError, match=r"^a full eigensolve at n = 301 needs 1087212 bytes "
+                                              r"\(1\.5 n\^2 doubles\), over the 720000-byte cap on its "
+                                              r"n x n table \(n <= 300\)$"):
+        hl.eigendecompose(op)
+    assert hl.eigendecompose(op, t_first=0.25).eigenvalues.size < 301
 
 
 def test_non_palindromic_operator_takes_the_raw_call(mua_setup, monkeypatch):
@@ -120,8 +222,10 @@ def test_non_palindromic_operator_takes_the_raw_call(mua_setup, monkeypatch):
 
 
 def test_eigendecompose_memory(mua_model, mua_setup, ou_fine_setup):
-    # the eigenvectors and the eigenfunctions, two n x k arrays, plus O(n)
-    # vectors and numpy's iteration buffers: no third n x k temporary
+    # full: the n x n table and the two half-size LAPACK outputs, 1.5 n^2
+    # doubles (29.4 MiB at n = 1600; one call on both blocks took 39.3 MiB);
+    # truncated: the eigenvectors and the eigenfunctions, two n x k arrays;
+    # plus O(n) vectors and numpy's iteration buffers
     big = hl.discretize(mua_model, hl.make_grid(mua_model, 3200))
     for op, t_first in ((mua_setup[1], None), (ou_fine_setup[1], None), (big, 0.25)):
         tracemalloc.start()
@@ -132,7 +236,7 @@ def test_eigendecompose_memory(mua_model, mua_setup, ou_fine_setup):
             tracemalloc.stop()
         n, k = dec.eigenfunctions.shape
         assert k < n or t_first is None
-        assert peak <= 8 * (2 * n * k + 16 * n) + 2 ** 19
+        assert peak <= 8 * ((1.5 * n * n if t_first is None else 2 * n * k) + 16 * n) + 2 ** 19
 
 
 def test_grid_validation(ou_model):
