@@ -16,9 +16,10 @@ All kernel, trace and norm evaluations happen in this eigenbasis:
 p_t(x_i,x_j) = sum_n exp(-lambda_n t) e_n(x_i) e_n(x_j).
 
 Every built-in density is even, and the grid is mirror-exact, so the matrix
-is an exact palindrome and commutes with x -> -x: ``eigendecompose`` solves
-its even and its odd modes as two half-size blocks, in one LAPACK call per
-block for the full spectrum and in one call for both for a truncated one.
+is an exact palindrome and commutes with x -> -x.  ``eigendecompose`` takes
+only such an operator and solves its even and its odd modes as two half-size
+blocks, in one LAPACK call per block for the full spectrum and in one call
+for both for a truncated one.
 
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
@@ -106,17 +107,11 @@ _PARTIAL_MAX_FRAC = 0.12
 #: some coefficients.  So 20, not the marginally faster 32.
 _FAMILY_ROWS = 20
 
-#: Largest n x n eigenfunction table a full decomposition may allocate: 2 GiB,
-#: n <= 16384, at which the whole full solve holds 3 GiB (1.5 n^2 doubles).
-#: ``spectrum`` and ``trace`` at n = 51200 would otherwise ask for a 21 GB
-#: table.  The truncated solve is not capped.
-_FULL_MAX_BYTES = 2 ** 31
-
-#: LAPACK's dstedc solves a matrix of at most this order in one QL/QR pass
-#: (its SMLSIZ), whose zeros off each parity block may come out as -0.0 and
-#: whose exactly tied eigenpairs it orders by the pass, not by block: such
-#: a full solve stays one call on both blocks, so its output is unchanged.
-_DSTEDC_SMLSIZ = 25
+#: Largest n x k eigenfunction table (k kept modes) a decomposition may
+#: allocate: 2 GiB, n <= 16384 for a full one, which holds 1.5 n^2 doubles.
+#: At n = 51200 ``spectrum`` and ``trace`` would ask for 21 GB, and ``kernel``
+#: on Cauchy at t = 1e-3 (6079 modes) for 2.5 GB.
+_TABLE_MAX_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ def make_grid(model: MeasureModel, n_points: int) -> Grid:
     """``n_points`` mirror-exact nodes on the model window [-R, R]: the lower
     half and h of ``np.linspace``, the upper half their exact negation, the
     center of an odd grid exactly 0.  An even density thus gives palindromic
-    masses."""
+    masses and the palindromic operator ``eigendecompose`` requires."""
     if n_points < 3:
         raise ValueError(f"need at least 3 grid points, got {n_points}")
     x = np.linspace(-model.radius, model.radius, n_points)
@@ -271,12 +266,13 @@ def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarr
 
     Each block's eigenvectors are scaled in place and written into one
     Fortran-ordered n x n array: the upper rows as they are, the lower rows
-    mirrored (even modes) or mirrored and negated (odd modes).  Both equal,
-    signed zeros included, what one call on both blocks and ``_unfold``
-    give: that call leaves +0.0 off each block, so its sums turn an upper
-    -0.0 and a lower odd-mode zero into +0.0.  (Scaling before the sums
-    could differ only where an entry times sqrt(1/2 m_i) underflows, which
-    needs a node mass above 1/2.)"""
+    mirrored (even modes) or mirrored and negated (odd modes).  Above 25
+    nodes both equal, signed zeros included, what one call on both blocks
+    and ``_unfold`` give: that call leaves +0.0 off each block, so its sums
+    turn an upper -0.0 and a lower odd-mode zero into +0.0.  (Scaling before
+    the sums could differ only where an entry times sqrt(1/2 m_i) underflows,
+    which needs a node mass above 1/2.)  Up to 25 that call is one QL/QR
+    pass, whose columns may differ in sign or in the order of a tie."""
     n = diag.size
     half, center = divmod(n, 2)
     size = half + center
@@ -324,41 +320,42 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     each dropped mode weighs at most 2^-52; ``kernel_tail``, ``trace_tail``
     and ``SpectralDecomposition.tail`` bound what the dropped modes add.
 
-    An operator with palindromic entries commutes with the reflection and is
-    orthogonally similar to its even block plus its odd block
-    (``_parity_blocks``), so eigenvalues, Sturm count and tail are unchanged.
-    All modes take one LAPACK call per block (``_solve_parity_blocks``, 1.5
-    n^2 doubles); a truncated set, or every mode of n <= ``_DSTEDC_SMLSIZ``
-    nodes, one call on both blocks, which splits at their exact zero
-    coupling; any other operator gets the unsplit call.  A full
-    decomposition whose n x n table exceeds ``_FULL_MAX_BYTES`` is
-    refused with a NumericError before anything of its size is allocated.
+    The operator must be an exact palindrome, as ``make_grid`` makes it for
+    an even density; a ValueError names the first entry that differs from
+    its mirror.  It is then orthogonally similar to its even block plus its
+    odd block (``_parity_blocks``), so eigenvalues, Sturm count and tail are
+    unchanged.  All modes take one LAPACK call per block
+    (``_solve_parity_blocks``, 1.5 n^2 doubles); a truncated set, one call
+    on both blocks and ``_unfold``.  A decomposition whose n x k
+    eigenfunction table exceeds ``_TABLE_MAX_BYTES`` (k = n for all modes)
+    is refused with a NumericError before anything of its size is allocated.
     """
     diag, offdiag = op.sym_diag, op.sym_offdiag
-    n = diag.size
+    for name, a in (("sym_diag", diag), ("sym_offdiag", offdiag)):
+        skew = np.flatnonzero(a != a[::-1])
+        if skew.size:
+            i = int(skew[0])
+            raise ValueError(f"eigendecompose needs a palindromic operator: {name}[{i}] = {a[i]!r} differs "
+                             f"from its mirror {name}[{a.size - 1 - i}] = {a[-1 - i]!r}")
+    n = k = diag.size
     cut = math.inf
     if t_first is not None:
         if not t_first > 0:
             raise ValueError(f"t_first must be positive, got {t_first}")
         cut = _CUTOFF_EXPONENT / t_first
-        if _sturm_count(diag, offdiag, cut) > _PARTIAL_MAX_FRAC * n:
-            cut = math.inf
-    if math.isinf(cut) and 8 * n * n > _FULL_MAX_BYTES:
-        raise NumericError(f"a full eigensolve at n = {n} needs {12 * n * n} bytes (1.5 n^2 doubles), over the "
-                           f"{_FULL_MAX_BYTES}-byte cap on its n x n table (n <= {math.isqrt(_FULL_MAX_BYTES // 8)})")
-    fold = np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1])
+        k = _sturm_count(diag, offdiag, cut)
+        if k > _PARTIAL_MAX_FRAC * n:
+            k, cut = n, math.inf
+    if 8 * n * k > _TABLE_MAX_BYTES:
+        raise NumericError(f"an eigensolve keeping {k} of n = {n} modes needs a {8 * n * k}-byte eigenfunction "
+                           f"table (n k doubles), over the {_TABLE_MAX_BYTES}-byte cap")
     masses = op.grid.node_masses
     try:
-        if fold and math.isinf(cut) and n > _DSTEDC_SMLSIZ:
+        if math.isinf(cut):
             w, ef = _solve_parity_blocks(diag, offdiag, masses)
         else:
-            if fold:
-                diag, offdiag = _parity_blocks(diag, offdiag)
-            if math.isinf(cut):
-                w, v = eigh_tridiagonal(diag, offdiag)
-            else:
-                w, v = eigh_tridiagonal(diag, offdiag, select="v", select_range=(-math.inf, cut))
-            ef = _unfold(v, masses) if fold else v / np.sqrt(masses)[:, None]
+            w, v = eigh_tridiagonal(*_parity_blocks(diag, offdiag), select="v", select_range=(-math.inf, cut))
+            ef = _unfold(v, masses)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralDecomposition(

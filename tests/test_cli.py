@@ -808,15 +808,19 @@ def test_verify_memory_at_n3200():
     assert peak < cfg.heldout_size * cfg.n_points * 8
 
 
-@pytest.mark.parametrize("command, text", [
-    ("spectrum", ""), ("trace", ""), ("kernel", "family = cauchy\nradius = 60.0\ntimes = 0.001\n"),
-], ids=["spectrum", "trace", "kernel"])
-def test_oversized_full_solve_exits_3_before_allocating(tmp_path, capsys, command, text):
+@pytest.mark.parametrize("command, text, kept", [
+    ("spectrum", "", 51200), ("trace", "", 51200),
+    ("kernel", "family = cauchy\nradius = 60.0\ntimes = 0.001\n", 51200),
+    ("kernel", "family = cauchy\ntimes = 0.001\n", 6079),
+], ids=["spectrum", "trace", "kernel", "kernel-truncated"])
+def test_oversized_full_solve_exits_3_before_allocating(tmp_path, capsys, command, text, kept):
     # a full solve at n = 51200 would need a 21 GB table; kernel makes one when
     # over 12% of the modes count at its smallest time, as 7313 of 51200 do in
-    # this Cauchy window at t = 1e-3 (the default mu_a keeps 1058 of them).
-    # The refusal comes after the O(n) grid, operator and Sturm count: at
-    # most 15 doubles a node are traced, against 1.5 n^2 for the solve
+    # the Cauchy window R = 60 at t = 1e-3.  In the default Cauchy window 6079
+    # count, so kernel takes the truncated solve, whose n x k table would
+    # still take 2.5 GB (the default mu_a keeps 1058 modes, 0.43 GB).  The
+    # refusal comes after the O(n) grid, operator and Sturm count: at most
+    # 15 doubles a node are traced, against n k for the table
     cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 51200\n")
     out = str(tmp_path / "out")
     tracemalloc.start()
@@ -827,8 +831,8 @@ def test_oversized_full_solve_exits_3_before_allocating(tmp_path, capsys, comman
         tracemalloc.stop()
     assert code == 3 and not os.path.exists(out)
     assert capsys.readouterr().err == (
-        "numeric error: a full eigensolve at n = 51200 needs 31457280000 bytes (1.5 n^2 doubles), "
-        "over the 2147483648-byte cap on its n x n table (n <= 16384)\n")
+        f"numeric error: an eigensolve keeping {kept} of n = 51200 modes needs a {8 * 51200 * kept}-byte "
+        "eigenfunction table (n k doubles), over the 2147483648-byte cap\n")
     assert peak < 32 * 8 * 51200
 
 

@@ -103,6 +103,18 @@ def test_readme_config_table_lists_every_key_with_its_default():
         assert cli.ExperimentConfig.from_mapping({key: cli._parse_value(default)}) == cli.ExperimentConfig(), key
 
 
+def test_readme_module_names_resolve():
+    # every `spectral.NAME`, `bounds.NAME`, `measures.NAME` and `cli.NAME` the
+    # README cites, private constants included, is still there by that name
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        names = re.findall(r"`(spectral|bounds|measures|cli)\.(\w+)", fh.read())
+    modules = {"spectral": spectral, "bounds": bounds, "measures": measures, "cli": cli}
+    assert names
+    missing = [f"{module}.{name}" for module, name in names if not hasattr(modules[module], name)]
+    assert not missing, missing
+
+
 def test_readme_quick_start_runs():
     # the one python block of README.md, run as written, so the library
     # quick start follows every signature change
