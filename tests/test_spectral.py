@@ -57,6 +57,31 @@ def assert_one_call_bits(op, dec):
     assert dec.eigenfunctions.flags.f_contiguous
 
 
+def assert_one_call_bits_up_to_sign(op, dec):
+    """As ``assert_one_call_bits``, but each eigenfunction may be the one-call
+    column of the same eigenvalue times -1, exact ties may come in the other
+    order, and the center of an odd grid is +0.0 in every odd mode: the
+    freedom one QL/QR pass on both blocks has below ``dstedc``'s divide
+    size, where its center zero may come out -0.0."""
+    w, ef = _one_call_solve(op)
+    got = dec.eigenfunctions
+    assert np.array_equal(dec.eigenvalues, w) and np.array_equal(np.signbit(dec.eigenvalues), np.signbit(w))
+    n, half = w.size, w.size // 2
+    unmatched = set(range(n))
+    for j in range(n):
+        col = got[:, j]
+        signs = np.signbit(col)
+        if n % 2 and np.all(col == -col[::-1]):
+            assert col[half] == 0.0 and not signs[half]
+            signs = np.delete(signs, half)
+        i, s = next((i, s) for i in sorted(unmatched) if w[i] == w[j] for s in (1.0, -1.0)
+                    if np.array_equal(col, s * ef[:, i]))
+        want = np.signbit(s * ef[:, i])
+        assert np.array_equal(signs, want if signs.size == n else np.delete(want, half))
+        unmatched.remove(i)
+    assert got.flags.f_contiguous
+
+
 def assert_parity_split(op, dec):
     """Eigenvalues as accurate as the raw call's, residual and Gram defect
     within the ``spectrum`` tolerances, each eigenfunction exactly even or
@@ -136,11 +161,15 @@ def test_parity_split_property():
 
 
 @pytest.mark.parametrize("family", ["mu_a", "cauchy", "ou"])
-@pytest.mark.parametrize("n_points", [300, 800, 801, 1600])
+@pytest.mark.parametrize("n_points", [3, 4, 5, 6, 300, 800, 801, 1600])
 def test_full_solve_matches_one_call_bit_for_bit(family, n_points):
+    # up to 25 nodes a column may have the other sign or an exact tie the
+    # other order (see test_small_full_solve_matches_one_call); every entry
+    # is still the one call's bit for bit
     model = _family(family, 1.5)
     op = hl.discretize(model, hl.make_grid(model, n_points))
-    assert_one_call_bits(op, hl.eigendecompose(op))
+    check = assert_one_call_bits if n_points > 25 else assert_one_call_bits_up_to_sign
+    check(op, hl.eigendecompose(op))
 
 
 @pytest.mark.parametrize("n_points", range(3, 26))
