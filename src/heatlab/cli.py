@@ -22,10 +22,11 @@ import re
 import sys
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from . import bounds, measures, spectral
 from .errors import CalibrationError, ConfigError, IntegrabilityError, NumericError
+
+dsyrk = spectral._linalg_extension("_fblas").dsyrk
 
 __all__ = ["ExperimentConfig", "ReportRecord", "parse_config", "main"]
 
@@ -343,11 +344,11 @@ def run_spectrum(cfg: ExperimentConfig):
     lam = dec.eigenvalues
     rows = [[i, lam[i], math.exp(-lam[i])] for i in range(len(lam))]
     e0 = dec.eigenfunctions[:, 0]
-    # G = B^T B with B = E sqrt(M): one dsyrk on the OpenBLAS the LAPACK
-    # eigensolvers use, half the flops of a GEMM, and no contention with
-    # numpy's own OpenBLAS thread pool.  E is F-ordered, so trans=1 reads B
-    # in place; dsyrk fills the upper triangle of a zeroed G, so the max
-    # over G - I covers every pair (i, j).
+    # G = B^T B with B = E sqrt(M): one dsyrk from scipy's _fblas, on the
+    # OpenBLAS the LAPACK eigensolvers use, half the flops of a GEMM, and no
+    # contention with numpy's own OpenBLAS thread pool.  E is F-ordered, so
+    # trans=1 reads B in place; dsyrk fills the upper triangle of a zeroed G,
+    # so the max over G - I covers every pair (i, j).
     b = dec.eigenfunctions * np.sqrt(grid.node_masses)[:, None]
     gram = dsyrk(1.0, b, trans=1)
     gram[np.diag_indices_from(gram)] -= 1.0

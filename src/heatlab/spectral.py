@@ -32,10 +32,12 @@ they add at most exp(-lambda_cut t)/sqrt(m_i m_j) to a kernel entry,
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import import_module, machinery, util
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericError
 from .measures import MeasureModel, Weight, _scalar_or_array
@@ -112,6 +114,58 @@ _FAMILY_ROWS = 20
 #: At n = 51200 ``spectrum`` and ``trace`` would ask for 21 GB, and ``kernel``
 #: on Cauchy at t = 1e-3 (6079 modes) for 2.5 GB.
 _TABLE_MAX_BYTES = 2 ** 31
+
+
+def _linalg_extension(name: str):
+    """scipy.linalg's compiled module ``name`` (``_flapack`` or ``_fblas``),
+    loaded from its file without scipy.linalg's package init, most of the time
+    a one-shot run took, and registered under its own name for a later
+    ``import scipy.linalg`` to reuse; where no file is found, the plain import."""
+    full = f"scipy.linalg.{name}"
+    scipy_spec = util.find_spec("scipy")
+    directories = scipy_spec.submodule_search_locations if scipy_spec else ()
+    paths = [os.path.join(d, "linalg", name + s) for d in directories for s in machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if full in sys.modules or path is None:
+        return import_module(full)
+    spec = util.spec_from_file_location(full, path)
+    module = sys.modules[full] = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _linalg_extension("_flapack")
+
+
+def _lapack(routine: str, *args, **kwargs):
+    """The outputs of ``_flapack.<routine>``, its ``info`` checked as scipy did."""
+    *out, info = getattr(_flapack, routine)(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} did not converge (info = {info})")
+    return out
+
+
+def eigh_tridiagonal(d, e, *select_range):
+    """``scipy.linalg.eigh_tridiagonal(d, e)`` (dstevd), or with ``select_range``
+    = lo, hi its ``select="v", select_range=(lo, hi)`` (dstebz in block order,
+    dstein, columns sorted by eigenvalue), with its checks and bit for bit."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if d.ndim != 1 or e.ndim != 1 or d.size != e.size + 1:
+        raise ValueError(f"need 1-D d and e with one more entry in d, got shapes {d.shape} and {e.shape}")
+    lo, hi = select_range or (-math.inf, math.inf)
+    if d.size == 1:  # scipy's quick exit: the 1 x 1 matrix's mode, if in range
+        keep = lo < d[0] <= hi
+        return np.array([d[0]] if keep else []), np.ones((1, int(keep)), dtype=d.dtype)
+    if not select_range:
+        return tuple(_lapack("dstevd", d, e, compute_v=1))
+    # by value in (lo, hi]; il = iu = 1 unread; tol 0 means eps ||T||_1
+    m, w, iblock, isplit = _lapack("dstebz", d, e, 1, lo, hi, 1, 1, 0.0, "B")
+    w = w[:m]
+    v, = _lapack("dstein", d, e, w, iblock, isplit)
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -354,9 +408,9 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
         if math.isinf(cut):
             w, ef = _solve_parity_blocks(diag, offdiag, masses)
         else:
-            w, v = eigh_tridiagonal(*_parity_blocks(diag, offdiag), select="v", select_range=(-math.inf, cut))
+            w, v = eigh_tridiagonal(*_parity_blocks(diag, offdiag), -math.inf, cut)
             ef = _unfold(v, masses)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=w,

@@ -175,13 +175,29 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # a fresh interpreter: this process may have imported the module already
+def fresh_python(code):
+    """The stdout of ``code`` run by a fresh interpreter that imports heatlab
+    from this checkout: this process may have imported its modules already."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, heatlab.cli; print('scipy.integrate' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    assert fresh_python("import sys, heatlab.cli; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_cli_import_skips_scipy_linalg_init():
+    # LAPACK and BLAS come from their compiled modules' files, registered
+    # under their own names: a later scipy.linalg import reuses them
+    code = """import sys, heatlab.cli
+from heatlab import cli, spectral
+print('scipy.linalg' in sys.modules, sys.modules['scipy.linalg._flapack'] is spectral._flapack)
+import scipy.linalg.blas, scipy.linalg.lapack
+print(scipy.linalg.lapack._flapack is spectral._flapack, scipy.linalg.lapack.dstevd is spectral._flapack.dstevd,
+      scipy.linalg.lapack.dstebz is spectral._flapack.dstebz, scipy.linalg.blas.dsyrk is cli.dsyrk)"""
+    assert fresh_python(code) == "False True\nTrue True True True"
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -726,7 +742,7 @@ def test_kernel_solve_path(tmp_path, text, kept, subset):
 
 @pytest.mark.parametrize("text", [
     "family = cauchy\nweight = universal\n", "weight = universal\n", "a = 0.8\n",
-])
+], ids=["cauchy-universal", "universal", "a-0.8"])
 def test_kernel_without_a_bound_leaves_the_check_out(tmp_path, text):
     cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 200\ntrain_size = 30\n")
     out = str(tmp_path / "out")

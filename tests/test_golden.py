@@ -23,6 +23,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -86,6 +87,29 @@ def test_golden_outputs(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"{case}/{name} differs from its golden"
+
+
+def test_golden_output_on_the_plain_scipy_import(tmp_path):
+    # no extension suffix matches, so heatlab's LAPACK and BLAS loader finds
+    # no file and takes scipy.linalg's own modules by the plain import, which
+    # leaves them as attributes of scipy.linalg; the default spectrum is
+    # unchanged
+    code = """import importlib.machinery, sys
+importlib.machinery.EXTENSION_SUFFIXES = []
+from heatlab import cli, spectral
+import scipy.linalg
+print(spectral._flapack is scipy.linalg._flapack, cli.dsyrk is scipy.linalg._fblas.dsyrk)
+sys.exit(cli.main(sys.argv[1:]))"""
+    config, out = tmp_path / "config.txt", tmp_path / "out"
+    config.write_text(CONFIGS["default"])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["spectrum", "--config", str(config), "--out", str(out), "--seed", str(SEED), "--quiet"]
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert done.stdout == "True True\n"
+    got = {"status.txt": f"exit {done.returncode}\n{done.stderr}".encode()}
+    got.update((path.name, path.read_bytes()) for path in out.iterdir())
+    assert got == read_golden("default-spectrum")
 
 
 def test_golden_checks_follow_their_rule():

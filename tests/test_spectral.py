@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -105,6 +106,69 @@ def assert_parity_split(op, dec):
     odd = np.all(ef == -ef[::-1], axis=0)
     assert np.all(even | odd) and even[0]
     assert w.size < 2 or odd[1]
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize("family", ["mu_a", "cauchy", "ou"])
+@pytest.mark.parametrize("n_points", [3, 4, 5, 801])
+def test_eigh_tridiagonal_is_scipys_bit_for_bit(family, n_points):
+    # heatlab's LAPACK shim against scipy.linalg.eigh_tridiagonal on a
+    # palindromic operator, on each of its parity blocks and on both in one
+    # matrix, and on sizes 1, 2 and 3 (the 1 x 1 quick exit taken and, with
+    # its one eigenvalue out of range, refused): every mode, and by value on
+    # ranges that keep all, some and none of the modes
+    model = _family(family, 1.5)
+    op = hl.discretize(model, hl.make_grid(model, n_points))
+    d, e = hl.spectral._parity_blocks(op.sym_diag, op.sym_offdiag)
+    size = (n_points + 1) // 2
+    cut = hl.spectral._CUTOFF_EXPONENT / 0.25
+    for dd, ee in ((op.sym_diag, op.sym_offdiag), (d, e), (d[:size], e[:size - 1]), (d[size:], e[size:]),
+                   (d[:1], e[:0]), (d[:2], e[:1]), (d[:3], e[:2])):
+        assert_same_bits(hl.spectral.eigh_tridiagonal(dd, ee), eigh_tridiagonal(dd, ee))
+        for select_range in ((-math.inf, math.inf), (-math.inf, cut), (-math.inf, float(np.median(dd))),
+                             (-math.inf, -1.0)):
+            assert_same_bits(hl.spectral.eigh_tridiagonal(dd, ee, *select_range),
+                             eigh_tridiagonal(dd, ee, select="v", select_range=select_range))
+
+
+@pytest.mark.parametrize("where", ["d", "e"])
+def test_eigh_tridiagonal_refuses_what_scipy_refused(mua_setup, where):
+    # an inf survives eigendecompose's palindrome check (inf == inf); the
+    # shim refuses it, and a d one entry short, as scipy's checks did
+    op = mua_setup[1]
+    d, e = op.sym_diag.copy(), op.sym_offdiag.copy()
+    (d if where == "d" else e)[[0, -1]] = math.inf
+    for refuse in (lambda: eigh_tridiagonal(d, e), lambda: hl.spectral.eigh_tridiagonal(d, e),
+                   lambda: eigh_tridiagonal(d, e, select="v", select_range=(-math.inf, 1.0)),
+                   lambda: hl.spectral.eigh_tridiagonal(d, e, -math.inf, 1.0),
+                   lambda: hl.eigendecompose(dataclasses.replace(op, sym_diag=d, sym_offdiag=e))):
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            refuse()
+    short = r"^need 1-D d and e with one more entry in d, got shapes \(799,\) and \(799,\)$"
+    with pytest.raises(ValueError, match=short):
+        hl.spectral.eigh_tridiagonal(op.sym_diag[1:], op.sym_offdiag)
+
+
+@pytest.mark.parametrize("info, error, message", [
+    (-2, ValueError, r"^illegal value in argument 2 of LAPACK dstevd$"),
+    (3, hl.NumericError, r"^tridiagonal eigensolver failed: LAPACK dstevd did not converge \(info = 3\)$"),
+])
+def test_lapack_info_is_checked(mua_setup, monkeypatch, info, error, message):
+    # dstevd's info as scipy's check read it: a bad argument is a ValueError,
+    # no convergence a LinAlgError, which eigendecompose reports as numeric
+    flapack = hl.spectral._flapack
+
+    def dstevd(d, e, compute_v):
+        return (*flapack.dstevd(d, e, compute_v=compute_v)[:2], info)
+
+    monkeypatch.setattr(hl.spectral, "_flapack", types.SimpleNamespace(dstevd=dstevd))
+    with pytest.raises(error, match=message):
+        hl.eigendecompose(mua_setup[1])
 
 
 def test_grid_masses(ou_setup, mua_setup):
@@ -288,9 +352,10 @@ def test_non_palindromic_operator_is_refused(mua_setup, monkeypatch, name, moved
 def test_eigendecompose_memory(mua_model, mua_setup, ou_fine_setup):
     # full: the n x n table and the two half-size LAPACK outputs, 1.5 n^2
     # doubles (29.4 MiB at n = 1600; one call on both blocks took 39.3 MiB);
-    # truncated: two n x k arrays, which is scipy's own peak: eigh_tridiagonal
-    # with select="v" alone peaks at 2.03 x 8nk (mu_a, n = 3200, k = 76), as
-    # it copies its output to reorder the columns from block order.  So an
+    # truncated: two n x k arrays, the by-value solve's own peak: the shim's
+    # eigh_tridiagonal with a range alone peaks at 2.03 x 8nk (mu_a, n = 3200,
+    # k = 76), as its v[:, order] copies dstein's output to reorder the
+    # columns from block order, as scipy's eigh_tridiagonal did.  So an
     # in-place _unfold could not lower the bound, and placing the columns by
     # parity, as _solve_parity_blocks does, would add a half-size copy of v
     # above it; plus O(n) vectors and numpy's iteration buffers
