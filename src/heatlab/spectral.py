@@ -18,8 +18,9 @@ p_t(x_i,x_j) = sum_n exp(-lambda_n t) e_n(x_i) e_n(x_j).
 Every built-in density is even, and the grid is mirror-exact, so the matrix
 is an exact palindrome and commutes with x -> -x.  ``eigendecompose`` takes
 only such an operator and solves its even and its odd modes as two half-size
-blocks, in one LAPACK call per block for the full spectrum and in one call
-for both for a truncated one.
+blocks (``_solve_parity_blocks``): in one LAPACK call per block for the full
+spectrum, in one bisection and one inverse iteration on both for a truncated
+one, each block's output then written, scaled in place, into one table.
 
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
@@ -80,15 +81,16 @@ DEFAULT_T_MIN = 1e-3
 _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 
 #: Largest kept-mode fraction k/n for which the subset solve (bisection
-#: plus inverse iteration) is taken; above it every mode is computed.  The
-#: largest k/n at which the subset solve costs at most about 0.8 of the full
-#: one for every n and family measured.  ``eigendecompose`` time, Sturm count
-#: and unfold included, subset over full, for mu_a(1.5), OU and Cauchy(2) at
-#: n = 400, 800, 1600 and 3200 (medians of 15-151, parity split, on a 2-vCPU
-#: x86-64 KVM guest with scipy 1.17.1):
+#: plus inverse iteration) is taken; above it every mode is computed.
+#: ``eigendecompose`` time, Sturm count and scatter included, subset over
+#: full, for mu_a(1.5), OU and Cauchy(2) at n = 400, 800, 1600 and 3200
+#: (medians of 9-61 alternated calls, 2-vCPU x86-64 KVM guest, scipy 1.17.1):
 #:
 #:     k/n    0.084      0.10       0.12       0.135      0.15       0.20
-#:     ratio  0.40-0.63  0.52-0.70  0.47-0.80  0.72-0.92  0.76-1.11  1.10-1.39
+#:     ratio  0.53-0.74  0.66-0.87  0.77-1.05  0.95-1.19  1.08-1.28  1.49-1.81
+#:
+#: The rule that set 0.12, the largest k/n costing at most about 0.8 of the
+#: full solve, now gives about 0.09; moving it would change some runs' last bits.
 _PARTIAL_MAX_FRAC = 0.12
 
 #: Rows of a function family built and reduced at once (``gaussian_bump_blocks``,
@@ -147,25 +149,12 @@ def _lapack(routine: str, *args, **kwargs):
     return out
 
 
-def eigh_tridiagonal(d, e, *select_range):
-    """``scipy.linalg.eigh_tridiagonal(d, e)`` (dstevd), or with ``select_range``
-    = lo, hi its ``select="v", select_range=(lo, hi)`` (dstebz in block order,
-    dstein, columns sorted by eigenvalue), with its checks and bit for bit."""
-    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    if d.ndim != 1 or e.ndim != 1 or d.size != e.size + 1:
-        raise ValueError(f"need 1-D d and e with one more entry in d, got shapes {d.shape} and {e.shape}")
-    lo, hi = select_range or (-math.inf, math.inf)
-    if d.size == 1:  # scipy's quick exit: the 1 x 1 matrix's mode, if in range
-        keep = lo < d[0] <= hi
-        return np.array([d[0]] if keep else []), np.ones((1, int(keep)), dtype=d.dtype)
-    if not select_range:
-        return tuple(_lapack("dstevd", d, e, compute_v=1))
-    # by value in (lo, hi]; il = iu = 1 unread; tol 0 means eps ||T||_1
-    m, w, iblock, isplit = _lapack("dstebz", d, e, 1, lo, hi, 1, 1, 0.0, "B")
-    w = w[:m]
-    v, = _lapack("dstein", d, e, w, iblock, isplit)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+def eigh_tridiagonal(d, e):
+    """``scipy.linalg.eigh_tridiagonal(d, e)`` on finite 1-D d and e, one entry
+    longer: every mode by dstevd, bit for bit, or its 1 x 1 quick exit."""
+    if d.size == 1:  # LAPACK's wrapper refuses an empty e
+        return np.array([d[0]]), np.ones((1, 1), dtype=d.dtype)
+    return tuple(_lapack("dstevd", d, e, compute_v=1))
 
 
 @dataclass(frozen=True)
@@ -298,50 +287,51 @@ def _parity_blocks(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, n
     return d, e
 
 
-def _unfold(v: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Eigenfunctions e_n(x_i) from the eigenvectors ``v`` of ``_parity_blocks``,
-    into one new n x k array.  Each column of ``v`` vanishes exactly on one
-    block, so each eigenfunction is exactly even or exactly odd."""
-    half, center = divmod(v.shape[0], 2)
-    even, odd = v[center:half + center], v[half + center:]
-    scale = (math.sqrt(0.5) / np.sqrt(masses[half + center:]))[:, None]
-    ef = np.empty_like(v)
-    upper, lower = ef[half + center:], ef[half - 1::-1]
-    np.multiply(np.add(even, odd, out=upper), scale, out=upper)
-    np.multiply(np.subtract(even, odd, out=lower), scale, out=lower)
-    if center:
-        ef[half] = v[0] / math.sqrt(masses[half])
-    return ef
+def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarray, cut: float):
+    """(eigenvalues, eigenfunctions) of the modes with lambda <= ``cut`` (all
+    for cut = inf) of a palindromic operator, from its ``_parity_blocks``.
 
-
-def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarray):
-    """(eigenvalues, eigenfunctions) of every mode of a palindromic operator,
-    one LAPACK call per block of ``_parity_blocks``.
-
-    Each block's eigenvectors are scaled in place and written into one
-    Fortran-ordered n x n array: the upper rows as they are, the lower rows
-    mirrored (even modes) or mirrored and negated (odd modes).  Above 25
-    nodes both equal, signed zeros included, what one call on both blocks
-    and ``_unfold`` give: that call leaves +0.0 off each block, so its sums
-    turn an upper -0.0 and a lower odd-mode zero into +0.0.  (Scaling before
-    the sums could differ only where an entry times sqrt(1/2 m_i) underflows,
-    which needs a node mass above 1/2.)  Up to 25 that call is one QL/QR
-    pass, whose columns may differ in sign or in the order of a tie."""
+    All modes take one divide-and-conquer call per block.  A cut takes one
+    bisection (dstebz) and one inverse iteration (dstein) on both blocks, as
+    dstein per block would restart LAPACK's random start vectors; dstebz
+    lists the even block's modes first and each dstein column vanishes off
+    its block, so the blocks' eigenvectors are two views of its output.
+    Either way the eigenvalues are merged stably and each block's vectors
+    are scaled in place and written into one Fortran-ordered n x k table:
+    the upper rows as they are, the lower rows mirrored (even modes) or
+    mirrored and negated (odd modes).  Above 25 nodes, and at every cut,
+    both equal, signed zeros included, what one call on both blocks
+    unfolded by (even +- odd) * scale gives: that call leaves +0.0 off each
+    block, so its sums turn an upper -0.0 and a lower odd-mode zero into
+    +0.0.  (Scaling before the sums could differ only where an entry times
+    sqrt(1/2 m_i) underflows, which needs a node mass above 1/2.)  Up to 25
+    nodes one divide-and-conquer call is one QL/QR pass, whose columns may
+    differ in sign or in the order of a tie."""
     n = diag.size
     half, center = divmod(n, 2)
     size = half + center
     d, e = _parity_blocks(diag, offdiag)
-    w_even, v_even = eigh_tridiagonal(d[:size], e[:size - 1])
-    w_odd, v_odd = eigh_tridiagonal(d[size:], e[size:])
+    if math.isinf(cut):
+        w_even, v_even = eigh_tridiagonal(d[:size], e[:size - 1])
+        w_odd, v_odd = eigh_tridiagonal(d[size:], e[size:])
+    else:
+        # by value in (-inf, cut], block by block; il = iu = 1 unread; tol 0
+        # means eps ||T||_1; block b ends at row isplit[b - 1] (1-based)
+        m, w, iblock, isplit = _lapack("dstebz", d, e, 1, -math.inf, cut, 1, 1, 0.0, "B")
+        v, = _lapack("dstein", d, e, w[:m], iblock, isplit)
+        k_even = int(np.count_nonzero(isplit[iblock[:m] - 1] <= size))
+        w_even, w_odd = w[:k_even], w[k_even:m]
+        v_even, v_odd = v[:size, :k_even], v[size:, k_even:]
     w = np.concatenate((w_even, w_odd))
+    k = w.size
     # one call's dstedc orders both blocks by a selection sort, which on two
     # strictly increasing runs is a stable merge: the even mode first on a tie
     # (126 grids measured: each block strictly increasing, 340 even/odd ties)
     order = np.argsort(w, kind="stable")
-    cols = np.empty(n, dtype=np.intp)
-    cols[order] = np.arange(n)
-    cols_even, cols_odd = cols[:size], cols[size:]
-    ef = np.empty((n, n), order="F")
+    cols = np.empty(k, dtype=np.intp)
+    cols[order] = np.arange(k)
+    cols_even, cols_odd = cols[:w_even.size], cols[w_even.size:]
+    ef = np.empty((n, k), order="F")
     upper, lower = ef[size:], ef[half - 1::-1]
     scale = (math.sqrt(0.5) / np.sqrt(masses[size:]))[:, None]
     if center:
@@ -374,17 +364,21 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     each dropped mode weighs at most 2^-52; ``kernel_tail``, ``trace_tail``
     and ``SpectralDecomposition.tail`` bound what the dropped modes add.
 
-    The operator must be an exact palindrome, as ``make_grid`` makes it for
-    an even density; a ValueError names the first entry that differs from
-    its mirror.  It is then orthogonally similar to its even block plus its
-    odd block (``_parity_blocks``), so eigenvalues, Sturm count and tail are
-    unchanged.  All modes take one LAPACK call per block
-    (``_solve_parity_blocks``, 1.5 n^2 doubles); a truncated set, one call
-    on both blocks and ``_unfold``.  A decomposition whose n x k
+    The operator must be finite, 1-D with one more diagonal entry, and an
+    exact palindrome, as ``make_grid`` makes it for an even density; else a
+    ValueError (naming, for a non-palindrome, the first entry that differs
+    from its mirror).  It is then orthogonally similar to its even block plus
+    its odd block, so eigenvalues, Sturm count and tail are unchanged, and
+    ``_solve_parity_blocks`` makes every decomposition: all modes in one
+    LAPACK call per block (1.5 n^2 doubles), a truncated set in one
+    bisection and inverse iteration on both.  A decomposition whose n x k
     eigenfunction table exceeds ``_TABLE_MAX_BYTES`` (k = n for all modes)
     is refused with a NumericError before anything of its size is allocated.
     """
-    diag, offdiag = op.sym_diag, op.sym_offdiag
+    diag, offdiag = np.asarray_chkfinite(op.sym_diag), np.asarray_chkfinite(op.sym_offdiag)
+    if diag.ndim != 1 or offdiag.ndim != 1 or diag.size != offdiag.size + 1:
+        raise ValueError(f"need 1-D sym_diag and sym_offdiag with one more entry in sym_diag, got shapes "
+                         f"{diag.shape} and {offdiag.shape}")
     for name, a in (("sym_diag", diag), ("sym_offdiag", offdiag)):
         skew = np.flatnonzero(a != a[::-1])
         if skew.size:
@@ -403,13 +397,8 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     if 8 * n * k > _TABLE_MAX_BYTES:
         raise NumericError(f"an eigensolve keeping {k} of n = {n} modes needs a {8 * n * k}-byte eigenfunction "
                            f"table (n k doubles), over the {_TABLE_MAX_BYTES}-byte cap")
-    masses = op.grid.node_masses
     try:
-        if math.isinf(cut):
-            w, ef = _solve_parity_blocks(diag, offdiag, masses)
-        else:
-            w, v = eigh_tridiagonal(*_parity_blocks(diag, offdiag), -math.inf, cut)
-            ef = _unfold(v, masses)
+        w, ef = _solve_parity_blocks(diag, offdiag, op.grid.node_masses, cut)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralDecomposition(

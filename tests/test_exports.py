@@ -48,20 +48,61 @@ def _unread_parameters(tree):
                     yield getattr(node, "name", "<lambda>"), node.lineno, p.arg
 
 
-def test_every_parameter_is_read():
+def _module_trees():
+    """(file name, parsed module) for each module of the package."""
     src = os.path.dirname(heatlab.__file__)
-    unread = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            unread += [(name, *hit) for hit in _unread_parameters(tree)]
+                yield name, ast.parse(fh.read())
+
+
+def test_every_parameter_is_read():
+    unread = [(name, *hit) for name, tree in _module_trees() for hit in _unread_parameters(tree)]
     assert not unread, unread
 
 
 def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + (lambda x: d)(0)\n")
     assert sorted(p for _, _, p in _unread_parameters(tree)) == ["b", "c", "e", "x"]
+
+
+#: The surface counts ROADMAP aim 2 tracks, as they stand: a change may
+#: lower one, and then lowers it here and in ROADMAP, but not raise it.
+SURFACE_MAX = {"config keys": 21, "defaulted parameters": 16, "dataclass defaults": 0}
+
+
+def _names_dataclass(node):
+    return getattr(node, "attr", getattr(node, "id", None)) == "dataclass"
+
+
+def _defaults(trees):
+    """(defaulted function parameters, dataclass field defaults outside
+    ``ExperimentConfig``) over the parsed modules ``trees``."""
+    params = fields = 0
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and node.name != "ExperimentConfig" and any(
+                    _names_dataclass(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list):
+                fields += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return params, fields
+
+
+def test_surface_counts_do_not_rise():
+    params, fields = _defaults(tree for _, tree in _module_trees())
+    counts = {"config keys": len(dataclasses.fields(cli.ExperimentConfig)),
+              "defaulted parameters": params, "dataclass defaults": fields}
+    assert all(counts[key] <= most for key, most in SURFACE_MAX.items()), counts
+
+
+def test_surface_defaults_are_found():
+    tree = ast.parse("def f(a, b=1, *c, d=2, e):\n    return lambda x=3: x\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int = 0\n    y: int\n"
+                     "@dataclass\nclass ExperimentConfig:\n    z: int = 0\n"
+                     "class B:\n    w: int = 0\n")
+    assert _defaults([tree]) == (3, 1)
 
 
 def test_benchmark_tracer_hooks_resolve(tmp_path, monkeypatch):
