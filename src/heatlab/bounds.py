@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CalibrationError, IntegrabilityError, NumericError
 from .measures import MeasureModel, Weight, _scalar_or_array
-from .spectral import FamilyNorms, Grid, TridiagonalOperator, family_norms
+from .spectral import FamilyNorms, Grid
 
 __all__ = [
     "RateFunction",
@@ -357,21 +357,14 @@ def lyapunov_constant(model: MeasureModel, weight: Weight, grid: Grid) -> Lyapun
 # Nash quotients and empirical calibration
 
 
-def nash_quotients(
-    family, weight: Weight, op: TridiagonalOperator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row,
-    the coordinates a weighted Nash inequality constrains: y >= phi(x).
-
-    ``family`` is a stack of grid functions, or the ``FamilyNorms`` of a pass
-    over one (``family_norms``, with this weight and operator), whose sums
-    are then used as they are."""
-    if not isinstance(family, FamilyNorms):
-        family = family_norms(np.atleast_2d(np.asarray(family, dtype=float)), weight, op, None)
-    l1w = family.l1w
+def nash_quotients(norms: FamilyNorms) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient pairs (||f||_2^2/||fV||_1^2, E(f,f)/||fV||_1^2) for each row
+    of a family, from its ``FamilyNorms`` (``family_norms`` with the weight V):
+    the coordinates a weighted Nash inequality constrains, y >= phi(x)."""
+    l1w = norms.l1w
     if np.any(l1w <= 0.0):
         raise ValueError("vanishing weighted L1 norm in the family")
-    return family.l2sq / l1w ** 2, family.energy / l1w ** 2
+    return norms.l2sq / l1w ** 2, norms.energy / l1w ** 2
 
 
 def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
@@ -508,14 +501,16 @@ def converse_rate(times: np.ndarray, k_values: np.ndarray) -> RateFunction:
 
     The sup over the finite (log-spaced) sample grid is a lower bound on
     the true sup over t > 0; where every term is nonpositive, phi is
-    reported as 0 (no constraint at that x).
+    reported as 0 (no constraint at that x).  Times must be finite and
+    positive, K samples positive; K = inf, which a decay profile reads
+    before it turns finite, bounds nothing and adds no term to the sup.
     """
     times = np.asarray(times, dtype=float)
     k_values = np.asarray(k_values, dtype=float)
     if times.shape != k_values.shape or times.size < 2:
         raise ValueError("need matching time/K sample arrays with at least 2 points")
-    if not (np.all(times > 0) and np.all(k_values > 0)):
-        raise ValueError("times and K samples must be positive")
+    if not np.all(np.isfinite(times) & (times > 0) & (k_values > 0)):
+        raise ValueError("times must be finite and positive, K samples positive or inf")
     ksq = k_values * k_values
 
     def evaluate(x):

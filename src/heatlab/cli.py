@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -327,7 +328,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     train = spectral.gaussian_bump_blocks(grid, cfg.train_size, rng)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
-        xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op, None), weight, op)
+        xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op, None))
         rate, exps = _fit_envelope(cfg, grid, weight, xq, yq)
         if rate.meta["degenerate"]:
             raise CalibrationError("empirical rate degenerate: no training sample above the floor")
@@ -529,7 +530,7 @@ def run_verify(cfg: ExperimentConfig):
             tb - (hs + spectral.trace_tail(dec, 2.0 * t)) for t, hs, tb in trace_rows
         )
 
-    xq, yq = bounds.nash_quotients(heldout, weight, op)
+    xq, yq = bounds.nash_quotients(heldout)
     checks["heldout_envelope"] = _domination([bounds.envelope_slack(rate, xq, yq)])
 
     k_table = [[t, bounds.l2_bound(kp, cert, t)] for t in cfg.times]
@@ -560,12 +561,22 @@ def run_verify(cfg: ExperimentConfig):
 
 
 def _load_k_samples(path: str):
+    """(times, K) from a CSV of a header line and at least two rows t, K of
+    finite positive numbers; a ConfigError naming the file otherwise."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data": refused below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read K samples file {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError("K samples file must have two columns (t, K)")
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ConfigError(f"K samples file {path} must have at least two rows of two columns (t, K) "
+                          f"below its header, got a {data.shape[0]} x {data.shape[1]} table")
+    bad = np.flatnonzero(~np.all(np.isfinite(data[:, :2]) & (data[:, :2] > 0.0), axis=1))
+    if bad.size:
+        t, k = data[bad[0], :2].tolist()
+        raise ConfigError(f"K samples file {path}: t and K must be finite and positive, "
+                          f"got t = {t!r}, K = {k!r} in data row {bad[0] + 1}")
     return data[:, 0], data[:, 1]
 
 
@@ -612,7 +623,7 @@ def run_nash_scan(cfg: ExperimentConfig):
         family = np.ones((cfg.train_size, grid.n_points))
     else:
         family = spectral.gaussian_bump_blocks(grid, cfg.train_size, np.random.default_rng(cfg.seed))
-    xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op, None), weight, op)
+    xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op, None))
     rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))

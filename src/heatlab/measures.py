@@ -272,6 +272,14 @@ def unit_weight() -> Weight:
     return Weight(log_value=_zeros, dlog=_zeros, d2log=_zeros)
 
 
+def _mehler_denominator(t: float) -> float:
+    """2(1 + e^{2t}), inf where e^{2t} overflows (2t > 709.78): V_t is then 1."""
+    try:
+        return 2.0 * (1.0 + math.exp(2.0 * t))
+    except OverflowError:
+        return math.inf
+
+
 def mehler_weight(t: float) -> Weight:
     """Time-dependent OU weight V_t with ||P_t f||_2 <= ||f V_t||_1 exactly.
 
@@ -280,7 +288,7 @@ def mehler_weight(t: float) -> Weight:
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     pref = (1.0 - math.exp(-4.0 * t)) ** -0.25
-    denom = 2.0 * (1.0 + math.exp(2.0 * t))
+    denom = _mehler_denominator(t)
 
     def log_value(x):
         x = np.asarray(x, dtype=float)
@@ -333,7 +341,7 @@ def mehler_diag_bound(t: float, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref = (1.0 - math.exp(-4.0 * t)) ** -0.5
-    denom = 2.0 * (1.0 + math.exp(2.0 * t))
+    denom = _mehler_denominator(t)
     return _scalar_or_array(pref * np.exp(x * x / denom + y * y / denom))
 
 

@@ -41,7 +41,7 @@ from importlib import import_module, machinery, util
 import numpy as np
 
 from .errors import NumericError
-from .measures import MeasureModel, Weight, _scalar_or_array
+from .measures import MeasureModel, Weight
 
 __all__ = [
     "DEFAULT_T_MIN",
@@ -93,8 +93,8 @@ _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 #: full solve, now gives about 0.09; moving it would change some runs' last bits.
 _PARTIAL_MAX_FRAC = 0.12
 
-#: Rows of a function family built and reduced at once (``gaussian_bump_blocks``,
-#: ``family_norms`` and the norm helpers on stacks).  ``heatlab verify``
+#: Rows of a function family built and reduced at once (``gaussian_bump_blocks``
+#: and ``family_norms``).  ``heatlab verify``
 #: with the default config, seed 5, in-process (medians of 15 on a 2-vCPU
 #: x86-64 KVM guest, numpy's OpenBLAS 0.3.31 on its SkylakeX kernels; peak
 #: by tracemalloc):
@@ -424,6 +424,15 @@ def _grid_functions(f, grid: Grid) -> np.ndarray:
     return f
 
 
+def _grid_function(f, grid: Grid) -> np.ndarray:
+    """``f`` as one grid function; a ValueError for any other shape."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != grid.points.shape:
+        raise ValueError(f"need one grid function of shape {grid.points.shape}, got shape {f.shape} "
+                         "(a stack's per-row sums come from family_norms)")
+    return f
+
+
 def kernel_matrix(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -> np.ndarray:
     """Kernel table p_t(x_i, x_j) w.r.t. the discrete measure; symmetrized so
     p(i,j) == p(j,i) exactly.
@@ -531,23 +540,21 @@ def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.n
     return (coeff * np.exp(-dec.eigenvalues * t)) @ dec.eigenfunctions.T
 
 
-def semigroup_norms(dec: SpectralDecomposition, f: np.ndarray, times) -> np.ndarray:
-    """||P_t f||_2 over the kept modes for each t in ``times``, by Parseval:
-    sqrt(sum_n c_n^2 exp(-2 lambda_n t)) with c = <f, e_n>_mu.
+def semigroup_norms(dec: SpectralDecomposition, norms: FamilyNorms, times) -> np.ndarray:
+    """||P_t f||_2 over the kept modes for each row f of a family and each t
+    in ``times``, by Parseval: sqrt(sum_n c_n^2 exp(-2 lambda_n t)) with the
+    coefficients c = <f, e_n>_mu in ``norms``, which ``family_norms(..., dec)``
+    reduced; a ValueError without them.
 
-    One GEMM for the coefficients serves every time, and nothing is
-    synthesized on the grid.  It equals ``l2_norm(apply_semigroup(dec, f,
-    t))`` up to the Gram defect of the computed eigenbasis.  Returns shape
-    ``(len(times),) + f.shape[:-1]``; times are checked as in
-    ``apply_semigroup``.  ``f`` may also be the ``FamilyNorms`` of a family,
-    reduced with ``dec``: its coefficients are then used as they are.
-    """
+    Nothing is synthesized on the grid.  Each value equals ``l2_norm(
+    apply_semigroup(dec, f, t))`` up to the Gram defect of the computed
+    eigenbasis.  Returns shape ``(len(times), rows)``; times are checked as in
+    ``apply_semigroup``."""
     for t in times:
         _check_semigroup_time(dec, t)
-    if isinstance(f, FamilyNorms):
-        c2 = f.coefficients ** 2
-    else:
-        c2 = _by_rows(lambda b: _coefficients(dec, b), _grid_functions(f, dec.grid)) ** 2
+    if getattr(norms, "coefficients", None) is None:
+        raise ValueError("semigroup_norms needs a family's coefficients: reduce it with family_norms(..., dec)")
+    c2 = norms.coefficients ** 2
     return np.stack([np.sqrt(c2 @ np.exp(-2.0 * t * dec.eigenvalues)) for t in times])
 
 
@@ -569,15 +576,6 @@ def _row_blocks(f: np.ndarray):
     return (rows[lo:lo + _FAMILY_ROWS] for lo in range(0, max(rows.shape[0], 1), _FAMILY_ROWS))
 
 
-def _by_rows(reduce, f: np.ndarray) -> np.ndarray:
-    """``reduce`` of each row block of the stack ``f``, joined in f's leading
-    shape.  A stack is reduced in the blocks a streamed family of its size
-    comes in, so both give the same values to the last bit: a BLAS product's
-    rounding may depend on how many rows it is given."""
-    out = np.concatenate([reduce(block) for block in _row_blocks(f)])
-    return out.reshape(f.shape[:-1] + out.shape[1:])
-
-
 def _l2_squared(f: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (f * f) @ m
 
@@ -594,25 +592,22 @@ def _energy(f: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d.sum(axis=-1)
 
 
-def l2_norm(f: np.ndarray, grid: Grid):
+def l2_norm(f: np.ndarray, grid: Grid) -> float:
     """L2(mu) norm ||f||_2 = sqrt(sum_i m_i f_i^2).
 
     Like ``weighted_l1`` and ``dirichlet_energy``, it takes one grid function
-    (a float back) or a stack of shape ``(..., n)`` (one value per row)."""
-    m = grid.node_masses
-    return _scalar_or_array(np.sqrt(_by_rows(lambda b: _l2_squared(b, m), _grid_functions(f, grid))))
+    of shape (n,); the per-row sums of a family come from ``family_norms``."""
+    return math.sqrt(_l2_squared(_grid_function(f, grid), grid.node_masses))
 
 
-def weighted_l1(f: np.ndarray, weight: Weight, grid: Grid):
-    """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i)."""
-    mv = grid.node_masses * weight.value(grid.points)
-    return _scalar_or_array(_by_rows(lambda b: _weighted_l1(b, mv), _grid_functions(f, grid)))
+def weighted_l1(f: np.ndarray, weight: Weight, grid: Grid) -> float:
+    """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i) of one grid function."""
+    return float(_weighted_l1(_grid_function(f, grid), grid.node_masses * weight.value(grid.points)))
 
 
-def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator):
-    """E_h(f,f) = sum_i rho(x_{i+1/2}) h ((f_{i+1}-f_i)/h)^2; zero on constants."""
-    c = op.midpoint_weights
-    return _scalar_or_array(_by_rows(lambda b: _energy(b, c), _grid_functions(f, op.grid)))
+def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator) -> float:
+    """E_h(f,f) = sum_i rho(x_{i+1/2}) h ((f_{i+1}-f_i)/h)^2 of one function; 0 on constants."""
+    return float(_energy(_grid_function(f, op.grid), op.midpoint_weights))
 
 
 @dataclass(frozen=True)
@@ -635,10 +630,10 @@ def family_norms(family, weight: Weight, op: TridiagonalOperator,
     ``family`` is a (..., n) stack, taken ``_FAMILY_ROWS`` rows at a time, or
     an iterable of (rows, n) blocks such as ``gaussian_bump_blocks`` returns.
     Each block is reduced before the next is taken, so a streamed family is
-    never held whole; m, mV and the midpoint weights are formed once.  The
-    values equal, row for row and bit for bit, those of ``weighted_l1``,
-    ``l2_norm`` (squared), ``dirichlet_energy`` and the coefficients of
-    ``semigroup_norms`` on the whole stack.
+    never held whole; m, mV and the midpoint weights are formed once.  A
+    stack is cut into the blocks a streamed family of its size comes in, so
+    both give the same values to the last bit: a BLAS product's rounding may
+    depend on how many rows it is given.
     """
     m = op.grid.node_masses
     mv = m * weight.value(op.grid.points)
@@ -663,10 +658,8 @@ def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Gr
     All three integrals use midpoint quadrature, so the residual decays
     at the discretization order O(h^2); it is exact in the continuum.
     """
-    g = np.asarray(g, dtype=float)
+    g = _grid_function(g, grid)
     x, h = grid.points, grid.spacing
-    if g.shape != x.shape:
-        raise ValueError("grid function shape does not match the grid")
     gmax = np.max(np.abs(g))
     if gmax > 0 and max(abs(g[0]), abs(g[-1])) > 1e-12 * gmax:
         raise ValueError("g must vanish at the boundary nodes (compact support)")

@@ -136,7 +136,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     rng = np.random.default_rng(7)
     train = hl.gaussian_bump_family(grid, 200, rng)
     heldout = hl.gaussian_bump_family(grid, 200, rng)
-    xq, yq = hl.nash_quotients(train, weight, op)
+    xq, yq = hl.nash_quotients(hl.family_norms(train, weight, op, None))
     floor = 1.5 * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
     rate = hl.empirical_rate(xq, yq, exps.lam, floor, safety=1.5)
     kp = hl.k_profile(rate)

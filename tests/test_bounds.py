@@ -14,9 +14,14 @@ def _floor(grid, weight, floor_scale=1.5):
     return floor_scale * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
 
 
+def _quotients(family, weight, op):
+    """The quotient pairs of a family, reduced by ``family_norms``."""
+    return hl.nash_quotients(hl.family_norms(family, weight, op, None))
+
+
 def _fit(family, weight, op, lam, safety=1.0):
     """The envelope below a family's quotient pairs, above ``_floor``."""
-    xq, yq = hl.nash_quotients(family, weight, op)
+    xq, yq = _quotients(family, weight, op)
     return hl.empirical_rate(xq, yq, lam, _floor(op.grid, weight), safety=safety)
 
 
@@ -455,7 +460,7 @@ def test_nash_quotient_constant_function(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     ones = np.ones(grid.n_points)
-    (xq,), (yq,) = hl.nash_quotients(ones, weight, op)
+    (xq,), (yq,) = _quotients(ones, weight, op)
     int_v = float(np.sum(grid.node_masses * weight.value(grid.points)))
     assert xq == pytest.approx(1.0 / int_v ** 2, rel=1e-12)
     assert yq == 0.0
@@ -465,12 +470,12 @@ def test_nash_quotient_scale_invariance(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     f = hl.gaussian_bump_family(grid, 1, rng)
-    q1 = hl.nash_quotients(f, weight, op)
-    q2 = hl.nash_quotients(2.0 * f, weight, op)
+    q1 = _quotients(f, weight, op)
+    q2 = _quotients(2.0 * f, weight, op)
     assert q1[0][0] == pytest.approx(q2[0][0], rel=1e-12)
     assert q1[1][0] == pytest.approx(q2[1][0], rel=1e-12)
     with pytest.raises(ValueError):
-        hl.nash_quotients(np.zeros((1, grid.n_points)), weight, op)
+        _quotients(np.zeros((1, grid.n_points)), weight, op)
 
 
 def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
@@ -479,11 +484,11 @@ def test_empirical_rate_fit_and_heldout(mua_model, mua_setup, mua_pipeline):
     assert not rate.meta["degenerate"]
     assert rate.meta["lam"] == exps.lam
     # the envelope validates on the held-out family
-    xq, yq = hl.nash_quotients(heldout, weight, op)
+    xq, yq = _quotients(heldout, weight, op)
     assert np.count_nonzero(hl.envelope_slack(rate, xq, yq) < -1e-9) == 0
     # it is an actual envelope: without the safety factor it touches the data
     tight = _fit(train, weight, op, exps.lam)
-    xt, yt = hl.nash_quotients(train, weight, op)
+    xt, yt = _quotients(train, weight, op)
     sel = xt > tight.domain_floor
     margins = yt[sel] - np.asarray(tight.evaluate(xt[sel]))
     assert margins.min() >= -1e-9
@@ -501,7 +506,7 @@ def test_empirical_rate_degenerate_family(mua_model, mua_setup):
 def test_empirical_rate_parameter_validation(mua_model, mua_setup):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
-    xq, yq = hl.nash_quotients(np.ones((2, grid.n_points)), weight, op)
+    xq, yq = _quotients(np.ones((2, grid.n_points)), weight, op)
     with pytest.raises(TypeError):
         hl.empirical_rate(xq, yq)  # no lam, no floor
     with pytest.raises(ValueError):
@@ -509,14 +514,14 @@ def test_empirical_rate_parameter_validation(mua_model, mua_setup):
     with pytest.raises(ValueError):
         hl.empirical_rate(xq, yq, 0.9, 0.0, safety=0.5)
     with pytest.raises(ValueError):
-        hl.nash_quotients(np.ones((2, 7)), weight, op)
+        _quotients(np.ones((2, 7)), weight, op)
 
 
 def test_empirical_rate_explicit_floor(mua_model, mua_setup, rng):
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     fam = hl.gaussian_bump_family(grid, 20, rng)
-    xq, yq = hl.nash_quotients(fam, weight, op)
+    xq, yq = _quotients(fam, weight, op)
     rate = hl.empirical_rate(xq, yq, 0.95, 5.0)
     assert rate.meta["configured_floor"] == 5.0
     assert rate.domain_floor >= 5.0
@@ -571,7 +576,7 @@ def test_empirical_shift_is_the_least_feasible_float(a):
             near_min = hl.mu_a_exponents(a, beta, theta_min + 1e-3 * (1.0 - theta_min))
             for seed, count in [(0, 5), (1, 5), (0, 200), (1, 200)]:
                 family = hl.gaussian_bump_family(grid, count, np.random.default_rng(seed))
-                xq, yq = hl.nash_quotients(family, weight, op)
+                xq, yq = _quotients(family, weight, op)
                 for exps in (default, near_min):
                     for floor_scale in (1.5, 0.0):
                         m_floor = _floor(grid, weight, floor_scale)
@@ -667,6 +672,27 @@ def test_converse_nonpositive_terms_clip_to_zero():
         hl.converse_rate(ts, np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("times,k_values", [
+    ([1.0, math.inf], [2.0, 1.5]),
+    ([1.0, math.nan], [2.0, 1.5]),
+    ([1.0, 2.0], [2.0, math.nan]),
+    ([1.0, 2.0], [2.0, -math.inf]),
+], ids=["inf-time", "nan-time", "nan-K", "minus-inf-K"])
+def test_converse_refuses_nonfinite_samples(times, k_values):
+    with pytest.raises(ValueError, match="finite and positive"):
+        hl.converse_rate(np.array(times), np.array(k_values))
+
+
+def test_converse_infinite_k_adds_no_term():
+    # K = inf, read off a decay profile before it turns finite, bounds
+    # nothing: the rate is that of the finite samples alone
+    ts = np.geomspace(0.01, 10.0, 30)
+    ks = ts ** -0.5
+    with_inf = hl.converse_rate(np.concatenate(([1e-3, 5e-3], ts)), np.concatenate(([math.inf] * 2, ks)))
+    xs = np.geomspace(0.5, 50.0, 40)
+    assert np.array_equal(with_inf.evaluate(xs), hl.converse_rate(ts, ks).evaluate(xs))
+
+
 def test_converse_forward_consistency(mua_model, mua_setup, mua_pipeline):
     # K samples measured from the pipeline feed back into a rate the
     # held-out quotient pairs satisfy
@@ -675,7 +701,7 @@ def test_converse_forward_consistency(mua_model, mua_setup, mua_pipeline):
     ts = np.geomspace(1e-3, 1e2, 64)
     k_meas = np.array([hl.l2_bound(kp, cert, t / 2.0) for t in ts])  # K(t) e^{ct/2}
     back = hl.converse_rate(ts, k_meas)
-    xq, yq = hl.nash_quotients(heldout, weight, op)
+    xq, yq = _quotients(heldout, weight, op)
     assert np.count_nonzero(hl.envelope_slack(back, xq, yq) < -1e-9) == 0
 
 

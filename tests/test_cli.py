@@ -985,3 +985,61 @@ def test_nash_scan_makes_one_quotient_pass(monkeypatch):
     monkeypatch.setattr(hl.bounds, "nash_quotients", counting)
     cli.run_nash_scan(cli.ExperimentConfig.from_mapping({}))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("spectrum", "family = cauchy\nbeta_model = 1.0\n", "cauchy exponent must exceed 1"),
+    ("spectrum", "radius = 0\n", "radius must be positive"),
+    ("spectrum", "n_points = 2\n", "n_points must be at least 3"),
+    ("kernel", "times = 0.5, 0\n", "times must be positive"),
+    ("verify", "theta = 1.0\n", "theta must lie in (0,1)"),
+    ("verify", "safety = 0.99\n", "safety must be >= 1"),
+    ("nash-scan", "train_size = 0\n", "train_size must be >= 1 and heldout_size >= 0"),
+    ("verify", "heldout_size = -1\n", "train_size must be >= 1 and heldout_size >= 0"),
+], ids=["beta_model", "radius", "n_points", "times", "theta", "safety", "train_size", "heldout_size"])
+def test_config_refusal_exits_2_with_its_message(tmp_path, capsys, command, text, message):
+    cfg = write_config(tmp_path / "cfg.txt", text)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_nash_scan_with_the_unit_weight(tmp_path):
+    cfg = write_config(tmp_path / "cfg.txt", "weight = unit\nn_points = 200\ntrain_size = 20\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["nash-scan", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert read_report(out, "nash_scan_report.json")["checks"]["envelope_below_samples"]["pass"]
+    assert len(open(os.path.join(out, "nash_quotients.csv")).read().strip().split("\n")) == 1 + 20
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("1.0,2.0\n", "at least two rows"),
+    ("", "at least two rows"),
+    ("1.0,2.0\n2.0,inf\n", "K = inf"),
+    ("1.0,2.0\n2.0,nan\n", "K = nan"),
+    ("1.0,2.0\n2.0,-1.5\n", "K = -1.5"),
+], ids=["one-row", "header-only", "inf-K", "nan-K", "negative-K"])
+def test_bad_k_samples_file_exits_2(tmp_path, capsys, rows, message):
+    sample = tmp_path / "ksamples.csv"
+    sample.write_text("t,K\n" + rows)
+    cfg = write_config(tmp_path / "cfg.txt", f"k_samples_csv = {sample}\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["converse", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: K samples file {sample}") and message in err, err
+    assert not os.path.exists(out)
+
+
+def test_ou_kernel_past_exp_overflow(tmp_path):
+    # at t = 720 the diagonal bound's e^{2(t/2)} overflows a float; the bound
+    # is 1 there, and the run passes its checks
+    cfg = write_config(tmp_path / "cfg.txt", "family = ou\ntimes = 720\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = read_report(out, "kernel_report.json")
+    assert report["checks"]["bound_dominates"]["pass"] and report["checks"]["mehler_match"]["pass"]
+    lines = open(os.path.join(out, "kernel_table.csv")).read().strip().split("\n")[1:]
+    assert {float(line.split(",")[4]) for line in lines} == {1.0}

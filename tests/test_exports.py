@@ -4,6 +4,7 @@ import importlib
 import os
 import re
 import sys
+import types
 
 import pytest
 
@@ -19,17 +20,24 @@ def test_every_exported_name_resolves(module):
     assert not missing, missing
 
 
-def test_every_package_import_resolves():
-    path = os.path.join(os.path.dirname(heatlab.__file__), "__init__.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"heatlab.{node.module}")
-        for alias in node.names:
-            assert hasattr(mod, alias.name), (node.module, alias.name)
-            assert getattr(heatlab, alias.asname or alias.name) is getattr(mod, alias.name)
+def test_package_publishes_each_module_export():
+    # heatlab's public names are the __all__ of its library modules, the four
+    # error classes and its submodules, each the module's own object, and
+    # nothing else; __version__ besides
+    lists = [(mod, mod.__all__) for mod in (measures, spectral, bounds)]
+    exported = {name: mod for mod, names in lists for name in names}
+    assert len(exported) == sum(len(names) for _, names in lists)  # no name in two lists
+    errors = {"CalibrationError", "ConfigError", "IntegrabilityError", "NumericError"}
+    public = {name for name in dir(heatlab) if not name.startswith("_")}
+    submodules = {name for name in public if isinstance(getattr(heatlab, name), types.ModuleType)}
+    assert public - submodules == set(exported) | errors
+    for name in submodules:
+        assert getattr(heatlab, name) is sys.modules.get(f"heatlab.{name}"), name
+    for name, mod in exported.items():
+        assert getattr(heatlab, name) is getattr(mod, name), name
+    for name in errors:
+        assert getattr(heatlab, name) is getattr(heatlab.errors, name), name
+    assert isinstance(heatlab.__version__, str)
 
 
 def _unread_parameters(tree):

@@ -351,3 +351,20 @@ def test_mehler_weight_matches_diag_bound():
     x = np.linspace(-2, 2, 9)
     prod = w.value(x)[:, None] * w.value(x)[None, :]
     assert np.allclose(prod, hl.mehler_diag_bound(t, x[:, None], x[None, :]), rtol=1e-13)
+
+
+def test_mehler_forms_stay_finite_past_exp_overflow():
+    # e^{2t} overflows a float once 2t > 709.78; both forms are then 1 (their
+    # x-dependence has decayed), and below that they keep their old bits
+    assert hl.mehler_diag_bound(400.0, 1.0, 1.0) == 1.0
+    assert hl.mehler_weight(400.0).value(1.0) == 1.0
+    assert np.array_equal(hl.mehler_diag_bound(1e6, np.array([0.0, 3.0]), 5.0), [1.0, 1.0])
+    weight = hl.mehler_weight(1e6)
+    assert weight.dlog(2.0) == 0.0 and weight.d2log(2.0) == 0.0
+    xs = np.linspace(-3.0, 3.0, 7)
+    for t in (0.1, 2.0, 354.0, 354.89):
+        denom = 2.0 * (1.0 + math.exp(2.0 * t))
+        old = (1.0 - math.exp(-4.0 * t)) ** -0.5 * np.exp(xs * xs / denom + 1.0 / denom)
+        assert np.array_equal(hl.mehler_diag_bound(t, xs, 1.0), old)
+        old_log = math.log((1.0 - math.exp(-4.0 * t)) ** -0.25) + xs * xs / denom
+        assert np.array_equal(hl.mehler_weight(t).log_value(xs), old_log)

@@ -596,23 +596,29 @@ def test_norms(mua_setup, mua_model, rng):
         hl.l2_norm(np.ones(7), grid)
 
 
-def test_norm_helpers_take_stacks(mua_setup, rng):
-    # a (..., n) stack gives one value per row, equal to the per-row call up
-    # to the BLAS summation order of the matrix-vector product
+def test_norm_helpers_take_one_function(mua_setup, rng):
+    # each helper takes one grid function and returns a float, equal to the
+    # row of ``family_norms`` up to the BLAS summation order of its
+    # matrix-vector product (the energy, a plain sum, bit for bit); a stack
+    # or a function of the wrong length is refused
     grid, op, _ = mua_setup
     weight = hl.weight_mu_a(1.5, 1.0)
     bumps = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
     stack = bumps * rng.standard_normal((3, 4, 1))
-    for norm, args in ((hl.l2_norm, (grid,)), (hl.weighted_l1, (weight, grid)),
-                       (hl.dirichlet_energy, (op,))):
-        values = norm(stack, *args)
-        per_row = np.array([[norm(f, *args) for f in block] for block in stack])
-        assert values.shape == (3, 4)
-        assert isinstance(norm(stack[0, 0], *args), float)
-        assert np.allclose(values, per_row, rtol=4 * np.finfo(float).eps, atol=0.0), norm.__name__
-    assert np.array_equal(hl.dirichlet_energy(stack, op), per_row)
+    norms = hl.family_norms(stack, weight, op, None)
+    rows = stack.reshape(12, grid.n_points)
+    for norm, args, sums in ((hl.l2_norm, (grid,), np.sqrt(norms.l2sq)),
+                             (hl.weighted_l1, (weight, grid), norms.l1w),
+                             (hl.dirichlet_energy, (op,), norms.energy)):
+        per_row = np.array([norm(f, *args) for f in rows])
+        assert all(isinstance(norm(f, *args), float) for f in rows[:2])
+        assert np.allclose(sums, per_row, rtol=4 * np.finfo(float).eps, atol=0.0), norm.__name__
+        for bad in (stack, stack[0], rows[0, :-1]):
+            with pytest.raises(ValueError, match="family_norms"):
+                norm(bad, *args)
+    assert np.array_equal(norms.energy, per_row)
     with pytest.raises(ValueError):
-        hl.weighted_l1(stack[..., :-1], weight, grid)
+        hl.family_norms(stack[..., :-1], weight, op, None)
 
 
 def test_ground_state_transform(mua_model, mua_setup):
@@ -669,8 +675,8 @@ def test_heldout_family_follows_unbuilt_training_draws(mua_setup):
 @pytest.mark.parametrize("count", [1, hl.spectral._FAMILY_ROWS, hl.spectral._FAMILY_ROWS + 1, 200])
 def test_blocked_family_pass_is_exact(mua_model, count):
     # one pass over the streamed blocks gives the quotients, norms and
-    # coefficients of the whole-array functions, bit for bit, a short last
-    # block included
+    # coefficients of a pass over the same functions as one array, bit for
+    # bit, a short last block included
     grid = hl.make_grid(mua_model, 3200)
     op = hl.discretize(mua_model, grid)
     dec = hl.eigendecompose(op, t_first=0.25)
@@ -681,15 +687,17 @@ def test_blocked_family_pass_is_exact(mua_model, count):
     assert max(len(b) for b in blocks) <= hl.spectral._FAMILY_ROWS
     assert np.array_equal(np.concatenate(blocks), fam)
     norms = hl.family_norms(iter(blocks), weight, op, dec)
-    assert np.array_equal(norms.l1w, hl.weighted_l1(fam, weight, grid))
-    assert np.array_equal(np.sqrt(norms.l2sq), hl.l2_norm(fam, grid))
-    assert np.array_equal(norms.energy, hl.dirichlet_energy(fam, op))
-    assert np.array_equal(norms.coefficients, hl.family_norms(fam, weight, op, dec).coefficients)
+    whole = hl.family_norms(fam, weight, op, dec)
+    for field in ("l1w", "l2sq", "energy", "coefficients"):
+        assert np.array_equal(getattr(norms, field), getattr(whole, field)), field
+    assert norms.l1w.shape == (count,)
     assert norms.coefficients.shape == (count, dec.eigenvalues.size)
-    assert np.array_equal(hl.semigroup_norms(dec, norms, times), hl.semigroup_norms(dec, fam, times))
-    for blocked, whole in zip(hl.nash_quotients(norms, weight, op), hl.nash_quotients(fam, weight, op)):
-        assert np.array_equal(blocked, whole)
-    assert hl.family_norms(fam, weight, op, None).coefficients is None
+    assert np.array_equal(hl.semigroup_norms(dec, norms, times), hl.semigroup_norms(dec, whole, times))
+    for blocked, array in zip(hl.nash_quotients(norms), hl.nash_quotients(whole)):
+        assert np.array_equal(blocked, array)
+    without = hl.family_norms(fam, weight, op, None)
+    assert without.coefficients is None
+    assert np.array_equal(without.l1w, whole.l1w) and np.array_equal(without.energy, whole.energy)
 
 
 def _truncated(op, t_first, monkeypatch):
@@ -828,16 +836,22 @@ def test_semigroup_norms_by_parseval(mua_model, n_points, monkeypatch):
     full = hl.eigendecompose(op)
     part = _truncated(op, 0.25, monkeypatch)
     assert math.isinf(full.tail_rate) and math.isfinite(part.tail_rate)
+    weight = hl.unit_weight()
     for dec in (full, part):
-        norms = hl.semigroup_norms(dec, fam, times)
+        norms = hl.semigroup_norms(dec, hl.family_norms(fam, weight, op, dec), times)
         assert norms.shape == (len(times), fam.shape[0])
         for t, norm in zip(times, norms):
-            synthesized = hl.l2_norm(hl.apply_semigroup(dec, fam, t), grid)
+            synthesized = np.array([hl.l2_norm(pf, grid) for pf in hl.apply_semigroup(dec, fam, t)])
             assert np.all(np.abs(norm - synthesized) <= 1e-13 * synthesized)
-        single = hl.semigroup_norms(dec, fam[0], times)
-        assert single.shape == (len(times),)
-        assert np.allclose(single, norms[:, 0], rtol=1e-14, atol=0.0)
+        single = hl.semigroup_norms(dec, hl.family_norms(fam[0], weight, op, dec), times)
+        assert single.shape == (len(times), 1)
+        assert np.allclose(single[:, 0], norms[:, 0], rtol=1e-14, atol=0.0)
+    reduced = hl.family_norms(fam, weight, op, part)
     with pytest.raises(ValueError):
-        hl.semigroup_norms(part, fam, (0.2, 0.5))
+        hl.semigroup_norms(part, reduced, (0.2, 0.5))
     with pytest.raises(ValueError):
-        hl.semigroup_norms(full, fam, (-1.0,))
+        hl.semigroup_norms(full, hl.family_norms(fam, weight, op, full), (-1.0,))
+    # the coefficients come only from a pass given the decomposition
+    for no_coefficients in (hl.family_norms(fam, weight, op, None), fam):
+        with pytest.raises(ValueError, match=r"family_norms\(\.\.\., dec\)"):
+            hl.semigroup_norms(full, no_coefficients, times)
