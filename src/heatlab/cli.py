@@ -128,18 +128,20 @@ class ReportRecord:
 def _domination(slacks, tolerance: float = 1e-9, **extra) -> dict:
     """The check "bound - actual >= -tolerance everywhere" over an iterable of
     slack arrays, consumed one at a time: the least slack and the count of
-    slacks below -tolerance, passing when that count is zero.  Judged slacks all
-    +inf (an infinite bound certifies nothing) make it vacuous, not passing;
-    some but not all +inf leave the pass as it is and are counted as
-    ``unbounded``, since the check then holds only where the bound is finite."""
+    slacks not >= -tolerance, passing when that count is zero.  A NaN slack
+    judges nothing, so it counts as a violation and is left out of the least
+    slack.  Judged slacks all +inf (an infinite bound certifies nothing) make
+    it vacuous, not passing; some but not all +inf leave the pass as it is
+    and are counted as ``unbounded``, since the check then holds only where
+    the bound is finite."""
     min_slack, violations, judged, unbounded = math.inf, 0, 0, 0
     for slack in slacks:
         slack = np.asarray(slack)
-        min_slack = min(min_slack, float(slack.min(initial=math.inf)))
-        violations += int(np.count_nonzero(slack < -tolerance))
+        min_slack = min(min_slack, float(np.fmin.reduce(slack, axis=None, initial=math.inf)))
+        violations += slack.size - int(np.count_nonzero(slack >= -tolerance))
         judged += slack.size
         unbounded += int(np.count_nonzero(slack == math.inf))
-    if judged and min_slack == math.inf:
+    if judged and unbounded == judged:
         flag = {"vacuous": True}
     else:
         flag = {"unbounded": unbounded} if unbounded else {}
@@ -275,12 +277,26 @@ def _decompose(cfg: ExperimentConfig, model, t_first=None):
     return grid, op, dec
 
 
+#: one table value as text, round-trip exact
+_format_value = "%.17g".__mod__
+
+
 def _csv(header: list[str], rows) -> str:
-    """A numeric table, every value as ``%.17g`` (round-trip exact) by one
-    ``%``-format per row: ``rows`` holds rows of the header's width, or is a
-    2-D float array."""
-    template = ",".join(["%.17g"] * len(header))
-    return "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
+    """A numeric table, every value as ``%.17g``: ``rows`` holds rows of the
+    header's width, or is a 2-D float array.  Each distinct value is
+    formatted once and its text reused; values are told apart by their
+    bits, so ``0.0`` and ``-0.0`` keep their own text (and every NaN reads
+    ``nan``).  The bytes are those of formatting each value on its own."""
+    try:
+        table = np.ascontiguousarray(rows, dtype=float)
+        if table.size and table.shape[1:] != (len(header),):
+            raise ValueError(f"got a {table.shape} table")
+    except ValueError as exc:  # also ragged rows, or a value that is not a number
+        raise TypeError(f"rows of {len(header)} numbers expected: {exc}") from exc
+    bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(list(map(_format_value, bits.view(float).tolist())), dtype=object)
+    lines = text[inverse].reshape(table.shape).tolist()
+    return "\n".join([",".join(header), *map(",".join, lines)]) + "\n"
 
 
 def _closed_rate(cfg: ExperimentConfig):
@@ -343,7 +359,8 @@ def run_spectrum(cfg: ExperimentConfig):
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model)
     lam = dec.eigenvalues
-    rows = [[i, lam[i], math.exp(-lam[i])] for i in range(len(lam))]
+    # math.exp per eigenvalue: numpy's vectorized exp may differ in the last ulp
+    table = np.column_stack((np.arange(lam.size), lam, [math.exp(-v) for v in lam.tolist()]))
     e0 = dec.eigenfunctions[:, 0]
     # G = B^T B with B = E sqrt(M): one dsyrk from scipy's _fblas, on the
     # OpenBLAS the LAPACK eigensolvers use, half the flops of a GEMM, and no
@@ -366,7 +383,7 @@ def run_spectrum(cfg: ExperimentConfig):
         results={"eigenvalues_head": [float(v) for v in lam[:8]], "mass_total": float(grid.node_masses.sum())},
         checks=checks,
     )
-    return record, {"spectrum.csv": _csv(["index", "lambda", "exp_minus_lambda_t1"], rows)}
+    return record, {"spectrum.csv": _csv(["index", "lambda", "exp_minus_lambda_t1"], table)}
 
 
 def _kernel_sample_nodes(grid):
@@ -395,7 +412,7 @@ def run_kernel(cfg: ExperimentConfig):
     is_ou = cfg.family == "ou"
     if is_ou:
         header += ["mehler", "mehler_rel_dev"]
-    rows, measured = [], []
+    blocks, measured = [], []
     max_rel_dev = 0.0
     # the OU diagonal bound is an equality at x = y, so the discretized
     # kernel may exceed it by its own O(h^2) error: judge it relatively
@@ -423,7 +440,7 @@ def run_kernel(cfg: ExperimentConfig):
             rel = np.abs(p - me) / np.maximum(me, noise_floor)
             max_rel_dev = max(max_rel_dev, float(np.max(rel)))
             cols += [me, rel]
-        rows += np.stack([c.ravel() for c in cols], axis=1).tolist()
+        blocks.append(np.stack([c.ravel() for c in cols], axis=1))
     # with no bound (an all-nan column) the check is left out rather than
     # passed over zero judged pairs
     checks = {}
@@ -439,7 +456,7 @@ def run_kernel(cfg: ExperimentConfig):
         results=results,
         checks=checks,
     )
-    return record, {"kernel_table.csv": _csv(header, rows)}
+    return record, {"kernel_table.csv": _csv(header, np.concatenate(blocks))}
 
 
 #: rows of the kernel table synthesized at once by verify's all-pairs scan
@@ -652,21 +669,27 @@ def run_nash_scan(cfg: ExperimentConfig):
 def run_trace(cfg: ExperimentConfig):
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model)
+    header = ["t", "trace", "hs_norm_sq", "diag_quadrature"]
     rows = []
     worst = 0.0
     for t in cfg.times:
-        tr = spectral.trace(dec, t)
-        hs = spectral.trace(dec, 2.0 * t)
-        diag = spectral.diagonal_trace_quadrature(dec, 2.0 * t)
-        rows.append([t, tr, hs, diag])
-        worst = max(worst, abs(hs - diag))
+        # a computed lambda_0 a rounding below 0 makes exp(-lambda_0 t)
+        # overflow at a large enough t: refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = [t, spectral.trace(dec, t), spectral.trace(dec, 2.0 * t),
+                   spectral.diagonal_trace_quadrature(dec, 2.0 * t)]
+        for name, value in zip(header[1:], row[1:]):
+            if not math.isfinite(value):
+                raise NumericError(f"{name} overflowed at t = {t!r} (got {value!r})")
+        rows.append(row)
+        worst = max(worst, abs(row[2] - row[3]))
     record = ReportRecord(
         experiment="trace",
         inputs={"model": model.name, "n_points": grid.n_points, "seed": cfg.seed, "times": list(cfg.times)},
         results={"max_hs_diag_defect": worst},
         checks={"hs_equals_diag_quadrature": _within(worst, 1e-8)},
     )
-    return record, {"trace_table.csv": _csv(["t", "trace", "hs_norm_sq", "diag_quadrature"], rows)}
+    return record, {"trace_table.csv": _csv(header, rows)}
 
 
 _RUNNERS = {

@@ -584,6 +584,19 @@ def test_domination_check():
     assert "unbounded" not in cli._domination([np.array([inf, inf])])
 
 
+def test_domination_counts_a_nan_slack_as_a_violation():
+    # a NaN slack judges nothing: it fails the check, and the least slack is
+    # taken over the other slacks, not hidden behind the NaN
+    nan = math.nan
+    assert cli._domination([[2.0], [nan, 1.0]]) == {"pass": False, "min_slack": 1.0,
+                                                    "violations": 1, "tolerance": 1e-9}
+    assert cli._domination([[2.0], [nan, -1.0]]) == {"pass": False, "min_slack": -1.0,
+                                                     "violations": 2, "tolerance": 1e-9}
+    chk = cli._domination([np.array([[nan, math.inf], [3.0, nan]])])
+    assert chk == {"pass": False, "min_slack": 3.0, "violations": 2, "tolerance": 1e-9,
+                   "unbounded": 1}
+
+
 def test_within_check():
     assert cli._within(-3.0, 1.0, deviation=3.0) == {"pass": False, "value": -3.0, "tolerance": 1.0}
     assert cli._within(1.0, 1.0)["pass"]
@@ -601,6 +614,19 @@ def test_trace_subcommand(tmp_path):
     for line in lines[1:]:
         t, tr, hs, diag = map(float, line.split(","))
         assert abs(hs - diag) <= 1e-8
+
+
+def test_trace_refuses_an_overflowed_trace(tmp_path, capsys):
+    # OU at n = 800 computes lambda_0 a rounding below 0, so exp(-lambda_0 t)
+    # overflows at t = 1e20: the run exits 3 naming the time, without
+    # numpy's overflow warnings and without an output directory
+    cfg = write_config(tmp_path / "cfg.txt", "family = ou\ntimes = 1.0, 1e20\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["trace", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "numeric error: trace overflowed at t = 1e+20 (got inf)\n"
+    assert not os.path.exists(out)
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -783,6 +809,49 @@ def test_csv_leaves_no_objects_behind():
     text = cli._csv([f"c{i}" for i in range(17)], rows)
     del text
     assert sys.getallocatedblocks() - before < 100
+
+
+def _from_bits(*words):
+    return np.array(words, dtype=np.uint64).view(float)
+
+
+@pytest.mark.parametrize("case", ["repeated", "signed-zeros", "nans-and-infs", "subnormals",
+                                  "f-ordered", "strided", "transposed"])
+def test_csv_keeps_apart_what_only_the_bits_tell_apart(rng, case):
+    # the writer formats each distinct bit pattern once: values that compare
+    # equal (0.0 and -0.0) or that never do (NaNs) must still print as each
+    # one does on its own, from any array layout
+    header = ["a", "b", "c", "d"]
+    nans = _from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                      0xFFF4000000000123, 0x7FF0000000000000, 0xFFF0000000000000)
+    tiny = _from_bits(1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+                      0x8000000000000002)
+    pool = {"repeated": [0.25, -1.5, 1e-300, 3.0e200, 0.1], "signed-zeros": [0.0, -0.0, 1.0],
+            "nans-and-infs": [*nans, 0.0, -0.0, 2.5], "subnormals": [*tiny, 0.0, -0.0]}
+    wide = rng.choice(pool.get(case, [*nans[:3], *tiny[:2], 0.0, -0.0, 1.5]), size=(120, 8))
+    table = {"f-ordered": np.asfortranarray(wide[:, :4]), "strided": wide[::3, 1::2],
+             "transposed": wide[:4].T}.get(case, wide[:, :4])
+    assert cli._csv(header, table) == _csv_per_value(header, table.tolist())
+    assert cli._csv(header, table.tolist()) == _csv_per_value(header, table.tolist())
+
+
+def test_csv_formats_each_distinct_value_once(monkeypatch):
+    # the default kernel table holds 7938 cells but about 1500 distinct values:
+    # each is formatted once, so formatting every cell again fails here
+    formatted = []
+
+    def counting(value):
+        formatted.append(value)
+        return "%.17g" % value
+
+    monkeypatch.setattr(cli, "_format_value", counting)
+    _, files = cli.run_kernel(cli.ExperimentConfig())
+    cells = np.array([[float(v) for v in line.split(",")]
+                      for line in files["kernel_table.csv"].splitlines()[1:]])
+    distinct = np.unique(cells.view(np.int64)).size
+    assert cells.size == 7938
+    assert len(formatted) == distinct < cells.size // 4
+    assert np.unique(np.array(formatted).view(np.int64)).size == distinct
 
 
 LOG_RATE = VERIFY_SMALL + "rate = log\n"
