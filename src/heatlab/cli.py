@@ -33,6 +33,12 @@ __all__ = ["ExperimentConfig", "ReportRecord", "parse_config", "main"]
 
 _SCHEMA = "heatlab.report.v1"
 
+#: The calibration's numeric guards: the bumps in the training and in the
+#: held-out family, the envelope floor in units of a constant's quotient x,
+#: 1/(sum_i m_i V_i)^2, and the factor (>= 1) on the fitted envelope shift
+_TRAIN_SIZE = _HELDOUT_SIZE = 200
+_FLOOR_SCALE = _SAFETY = 1.5
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings; each field is a config key, with its default."""
@@ -47,17 +53,12 @@ class ExperimentConfig:
     times: tuple = (0.25, 0.5, 1.0)
     seed: int = 0
     theta: float | None = None
-    train_size: int = 200
-    heldout_size: int = 200
-    floor_scale: float = 1.5
-    safety: float = 1.5
     rate: str = "empirical"
     rate_n: float = 1.0
     rate_c: float = 1.0
     log_a: float = 2.5
     k_samples_csv: str | None = None
     family_kind: str = "bumps"
-    trace_check: bool = True
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -100,10 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"log_a must exceed 1, got {self.log_a}")
         if self.family_kind not in ("bumps", "constants"):
             raise ConfigError(f"unknown family kind {self.family_kind!r}")
-        if not self.safety >= 1.0:
-            raise ConfigError(f"safety must be >= 1, got {self.safety}")
-        if self.train_size < 1 or self.heldout_size < 0:
-            raise ConfigError("train_size must be >= 1 and heldout_size >= 0")
 
 
 @dataclasses.dataclass
@@ -155,13 +152,11 @@ def _within(value, tolerance: float, deviation=None) -> dict:
     return {"pass": bool(deviation <= tolerance), "value": float(value), "tolerance": tolerance}
 
 
-def _exactly(kind: type, expected: str):
-    """A converter passing only values of type ``kind`` itself (no bool as an int)."""
-    def convert(value):
-        if type(value) is not kind:
-            raise ValueError(f"expected {expected}, got {value!r}")
-        return value
-    return convert
+def _integer(value) -> int:
+    """An int itself (not a bool, not a float, not a quoted number)."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _finite(value) -> float:
@@ -171,8 +166,7 @@ def _finite(value) -> float:
     return float(value)
 
 
-_CONVERTERS = {"str": str, "float": _finite, "int": _exactly(int, "an integer"),
-               "bool": _exactly(bool, "true or false")}
+_CONVERTERS = {"str": str, "float": _finite, "int": _integer}
 
 
 def _coerce(annotation: str, value):
@@ -324,11 +318,11 @@ def _exponents(cfg: ExperimentConfig) -> bounds.MuAExponents:
 
 def _fit_envelope(cfg: ExperimentConfig, grid, weight, xq, yq):
     """(envelope, exponents): the envelope at the config's lam below the pairs
-    (xq, yq) above ``floor_scale`` times 1/(sum_i m_i V_i)^2, a constant's x."""
+    (xq, yq) above ``_FLOOR_SCALE`` times 1/(sum_i m_i V_i)^2, a constant's x."""
     exps = _exponents(cfg)
     m, v = grid.node_masses, weight.value(grid.points)
-    floor = cfg.floor_scale * (1.0 / float(np.sum(m * v)) ** 2)
-    return bounds.empirical_rate(xq, yq, exps.lam, floor, safety=cfg.safety), exps
+    floor = _FLOOR_SCALE * (1.0 / float(np.sum(m * v)) ** 2)
+    return bounds.empirical_rate(xq, yq, exps.lam, floor, safety=_SAFETY), exps
 
 
 def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
@@ -341,7 +335,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
         raise ConfigError("the verification pipeline requires the mu_a family with a > 1")
     weight = _build_weight(cfg, model)
     cert = bounds.lyapunov_constant(model, weight, grid).nonnegative()
-    train = spectral.gaussian_bump_blocks(grid, cfg.train_size, rng)
+    train = spectral.gaussian_bump_blocks(grid, _TRAIN_SIZE, rng)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
         xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op, None))
@@ -510,8 +504,6 @@ def _kernel_domination(dec, kp, cert, times) -> dict:
 
 
 def run_verify(cfg: ExperimentConfig):
-    if not cfg.heldout_size:
-        raise ConfigError("verify requires a nonempty held-out family")
     model = _build_model(cfg)
     grid, op, dec = _decompose(cfg, model, t_first=min(cfg.times))
     rng = np.random.default_rng(cfg.seed)
@@ -519,7 +511,7 @@ def run_verify(cfg: ExperimentConfig):
     weight, rate = cert.weight, kp.rate
     # one pass over the held-out rows gives every per-row value used below
     heldout = spectral.family_norms(
-        spectral.gaussian_bump_blocks(grid, cfg.heldout_size, rng), weight, op, dec)
+        spectral.gaussian_bump_blocks(grid, _HELDOUT_SIZE, rng), weight, op, dec)
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
@@ -536,9 +528,14 @@ def run_verify(cfg: ExperimentConfig):
     # (b) kernel domination over all grid pairs
     checks["kernel_domination"] = _kernel_domination(dec, kp, cert, cfg.times)
 
-    # (c) trace domination (requires V in L2)
-    trace_rows = []
-    if cfg.trace_check:
+    # (c) trace domination, which the kernel bound gives only for V in
+    # L2(mu); for any other V the report gives the reason it is left out
+    files, not_applicable = {}, {}
+    try:
+        bounds.weight_squared_mass(model, weight, grid)
+    except IntegrabilityError as exc:
+        not_applicable["trace_not_applicable"] = str(exc)
+    else:
         trace_rows = [
             [t, spectral.trace(dec, 2.0 * t), bounds.trace_bound(kp, cert, model, grid, t)]
             for t in cfg.times
@@ -546,6 +543,7 @@ def run_verify(cfg: ExperimentConfig):
         checks["trace_domination"] = _domination(
             tb - (hs + spectral.trace_tail(dec, 2.0 * t)) for t, hs, tb in trace_rows
         )
+        files["verify_trace.csv"] = _csv(["t", "hs_norm_sq", "trace_bound"], trace_rows)
 
     xq, yq = bounds.nash_quotients(heldout)
     checks["heldout_envelope"] = _domination([bounds.envelope_slack(rate, xq, yq)])
@@ -556,8 +554,8 @@ def run_verify(cfg: ExperimentConfig):
         inputs={
             "model": model.name, "radius": grid.radius, "n_points": grid.n_points,
             "beta": cfg.beta, "seed": cfg.seed, "times": list(cfg.times),
-            "train_size": cfg.train_size, "heldout_size": cfg.heldout_size,
-            "floor_scale": cfg.floor_scale, "safety": cfg.safety,
+            "train_size": _TRAIN_SIZE, "heldout_size": _HELDOUT_SIZE,
+            "floor_scale": _FLOOR_SCALE, "safety": _SAFETY,
         },
         results={
             "lyapunov_constant": cert.constant,
@@ -570,10 +568,10 @@ def run_verify(cfg: ExperimentConfig):
             "k_times_exp_ct": k_table,
             "ultracontractive": bounds.is_integrable(bounds.log_rate(cfg.a)),
             "degenerate_rate": rate.meta.get("degenerate", False),
+            **not_applicable,
         },
         checks=checks,
     )
-    files = {"verify_trace.csv": _csv(["t", "hs_norm_sq", "trace_bound"], trace_rows)} if trace_rows else {}
     return record, files
 
 
@@ -637,9 +635,9 @@ def run_nash_scan(cfg: ExperimentConfig):
     grid = spectral.make_grid(model, cfg.n_points)
     op = spectral.discretize(model, grid)
     if cfg.family_kind == "constants":
-        family = np.ones((cfg.train_size, grid.n_points))
+        family = np.ones((_TRAIN_SIZE, grid.n_points))
     else:
-        family = spectral.gaussian_bump_blocks(grid, cfg.train_size, np.random.default_rng(cfg.seed))
+        family = spectral.gaussian_bump_blocks(grid, _TRAIN_SIZE, np.random.default_rng(cfg.seed))
     xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op, None))
     rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
@@ -649,7 +647,7 @@ def run_nash_scan(cfg: ExperimentConfig):
         experiment="nash_scan",
         inputs={
             "model": model.name, "n_points": grid.n_points, "seed": cfg.seed,
-            "family_kind": cfg.family_kind, "family_size": cfg.train_size,
+            "family_kind": cfg.family_kind, "family_size": _TRAIN_SIZE,
         },
         results={
             "envelope_shift": rate.meta.get("c_shift"),

@@ -83,14 +83,15 @@ _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 #: Largest kept-mode fraction k/n for which the subset solve (bisection
 #: plus inverse iteration) is taken; above it every mode is computed.
 #: ``eigendecompose`` time, Sturm count and scatter included, subset over
-#: full, for mu_a(1.5), OU and Cauchy(2) at n = 400, 800, 1600 and 3200
-#: (medians of 9-61 alternated calls, 2-vCPU x86-64 KVM guest, scipy 1.17.1):
+#: full, for mu_a(1.5), OU and Cauchy(2) at n = 400, 800, 1600 and 3200, the
+#: subset forced and lambda_cut midway between modes k and k + 1 (medians of
+#: 9 alternated calls, 2-vCPU x86-64 KVM guest, scipy 1.17.1):
 #:
 #:     k/n    0.084      0.10       0.12       0.135      0.15       0.20
-#:     ratio  0.53-0.74  0.66-0.87  0.77-1.05  0.95-1.19  1.08-1.28  1.49-1.81
+#:     ratio  0.44-0.67  0.55-0.78  0.68-0.94  0.77-1.04  0.98-1.16  1.35-1.53
 #:
-#: The rule that set 0.12, the largest k/n costing at most about 0.8 of the
-#: full solve, now gives about 0.09; moving it would change some runs' last bits.
+#: 0.12 is the largest k/n in the table at which the subset solve is faster
+#: than the full one in every case measured.
 _PARTIAL_MAX_FRAC = 0.12
 
 #: Rows of a function family built and reduced at once (``gaussian_bump_blocks``
@@ -373,7 +374,8 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     LAPACK call per block (1.5 n^2 doubles), a truncated set in one
     bisection and inverse iteration on both.  A decomposition whose n x k
     eigenfunction table exceeds ``_TABLE_MAX_BYTES`` (k = n for all modes)
-    is refused with a NumericError before anything of its size is allocated.
+    is refused with a NumericError before anything of its size is allocated,
+    and so is a truncated decomposition that keeps no mode at all.
     """
     diag, offdiag = np.asarray_chkfinite(op.sym_diag), np.asarray_chkfinite(op.sym_offdiag)
     if diag.ndim != 1 or offdiag.ndim != 1 or diag.size != offdiag.size + 1:
@@ -401,6 +403,9 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
         w, ef = _solve_parity_blocks(diag, offdiag, op.grid.node_masses, cut)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    if not w.size:  # even the constant mode's computed lambda_0 rounds above the cut
+        raise NumericError(f"no mode kept: every computed eigenvalue exceeds lambda_cut = 52 ln2 / t_first "
+                           f"= {cut!r} at t_first = {t_first!r}")
     return SpectralDecomposition(
         eigenvalues=w,
         eigenfunctions=ef,

@@ -1,7 +1,27 @@
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import heatlab as hl
+
+
+def pytest_report_header(config):
+    """The OpenBLAS build and thread count numpy and scipy load, from the
+    benchmark's own record: the golden tables of full solves depend on the
+    thread count (README, "Goldens and BLAS")."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(bench, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, bench)  # run.py imports its workloads module
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(bench)
+    return [f"blas: {entry['package']} {entry['library']}, threads {entry.get('threads')}, "
+            f"{entry.get('config', 'config unknown')}" for entry in run._blas_record()]
 
 
 @pytest.fixture(scope="session")

@@ -41,9 +41,6 @@ n_points = 300
 weight = mu_a
 beta = 1.0
 times = 0.5, 1.0
-train_size = 40
-heldout_size = 40
-safety = 1.5
 seed = 5
 """
 
@@ -142,6 +139,7 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("converse", "rate = classical\nrate_c = -1\n"),
     ("converse", "rate = log\nlog_a = 1\n"),
     ("kernel", "rate_n = -1\n"),
+    # the retired trace_check, safety and floor_scale: unknown, whatever the value
     ("verify", "trace_check = off\n"),
     ("verify", "trace_check = none\n"),
     ("verify", "trace_check = 1\n"),
@@ -150,10 +148,10 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     ("spectrum", "seed = true\n"),
     ("spectrum", "seed = -1\n"),
     ("spectrum", "a = true\n"),
-    ("spectrum", "safety = true\n"),
+    ("spectrum", "safety = true\n"),  # retired
     ("spectrum", "times = true\n"),
     ("spectrum", "rate_c = NaN\n"),
-    ("spectrum", "floor_scale = nan\n"),
+    ("spectrum", "floor_scale = nan\n"),  # retired
     ("spectrum", "times = NaN\n"),
     ("spectrum", "times = 0.5, Infinity\n"),
     ("spectrum", "a = \"1.5\"\n"),
@@ -288,54 +286,44 @@ def test_verify_pipeline(tmp_path):
 def test_verify_ultracontractive_uses_exact_criterion(tmp_path):
     # phi = x (log x)^{2(1-1/a)} with a = 2.1 is integrable (exponent 1.048 > 1),
     # just above the borderline a = 2
-    cfg = write_config(tmp_path / "cfg.txt", "a = 2.1\nn_points = 300\ntrain_size = 40\nheldout_size = 40\n")
+    cfg = write_config(tmp_path / "cfg.txt", "a = 2.1\nn_points = 300\n")
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert read_report(out, "verify_report.json")["results"]["ultracontractive"] is True
 
 
-def test_verify_universal_weight_trace_exits_5(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.txt", VERIFY_SMALL.replace("weight = mu_a", "weight = universal")
-    )
+@pytest.mark.parametrize("text,traced", [
+    ("a = 2.5\nbeta = 0.51\n", True), ("a = 2.5\nbeta = 0.5\n", False), ("weight = universal\n", False),
+], ids=["beta-0.51", "beta-0.5", "universal"])
+def test_verify_trace_check_follows_the_weight(tmp_path, text, traced):
+    # the trace bound needs V in L2(mu).  V = exp(T^a/2) T^{-beta} is in
+    # L2(mu_a) exactly when beta > 1/2; with a = 2.5 the window is narrow
+    # (R = 3.47), where V^2 rho is far from a power of x but is exactly
+    # C T^{-2 beta}.  The universal weight has V^2 rho = 1.  Otherwise the
+    # check and its table are left out, and the report says why
+    cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 300\n")
     out = str(tmp_path / "out")
-    assert cli.main(["verify", "--config", cfg, "--out", out]) == 5
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("beta,code", [(0.51, 0), (0.5, 5)])
-def test_verify_trace_needs_beta_above_one_half(tmp_path, beta, code):
-    # V = exp(T^a/2) T^{-beta} is in L2(mu_a) exactly when beta > 1/2; with
-    # a = 2.5 the window is narrow (R = 3.47), where V^2 rho is far from a
-    # power of x but is exactly C T^{-2 beta}
-    cfg = write_config(tmp_path / "cfg.txt", f"a = 2.5\nbeta = {beta}\nn_points = 300\n"
-                       "train_size = 40\nheldout_size = 40\n")
-    out = str(tmp_path / "out")
-    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == code
-    if code:
-        assert not os.path.exists(out)
+    assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = read_report(out, "verify_report.json")
+    assert os.path.exists(os.path.join(out, "verify_trace.csv")) == traced
+    assert ("trace_domination" in report["checks"]) == traced
+    if traced:
+        assert report["checks"]["trace_domination"]["pass"]
+        assert "trace_not_applicable" not in report["results"]
     else:
-        assert read_report(out, "verify_report.json")["checks"]["trace_domination"]["pass"]
+        reason = report["results"]["trace_not_applicable"]
+        assert reason.startswith("V^2 rho has tail slope ") and reason.endswith(": V not in L2(mu)")
+    assert all(chk["pass"] for chk in report["checks"].values())
 
 
-def test_verify_degenerate_family_exits_4(tmp_path):
+def test_verify_degenerate_family_exits_4(tmp_path, monkeypatch):
     # a floor far above every training quotient; kernel certifies from the
     # same uncalibrated envelope, so it refuses too
-    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL + "floor_scale = 1e6\n")
+    monkeypatch.setattr(cli, "_FLOOR_SCALE", 1e6)
+    cfg = write_config(tmp_path / "cfg.txt", VERIFY_SMALL)
     out = str(tmp_path / "out")
     for command in ("verify", "kernel"):
         assert cli.main([command, "--config", cfg, "--out", out]) == 4
-        assert not os.path.exists(out)
-
-
-def test_verify_empty_heldout_exits_2_before_calibrating(tmp_path, capsys):
-    # a config error, also when the training family would fail calibration
-    out = str(tmp_path / "out")
-    for extra in ("", "floor_scale = 1e6\n"):
-        text = VERIFY_SMALL.replace("heldout_size = 40", "heldout_size = 0") + extra
-        cfg = write_config(tmp_path / "cfg.txt", text)
-        assert cli.main(["verify", "--config", cfg, "--out", out]) == 2
-        assert "config error: verify requires a nonempty held-out family" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -375,6 +363,22 @@ def test_kernel_half_width_below_the_nearest_node_exits_2(tmp_path, family, caps
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("family,times", [
+    ("ou", "1e16"), ("ou", "1e18"), ("ou", "1e20"), ("cauchy", "1e18"), ("cauchy", "1e20"),
+])
+def test_kernel_keeping_no_mode_exits_3(tmp_path, capsys, family, times):
+    # lambda_cut = 52 ln2 / t falls below the computed lambda_0 of the
+    # constant mode: the truncated decomposition would keep no mode, and the
+    # kernel would read 0 on every pair under a tail bound of 2^-52 a mode
+    cfg = write_config(tmp_path / "cfg.txt", f"family = {family}\nweight = universal\ntimes = {times}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["kernel", "--config", cfg, "--out", out]) == 3
+    cut = hl.spectral._CUTOFF_EXPONENT / float(times)
+    assert capsys.readouterr().err == (f"numeric error: no mode kept: every computed eigenvalue exceeds lambda_cut "
+                                       f"= 52 ln2 / t_first = {cut!r} at t_first = {float(times)!r}\n")
+    assert not os.path.exists(out)
+
+
 def test_kernel_time_below_floor_exits_3(tmp_path):
     cfg = write_config(tmp_path / "cfg.txt", OU_SPECTRUM + "times = 1e-4\n")
     out = str(tmp_path / "out")
@@ -394,11 +398,16 @@ def test_nonpositive_t_min_exits_2(tmp_path, command, t_min, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key,value", [("kernel_half_width", "2.0"), ("bump_width_lo", "0.2"), ("bump_width_hi", "2.0")])
+@pytest.mark.parametrize("key,value", [
+    ("kernel_half_width", "2.0"), ("bump_width_lo", "0.2"), ("bump_width_hi", "2.0"),
+    ("train_size", "200"), ("heldout_size", "200"), ("floor_scale", "1.5"), ("safety", "1.5"),
+    ("trace_check", "true"),
+])
 def test_retired_config_key_exits_2(tmp_path, key, value, capsys):
-    # each is the constant it always was (t_min too, tested above); set, even
-    # to that value, it is an unknown key
-    cfg = write_config(tmp_path / "cfg.txt", f"n_points = 200\ntrain_size = 20\n{key} = {value}\n")
+    # each is the constant it always was (t_min too, tested above), or, for
+    # trace_check, decided from the weight; set, even to that value, it is an
+    # unknown key
+    cfg = write_config(tmp_path / "cfg.txt", f"n_points = 200\n{key} = {value}\n")
     out = str(tmp_path / "out")
     assert cli.main(["kernel", "--config", cfg, "--out", out]) == 2
     assert f"config error: unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -428,7 +437,7 @@ def test_kernel_table_mu_a_pipeline_bound(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.txt",
         "family = mu_a\na = 1.5\nn_points = 300\nweight = mu_a\nbeta = 1.0\n"
-        "times = 0.5\ntrain_size = 30\nseed = 11\n",
+        "times = 0.5\nseed = 11\n",
     )
     out = str(tmp_path / "out")
     assert cli.main(["kernel", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -444,7 +453,7 @@ def test_kernel_table_mu_a_pipeline_bound(tmp_path):
 
 def test_kernel_table_matches_entrywise_reference():
     cfg = cli.ExperimentConfig.from_mapping(
-        {"a": 1.5, "n_points": 300, "times": [0.25, 1.0], "train_size": 30, "seed": 4}
+        {"a": 1.5, "n_points": 300, "times": [0.25, 1.0], "seed": 4}
     )
     _, files = cli.run_kernel(cfg)
     lines = files["kernel_table.csv"].strip().split("\n")
@@ -514,7 +523,7 @@ def test_converse_from_classical_rate(tmp_path):
 
 
 def test_nash_scan_bumps_and_degenerate(tmp_path):
-    base = "family = mu_a\na = 1.5\nradius = 10.0\nn_points = 300\nbeta = 1.0\ntrain_size = 30\nseed = 2\n"
+    base = "family = mu_a\na = 1.5\nradius = 10.0\nn_points = 300\nbeta = 1.0\nseed = 2\n"
     cfg = write_config(tmp_path / "cfg.txt", base)
     out = str(tmp_path / "out")
     assert cli.main(["nash-scan", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -544,8 +553,8 @@ def test_nash_scan_min_slack_over_pairs_above_the_floor():
     model = cli._build_model(cfg)
     grid = hl.make_grid(model, cfg.n_points)
     weight = cli._build_weight(cfg, model)
-    floor = cfg.floor_scale * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
-    rate = hl.empirical_rate(xq, yq, hl.mu_a_exponents(cfg.a, cfg.beta).lam, floor, safety=cfg.safety)
+    floor = cli._FLOOR_SCALE * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
+    rate = hl.empirical_rate(xq, yq, hl.mu_a_exponents(cfg.a, cfg.beta).lam, floor, safety=cli._SAFETY)
     above = xq > rate.domain_floor
     slack = yq[above] - np.array([rate.evaluate(x) for x in xq[above]])
     assert 0 < above.sum() < len(xq)
@@ -630,7 +639,7 @@ def test_trace_refuses_an_overflowed_trace(tmp_path, capsys):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    base = "family = mu_a\na = 1.5\nradius = 10.0\nn_points = 300\ntrain_size = 10\nseed = 1\n"
+    base = "family = mu_a\na = 1.5\nradius = 10.0\nn_points = 300\nseed = 1\n"
     cfg = write_config(tmp_path / "cfg.txt", base)
     outs = [str(tmp_path / f"o{i}") for i in range(3)]
     assert cli.main(["nash-scan", "--config", cfg, "--out", outs[0], "--quiet"]) == 0
@@ -644,7 +653,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def _scan_setup(**raw):
-    cfg = cli.ExperimentConfig.from_mapping(raw or {"n_points": 800, "train_size": 40, "seed": 3})
+    cfg = cli.ExperimentConfig.from_mapping(raw or {"n_points": 800, "seed": 3})
     model = cli._build_model(cfg)
     grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
     cert, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
@@ -770,7 +779,7 @@ def test_kernel_solve_path(tmp_path, text, kept, subset):
     "family = cauchy\nweight = universal\n", "weight = universal\n", "a = 0.8\n",
 ], ids=["cauchy-universal", "universal", "a-0.8"])
 def test_kernel_without_a_bound_leaves_the_check_out(tmp_path, text):
-    cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 200\ntrain_size = 30\n")
+    cfg = write_config(tmp_path / "cfg.txt", text + "n_points = 200\n")
     out = str(tmp_path / "out")
     assert cli.main(["kernel", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert read_report(out, "kernel_report.json")["checks"] == {}
@@ -890,7 +899,7 @@ def test_verify_memory_at_n3200():
     finally:
         tracemalloc.stop()
     assert all(chk["pass"] for chk in record.checks.values())
-    assert peak < cfg.heldout_size * cfg.n_points * 8
+    assert peak < cli._HELDOUT_SIZE * cfg.n_points * 8
 
 
 @pytest.mark.parametrize("command, text, kept", [
@@ -930,13 +939,12 @@ def test_closed_rate_builds_no_training_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(hl.spectral, "_bumps", lambda x, c, w: built.append(len(c)) or bumps(x, c, w))
     cfg = write_config(tmp_path / "cfg.txt", "rate = log\n")
     lazy, eager = str(tmp_path / "lazy"), str(tmp_path / "eager")
-    sizes = cli.ExperimentConfig()
     assert cli.main(["verify", "--config", cfg, "--out", lazy, "--quiet"]) == 0
-    assert sum(built) == sizes.heldout_size
+    assert sum(built) == cli._HELDOUT_SIZE
     blocks = hl.spectral.gaussian_bump_blocks
     monkeypatch.setattr(hl.spectral, "gaussian_bump_blocks", lambda *args: iter(list(blocks(*args))))
     assert cli.main(["verify", "--config", cfg, "--out", eager, "--quiet"]) == 0
-    assert sum(built) == 2 * sizes.heldout_size + sizes.train_size
+    assert sum(built) == 2 * cli._HELDOUT_SIZE + cli._TRAIN_SIZE
     assert sorted(os.listdir(lazy)) == sorted(os.listdir(eager))
     for name in os.listdir(lazy):
         assert open(os.path.join(lazy, name), "rb").read() == open(os.path.join(eager, name), "rb").read()
@@ -959,7 +967,7 @@ def test_verify_checks_carry_the_tail(monkeypatch):
     monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
     monkeypatch.setattr(hl.SpectralDecomposition, "tail", lambda self, t: 1e100)
     cfg = cli.ExperimentConfig.from_mapping(
-        {"radius": 10.0, "n_points": 300, "times": [0.5, 1.0], "train_size": 40, "seed": 5}
+        {"radius": 10.0, "n_points": 300, "times": [0.5, 1.0], "seed": 5}
     )
     record, _ = cli.run_verify(cfg)
     for name in ("l2_domination", "kernel_domination", "trace_domination"):
@@ -994,16 +1002,17 @@ def test_partly_infinite_bound_checks_are_flagged(tmp_path, capsys):
     # t = 1: each domination check then certifies t = 1 only, passes on it,
     # and counts the +inf slacks of t = 0.5
     cfg = write_config(tmp_path / "cfg.txt", "rate = log\nradius = 10\nn_points = 300\n"
-                       "times = 0.5, 1.0\ntrain_size = 40\nheldout_size = 40\nseed = 7\n")
+                       "times = 0.5, 1.0\nseed = 7\n")
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
     status = capsys.readouterr().out
-    assert status.startswith("verify: ok; unbounded in part: l2_domination (40 inf slacks), "
+    heldout = cli._HELDOUT_SIZE
+    assert status.startswith(f"verify: ok; unbounded in part: l2_domination ({heldout} inf slacks), "
                              "kernel_domination (300 inf slacks), trace_domination (1 inf slacks);")
     report = read_report(out, "verify_report.json")
     assert report["results"]["k_times_exp_ct"][0] == [0.5, "inf"]
     checks = report["checks"]
-    expected = {"l2_domination": 40, "kernel_domination": 300, "trace_domination": 1}
+    expected = {"l2_domination": heldout, "kernel_domination": 300, "trace_domination": 1}
     for name, count in expected.items():
         assert checks[name]["pass"] and checks[name]["unbounded"] == count, name
         assert "vacuous" not in checks[name] and checks[name]["min_slack"] != "inf", name
@@ -1013,7 +1022,7 @@ def test_partly_infinite_bound_checks_are_flagged(tmp_path, capsys):
 def test_universal_weight_lyapunov_constant_is_exact_in_the_report(tmp_path):
     # c = -b'(0)/2 = a/2 at the grid node x = 0, from the closed-form b'
     cfg = write_config(tmp_path / "cfg.txt",
-                       "weight = universal\ntrace_check = false\nn_points = 801\nseed = 7\n")
+                       "weight = universal\nn_points = 801\nseed = 7\n")
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert read_report(out, "verify_report.json")["results"]["lyapunov_constant"] == 0.75
@@ -1062,9 +1071,10 @@ def test_nash_scan_makes_one_quotient_pass(monkeypatch):
     ("spectrum", "n_points = 2\n", "n_points must be at least 3"),
     ("kernel", "times = 0.5, 0\n", "times must be positive"),
     ("verify", "theta = 1.0\n", "theta must lie in (0,1)"),
-    ("verify", "safety = 0.99\n", "safety must be >= 1"),
-    ("nash-scan", "train_size = 0\n", "train_size must be >= 1 and heldout_size >= 0"),
-    ("verify", "heldout_size = -1\n", "train_size must be >= 1 and heldout_size >= 0"),
+    # retired keys: refused as unknown, whatever the value
+    ("verify", "safety = 0.99\n", "unknown config keys: ['safety']"),
+    ("nash-scan", "train_size = 0\n", "unknown config keys: ['train_size']"),
+    ("verify", "heldout_size = -1\n", "unknown config keys: ['heldout_size']"),
 ], ids=["beta_model", "radius", "n_points", "times", "theta", "safety", "train_size", "heldout_size"])
 def test_config_refusal_exits_2_with_its_message(tmp_path, capsys, command, text, message):
     cfg = write_config(tmp_path / "cfg.txt", text)
@@ -1075,11 +1085,11 @@ def test_config_refusal_exits_2_with_its_message(tmp_path, capsys, command, text
 
 
 def test_nash_scan_with_the_unit_weight(tmp_path):
-    cfg = write_config(tmp_path / "cfg.txt", "weight = unit\nn_points = 200\ntrain_size = 20\n")
+    cfg = write_config(tmp_path / "cfg.txt", "weight = unit\nn_points = 200\n")
     out = str(tmp_path / "out")
     assert cli.main(["nash-scan", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert read_report(out, "nash_scan_report.json")["checks"]["envelope_below_samples"]["pass"]
-    assert len(open(os.path.join(out, "nash_quotients.csv")).read().strip().split("\n")) == 1 + 20
+    assert len(open(os.path.join(out, "nash_quotients.csv")).read().strip().split("\n")) == 1 + cli._TRAIN_SIZE
 
 
 @pytest.mark.parametrize("rows,message", [

@@ -72,17 +72,12 @@ VALID_VALUES = {
     "times": st.lists(positive, min_size=1, max_size=4).map(tuple),
     "seed": st.integers(0, 2**63),
     "theta": st.none() | st.floats(1e-6, 1.0 - 1e-6),
-    "train_size": st.integers(1, 10**6),
-    "heldout_size": st.integers(0, 10**6),
-    "floor_scale": finite,
-    "safety": st.floats(1.0, 1e6),
     "rate": st.sampled_from(["empirical", "classical", "log"]),
     "rate_n": positive,
     "rate_c": positive,
     "log_a": st.floats(1.0, 1e6, exclude_min=True),
     "k_samples_csv": st.none() | st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True),
     "family_kind": st.sampled_from(["bumps", "constants"]),
-    "trace_check": st.booleans(),
 }
 
 
@@ -92,8 +87,6 @@ def config_text(values: dict) -> str:
     for key, value in values.items():
         if value is None:
             text = "none"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         elif isinstance(value, tuple):
             text = ", ".join(repr(v) for v in value)
         else:

@@ -766,6 +766,21 @@ def test_truncated_refuses_times_below_t_first(ou_fine_setup):
         hl.eigendecompose(op, t_first=0.0)
 
 
+def test_truncated_solve_keeping_no_mode_is_refused(ou_setup):
+    # OU at n = 800 computes lambda_0 near 9e-13: at t_first = 1e13 the cut,
+    # 3.6e-12, keeps the constant mode alone (the odd block keeps none); at
+    # 1e16 it keeps nothing, and a kernel of no modes would read 0 everywhere
+    grid, op, _ = ou_setup
+    part = hl.eigendecompose(op, t_first=1e13)
+    assert part.eigenvalues.size == 1 and part.tail_rate == hl.spectral._CUTOFF_EXPONENT / 1e13
+    e0 = part.eigenfunctions[:, 0]
+    assert np.ptp(e0) <= 1e-9 * abs(e0[0])
+    cut = hl.spectral._CUTOFF_EXPONENT / 1e16
+    with pytest.raises(hl.NumericError, match=re.escape(f"lambda_cut = 52 ln2 / t_first = {cut!r} "
+                                                        "at t_first = 1e+16")):
+        hl.eigendecompose(op, t_first=1e16)
+
+
 def test_full_solve_fallback_is_bit_identical(mua_setup, ou_fine_setup):
     for grid, op, _ in (mua_setup, ou_fine_setup):
         full = hl.eigendecompose(op)
