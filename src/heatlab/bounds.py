@@ -112,12 +112,23 @@ class LyapunovCertificate:
 # rate constructors
 
 
+def _check_scale(c: float, excess: float) -> None:
+    """Refuse, with a NumericError naming it, the coefficient c of an
+    integrable rate (its exponent's ``excess`` over 1 positive), whose
+    closed U divides by c times the excess, where that product underflows to 0."""
+    if excess > 0.0 and c * excess == 0.0:
+        raise NumericError(f"rate coefficient {c!r} times the exponent's excess {excess!r} over 1 "
+                           "underflows to 0, so the closed U(x) divides by 0: use a larger coefficient")
+
+
 def power_rate(coefficient: float, exponent: float) -> RateFunction:
-    """phi(x) = coefficient * x^exponent on (0, inf)."""
+    """phi(x) = coefficient * x^exponent on (0, inf); a coefficient too small
+    for the closed U of an integrable rate is refused (``_check_scale``)."""
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
 
     c, r = float(coefficient), float(exponent)
+    _check_scale(c, r - 1.0)
 
     def evaluate(x):
         return _scalar_or_array(coefficient * np.asarray(x, dtype=float) ** exponent)
@@ -140,12 +151,14 @@ def classical_nash_rate(n: float, coefficient: float = 1.0) -> RateFunction:
 
 
 def log_rate(a: float, coefficient: float = 1.0) -> RateFunction:
-    """Log-power rate phi(x) = C x (log x)^{2(1-1/a)} on (e, inf)."""
+    """Log-power rate phi(x) = C x (log x)^{2(1-1/a)} on (e, inf); C as in
+    ``power_rate``."""
     if not a > 1:
         raise ValueError(f"exponent a must exceed 1, got {a}")
     if not coefficient > 0:
         raise ValueError(f"coefficient must be positive, got {coefficient}")
     c, p = float(coefficient), 2.0 * (1.0 - 1.0 / a)
+    _check_scale(c, p - 1.0)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -238,7 +251,7 @@ class KProfile:
         if t <= self.u_at_cap:
             return math.inf
         try:
-            return _closed_form(self.rate)[1](t)
+            return _closed_form(self.rate)[1](float(t))  # a numpy scalar would warn, not raise
         except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
             return math.inf
 
@@ -306,17 +319,13 @@ def weight_squared_mass(model: MeasureModel, weight: Weight, grid: Grid) -> floa
     return float(np.sum(grid.node_masses * v * v))
 
 
-def trace_bound(
-    kp: KProfile,
-    cert: LyapunovCertificate,
-    model: MeasureModel,
-    grid: Grid,
-    t: float,
-) -> float:
-    """Trace-side bound K(2t)^2 e^{2ct} int V^2 dmu for sum_n exp(-2 lambda_n t)."""
+def trace_bound(kp: KProfile, cert: LyapunovCertificate, mass: float, t: float) -> float:
+    """Trace-side bound K(2t)^2 e^{2ct} int V^2 dmu for sum_n exp(-2 lambda_n t),
+    with ``mass`` = int V^2 dmu of the certificate's weight, as
+    ``weight_squared_mass`` gives it for a V in L^2(mu)."""
     growth = _growth(2.0, cert.constant, t)
     k = kp.evaluate(2.0 * t)
-    return k * k * growth * weight_squared_mass(model, cert.weight, grid)
+    return k * k * growth * mass
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +401,7 @@ def empirical_rate(xq: np.ndarray, yq: np.ndarray, lam: float, floor: float,
     else:
 
         def feasible(c: float) -> bool:
-            sel = xq > max(floor, c)
-            return bool(np.all(yq[sel] >= _envelope(c, lam, floor, False).evaluate(xq[sel])))
+            return bool(np.all(envelope_slack(_envelope(c, lam, floor, False), xq, yq) >= 0.0))
 
         c_fit = float(np.max(xq[above] / (1.0 + yq[above] ** lam)))
         # up while infeasible, down while the float below is still feasible

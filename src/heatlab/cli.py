@@ -236,8 +236,6 @@ def _parse_value(text: str):
         pass
     if "," in text:
         return [_parse_value(part.strip()) for part in text.split(",")]
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     return text
 
 
@@ -532,14 +530,12 @@ def run_verify(cfg: ExperimentConfig):
     # L2(mu); for any other V the report gives the reason it is left out
     files, not_applicable = {}, {}
     try:
-        bounds.weight_squared_mass(model, weight, grid)
+        mass = bounds.weight_squared_mass(model, weight, grid)
     except IntegrabilityError as exc:
         not_applicable["trace_not_applicable"] = str(exc)
     else:
-        trace_rows = [
-            [t, spectral.trace(dec, 2.0 * t), bounds.trace_bound(kp, cert, model, grid, t)]
-            for t in cfg.times
-        ]
+        trace_rows = [[t, spectral.trace(dec, 2.0 * t), bounds.trace_bound(kp, cert, mass, t)]
+                      for t in cfg.times]
         checks["trace_domination"] = _domination(
             tb - (hs + spectral.trace_tail(dec, 2.0 * t)) for t, hs, tb in trace_rows
         )

@@ -349,7 +349,8 @@ def suggest_radius(a: float) -> float:
     """Window radius for the exponential-power family with tail below TAIL_TOL.
 
     Uses the tail estimate q(R) ~ rho(R) / (a T(R)^{a-1}) with a x100 safety
-    margin; a few fixed-point iterations on T^a = log(.) suffice.
+    margin; a few fixed-point iterations on T^a = log(.) suffice.  Below
+    a of about 0.0165 R overflows a float, which is a NumericError.
     """
     if not a > 0:
         raise ValueError(f"exponent a must be positive, got {a}")
@@ -357,4 +358,8 @@ def suggest_radius(a: float) -> float:
     ta = max(target, 2.0)
     for _ in range(60):
         ta = target - math.log(a) - (a - 1.0) / a * math.log(ta)
-    return math.sqrt(max(ta ** (2.0 / a) - 1.0, 1.0))
+    try:
+        return math.sqrt(max(ta ** (2.0 / a) - 1.0, 1.0))
+    except OverflowError:
+        raise NumericError(f"the window radius for a = {a!r}, R = sqrt(T^2 - 1) with T^a = {ta!r}, "
+                           "overflows a float: give the radius explicitly") from None

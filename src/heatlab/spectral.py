@@ -62,9 +62,6 @@ __all__ = [
     "semigroup_norms",
     "trace",
     "diagonal_trace_quadrature",
-    "l2_norm",
-    "weighted_l1",
-    "dirichlet_energy",
     "family_norms",
     "ground_state_transform_residual",
     "bulk_indices",
@@ -82,7 +79,7 @@ _CUTOFF_EXPONENT = 52.0 * math.log(2.0)
 
 #: Largest kept-mode fraction k/n for which the subset solve (bisection
 #: plus inverse iteration) is taken; above it every mode is computed.
-#: ``eigendecompose`` time, Sturm count and scatter included, subset over
+#: ``eigendecompose`` time, mode count and scatter included, subset over
 #: full, for mu_a(1.5), OU and Cauchy(2) at n = 400, 800, 1600 and 3200, the
 #: subset forced and lambda_cut midway between modes k and k + 1 (medians of
 #: 9 alternated calls, 2-vCPU x86-64 KVM guest, scipy 1.17.1):
@@ -252,23 +249,6 @@ def discretize(model: MeasureModel, grid: Grid) -> TridiagonalOperator:
     )
 
 
-def _sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
-    """Number of eigenvalues below x of the symmetric tridiagonal (diag,
-    offdiag): the negative pivots of the LDL^T factorization of T - x I
-    (Sylvester's law of inertia), O(n).  A vanishing pivot is replaced by
-    -pivmin as in LAPACK's dstebz."""
-    off2 = offdiag * offdiag
-    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
-    count = 0
-    q = 1.0
-    for d, b2 in zip(diag.tolist(), [0.0] + off2.tolist()):
-        q = d - x - b2 / q
-        if abs(q) <= pivmin:
-            q = -pivmin
-        count += q < 0.0
-    return count
-
-
 def _parity_blocks(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and the odd block of a mirror-symmetric tridiagonal T, in one
     tridiagonal of T's size with an exact zero coupling between them.
@@ -288,9 +268,9 @@ def _parity_blocks(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, n
     return d, e
 
 
-def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarray, cut: float):
+def _solve_parity_blocks(d: np.ndarray, e: np.ndarray, masses: np.ndarray, cut: float):
     """(eigenvalues, eigenfunctions) of the modes with lambda <= ``cut`` (all
-    for cut = inf) of a palindromic operator, from its ``_parity_blocks``.
+    for cut = inf) of a palindromic operator, from its ``_parity_blocks`` d, e.
 
     All modes take one divide-and-conquer call per block.  A cut takes one
     bisection (dstebz) and one inverse iteration (dstein) on both blocks, as
@@ -308,10 +288,9 @@ def _solve_parity_blocks(diag: np.ndarray, offdiag: np.ndarray, masses: np.ndarr
     sqrt(1/2 m_i) underflows, which needs a node mass above 1/2.)  Up to 25
     nodes one divide-and-conquer call is one QL/QR pass, whose columns may
     differ in sign or in the order of a tie."""
-    n = diag.size
+    n = d.size
     half, center = divmod(n, 2)
     size = half + center
-    d, e = _parity_blocks(diag, offdiag)
     if math.isinf(cut):
         w_even, v_even = eigh_tridiagonal(d[:size], e[:size - 1])
         w_odd, v_odd = eigh_tridiagonal(d[size:], e[size:])
@@ -355,10 +334,10 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
 
     With ``t_first=None`` every mode is computed (LAPACK divide and conquer).
     ``t_first`` is the smallest time the caller will evaluate at: the modes
-    with lambda <= lambda_cut = 52 ln2 / t_first, counted by a Sturm
-    sequence, are then computed alone (LAPACK bisection and inverse
-    iteration, O(n k) memory), provided they are at most
-    ``_PARTIAL_MAX_FRAC`` of the grid; otherwise all modes are, exactly as
+    with lambda <= lambda_cut = 52 ln2 / t_first, counted by LAPACK's own
+    Sturm count (dstebz at an infinite tolerance, O(n)), are then computed
+    alone (LAPACK bisection and inverse iteration, O(n k) memory), provided
+    they are at most ``_PARTIAL_MAX_FRAC`` of the grid; otherwise all modes are, exactly as
     with ``t_first=None``.  Kernel evaluations are refused below ``t_min``,
     which is ``DEFAULT_T_MIN``; the truncated decomposition records
     lambda_cut as ``tail_rate`` and raises ``t_min`` to ``t_first``, where
@@ -369,13 +348,15 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     exact palindrome, as ``make_grid`` makes it for an even density; else a
     ValueError (naming, for a non-palindrome, the first entry that differs
     from its mirror).  It is then orthogonally similar to its even block plus
-    its odd block, so eigenvalues, Sturm count and tail are unchanged, and
-    ``_solve_parity_blocks`` makes every decomposition: all modes in one
-    LAPACK call per block (1.5 n^2 doubles), a truncated set in one
-    bisection and inverse iteration on both.  A decomposition whose n x k
-    eigenfunction table exceeds ``_TABLE_MAX_BYTES`` (k = n for all modes)
-    is refused with a NumericError before anything of its size is allocated,
-    and so is a truncated decomposition that keeps no mode at all.
+    its odd block, so eigenvalues and tail are unchanged.  The blocks are
+    built once; the count is taken on them, and ``_solve_parity_blocks``
+    makes every decomposition from them: all modes in one LAPACK call per
+    block (1.5 n^2 doubles), a truncated set in one bisection, which finds
+    as many modes as the count, and one inverse iteration on both.  A
+    decomposition whose n x k eigenfunction table exceeds
+    ``_TABLE_MAX_BYTES`` (k = n for all modes) is refused with a
+    NumericError before anything of its size is allocated, and so is a
+    truncated decomposition that keeps no mode at all.
     """
     diag, offdiag = np.asarray_chkfinite(op.sym_diag), np.asarray_chkfinite(op.sym_offdiag)
     if diag.ndim != 1 or offdiag.ndim != 1 or diag.size != offdiag.size + 1:
@@ -387,25 +368,27 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
             i = int(skew[0])
             raise ValueError(f"eigendecompose needs a palindromic operator: {name}[{i}] = {a[i]!r} differs "
                              f"from its mirror {name}[{a.size - 1 - i}] = {a[-1 - i]!r}")
+    if t_first is not None and not t_first > 0:
+        raise ValueError(f"t_first must be positive, got {t_first}")
+    d, e = _parity_blocks(diag, offdiag)
     n = k = diag.size
     cut = math.inf
     if t_first is not None:
-        if not t_first > 0:
-            raise ValueError(f"t_first must be positive, got {t_first}")
         cut = _CUTOFF_EXPONENT / t_first
-        k = _sturm_count(diag, offdiag, cut)
+        # the modes in (-inf, cut]: with tol = inf the bisection stops at once
+        k = _lapack("dstebz", d, e, 1, -math.inf, cut, 1, 1, math.inf, "E")[0]
+        if not k:  # even the constant mode's computed lambda_0 lies above the cut
+            raise NumericError(f"no mode kept: every computed eigenvalue exceeds lambda_cut = 52 ln2 / t_first "
+                               f"= {cut!r} at t_first = {t_first!r}")
         if k > _PARTIAL_MAX_FRAC * n:
             k, cut = n, math.inf
     if 8 * n * k > _TABLE_MAX_BYTES:
         raise NumericError(f"an eigensolve keeping {k} of n = {n} modes needs a {8 * n * k}-byte eigenfunction "
                            f"table (n k doubles), over the {_TABLE_MAX_BYTES}-byte cap")
     try:
-        w, ef = _solve_parity_blocks(diag, offdiag, op.grid.node_masses, cut)
+        w, ef = _solve_parity_blocks(d, e, op.grid.node_masses, cut)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
-    if not w.size:  # even the constant mode's computed lambda_0 rounds above the cut
-        raise NumericError(f"no mode kept: every computed eigenvalue exceeds lambda_cut = 52 ln2 / t_first "
-                           f"= {cut!r} at t_first = {t_first!r}")
     return SpectralDecomposition(
         eigenvalues=w,
         eigenfunctions=ef,
@@ -426,15 +409,6 @@ def _grid_functions(f, grid: Grid) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != grid.points.shape:
         raise ValueError("grid function shape does not match the grid")
-    return f
-
-
-def _grid_function(f, grid: Grid) -> np.ndarray:
-    """``f`` as one grid function; a ValueError for any other shape."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.points.shape:
-        raise ValueError(f"need one grid function of shape {grid.points.shape}, got shape {f.shape} "
-                         "(a stack's per-row sums come from family_norms)")
     return f
 
 
@@ -551,10 +525,10 @@ def semigroup_norms(dec: SpectralDecomposition, norms: FamilyNorms, times) -> np
     coefficients c = <f, e_n>_mu in ``norms``, which ``family_norms(..., dec)``
     reduced; a ValueError without them.
 
-    Nothing is synthesized on the grid.  Each value equals ``l2_norm(
-    apply_semigroup(dec, f, t))`` up to the Gram defect of the computed
-    eigenbasis.  Returns shape ``(len(times), rows)``; times are checked as in
-    ``apply_semigroup``."""
+    Nothing is synthesized on the grid.  Each value equals the square root
+    of ``family_norms(apply_semigroup(dec, f, t), ...).l2sq`` up to the Gram
+    defect of the computed eigenbasis.  Returns shape ``(len(times), rows)``;
+    times are checked as in ``apply_semigroup``."""
     for t in times:
         _check_semigroup_time(dec, t)
     if getattr(norms, "coefficients", None) is None:
@@ -581,38 +555,12 @@ def _row_blocks(f: np.ndarray):
     return (rows[lo:lo + _FAMILY_ROWS] for lo in range(0, max(rows.shape[0], 1), _FAMILY_ROWS))
 
 
-def _l2_squared(f: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return (f * f) @ m
-
-
-def _weighted_l1(f: np.ndarray, mv: np.ndarray) -> np.ndarray:
-    return np.abs(f) @ mv
-
-
 def _energy(f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_i c_i (f_{i+1} - f_i)^2 along the last axis, in one difference array."""
     d = np.diff(f, axis=-1)
     np.square(d, out=d)
     d *= c
     return d.sum(axis=-1)
-
-
-def l2_norm(f: np.ndarray, grid: Grid) -> float:
-    """L2(mu) norm ||f||_2 = sqrt(sum_i m_i f_i^2).
-
-    Like ``weighted_l1`` and ``dirichlet_energy``, it takes one grid function
-    of shape (n,); the per-row sums of a family come from ``family_norms``."""
-    return math.sqrt(_l2_squared(_grid_function(f, grid), grid.node_masses))
-
-
-def weighted_l1(f: np.ndarray, weight: Weight, grid: Grid) -> float:
-    """Weighted L1 norm ||f V||_1 = sum_i m_i |f_i| V(x_i) of one grid function."""
-    return float(_weighted_l1(_grid_function(f, grid), grid.node_masses * weight.value(grid.points)))
-
-
-def dirichlet_energy(f: np.ndarray, op: TridiagonalOperator) -> float:
-    """E_h(f,f) = sum_i rho(x_{i+1/2}) h ((f_{i+1}-f_i)/h)^2 of one function; 0 on constants."""
-    return float(_energy(_grid_function(f, op.grid), op.midpoint_weights))
 
 
 @dataclass(frozen=True)
@@ -646,7 +594,7 @@ def family_norms(family, weight: Weight, op: TridiagonalOperator,
     parts = []
     for block in blocks:
         block = _grid_functions(block, op.grid)
-        parts.append((_weighted_l1(block, mv), _l2_squared(block, m), _energy(block, op.midpoint_weights),
+        parts.append((np.abs(block) @ mv, (block * block) @ m, _energy(block, op.midpoint_weights),
                       None if dec is None else _coefficients(dec, block)))
     l1w, l2sq, energy, coeff = zip(*parts)
     return FamilyNorms(np.concatenate(l1w), np.concatenate(l2sq), np.concatenate(energy),
@@ -663,7 +611,9 @@ def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Gr
     All three integrals use midpoint quadrature, so the residual decays
     at the discretization order O(h^2); it is exact in the continuum.
     """
-    g = _grid_function(g, grid)
+    g = np.asarray(g, dtype=float)
+    if g.shape != grid.points.shape:
+        raise ValueError(f"need one grid function of shape {grid.points.shape}, got shape {g.shape}")
     x, h = grid.points, grid.spacing
     gmax = np.max(np.abs(g))
     if gmax > 0 and max(abs(g[0]), abs(g[-1])) > 1e-12 * gmax:

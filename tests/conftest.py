@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import sys
 
@@ -62,3 +63,30 @@ def mua_setup(mua_model):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+class _Counted(Exception):
+    """Carries a mode count out of ``eigendecompose``, ending the call there."""
+
+
+@pytest.fixture()
+def mode_count(monkeypatch):
+    """count(op, t_first): the number of modes ``eigendecompose(op, t_first)``
+    counts at or below its cut, the m of its dstebz call at an infinite
+    tolerance, read from that call, which ends the decomposition there."""
+    lapack = hl.spectral._lapack
+
+    def counted(routine, *args):
+        out = lapack(routine, *args)
+        if routine == "dstebz" and math.isinf(args[7]):
+            raise _Counted(out[0])
+        return out
+
+    def count(op, t_first):
+        with monkeypatch.context() as mp:
+            mp.setattr(hl.spectral, "_lapack", counted)
+            with pytest.raises(_Counted) as stopped:
+                hl.eigendecompose(op, t_first=t_first)
+        return stopped.value.args[0]
+
+    return count

@@ -79,13 +79,14 @@ def test_criterion_03_chapman_kolmogorov(ou_setup, mua_setup, capsys):
 
 
 def test_criterion_04_log_convexity(mua_setup, capsys):
-    grid, _, dec = mua_setup
+    grid, op, dec = mua_setup
     rng = np.random.default_rng(404)
     bumps = hl.gaussian_bump_family(grid, 20, rng)
     ts = np.linspace(0.05, 1.0, 10)
     worst = math.inf
     for f in bumps:
-        h = np.array([hl.l2_norm(hl.apply_semigroup(dec, f, t), grid) ** 2 for t in ts])
+        pf = np.stack([hl.apply_semigroup(dec, f, t) for t in ts])
+        h = hl.family_norms(pf, hl.unit_weight(), op, None).l2sq
         worst = min(worst, float(np.min(np.diff(np.log(h), 2))))
     assert worst >= -1e-8
     _announce(
@@ -141,6 +142,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     rate = hl.empirical_rate(xq, yq, exps.lam, floor, safety=1.5)
     kp = hl.k_profile(rate)
     v = weight.value(grid.points)
+    mass = hl.weight_squared_mass(mua_model, weight, grid)
 
     viol_a = viol_b = viol_c = 0
     min_a = min_b = min_c = math.inf
@@ -158,7 +160,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
         viol_b += int(np.sum(slack_b < -1e-9))
         min_b = min(min_b, float(slack_b.min()))
 
-        slack_c = hl.trace_bound(kp, cert, mua_model, grid, t) - hl.trace(dec, 2.0 * t)
+        slack_c = hl.trace_bound(kp, cert, mass, t) - hl.trace(dec, 2.0 * t)
         viol_c += int(slack_c < -1e-9)
         min_c = min(min_c, float(slack_c))
 

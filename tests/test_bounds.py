@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ def test_rates_refuse_a_nonpositive_coefficient(coefficient):
         hl.log_rate(2.5, coefficient)
     with pytest.raises(ValueError):
         hl.power_rate(coefficient, 2.0)
+
+
+def test_integrable_rates_refuse_a_coefficient_their_u_cannot_divide_by():
+    # c (r - 1) underflowing to 0 would make U(x) = x^(1-r) / (c (r - 1)) a
+    # ZeroDivisionError; a rate with no decay profile takes any coefficient
+    for build, name in ((lambda: hl.log_rate(2.5, 5e-324), "5e-324"),
+                        (lambda: hl.classical_nash_rate(1e16, 1e-310), "1e-310")):
+        with pytest.raises(hl.NumericError, match=f"^rate coefficient {name} times the exponent's excess "):
+            build()
+    assert not hl.is_integrable(hl.power_rate(5e-324, 1.0))
+    assert hl.k_profile(hl.classical_nash_rate(1.0, 5e-324)).u_at_floor == math.inf
+
+
+def test_profile_inverse_of_a_numpy_time_overflows_to_inf():
+    # U^{-1}(t) = (2 c t)^{-1/2} with c = 5e-324 divides by 0 at t = 1e-3, as a
+    # numpy scalar too: inf, from Python floats, without numpy's warning
+    kp = hl.k_profile(hl.classical_nash_rate(1.0, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kp.inverse(np.float64(1e-3)) == kp.inverse(1e-3) == math.inf
+        assert kp.evaluate(np.float64(1e-3)) == math.inf
 
 
 def test_rate_quotient_monotone_for_all_kinds(mua_pipeline):
@@ -442,14 +464,15 @@ def test_kernel_bound_closed_form():
 def test_trace_bound_integrability(mua_model, mua_setup, mua_pipeline):
     grid, _, dec = mua_setup
     weight, cert, _, _, kp, _, _ = mua_pipeline
+    mass = hl.weight_squared_mass(mua_model, weight, grid)
     for t in (0.5, 1.0):
-        bound = hl.trace_bound(kp, cert, mua_model, grid, t)
+        bound = hl.trace_bound(kp, cert, mass, t)
         assert bound >= hl.trace(dec, 2.0 * t)
-    universal_cert = hl.LyapunovCertificate(
-        hl.universal_weight(mua_model), 0.0, np.zeros(3)
-    )
+        k = kp.evaluate(2.0 * t)
+        assert bound == k * k * math.exp(2.0 * cert.constant * t) * mass
+    # the universal weight is not in L2(mu): it has no mass to bound with
     with pytest.raises(IntegrabilityError):
-        hl.trace_bound(kp, universal_cert, mua_model, grid, 0.5)
+        hl.weight_squared_mass(mua_model, hl.universal_weight(mua_model), grid)
 
 
 # ----------------------------------------------------------------------
@@ -710,25 +733,20 @@ def test_converse_forward_consistency(mua_model, mua_setup, mua_pipeline):
 
 
 def test_mehler_contraction_oracle(ou_setup, rng):
-    grid, _, dec = ou_setup
+    grid, op, dec = ou_setup
     t = 0.5
     vt = hl.mehler_weight(t)
     # narrower bumps than the cli family's, centered within R/4
     centers = rng.uniform(-0.25 * grid.radius, 0.25 * grid.radius, 30)
     widths = np.exp(rng.uniform(np.log(0.3), np.log(1.5), 30))
     fam = np.exp(-((grid.points[None, :] - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
-    ratios = []
-    for f in fam:
-        lhs = hl.l2_norm(hl.apply_semigroup(dec, f, t), grid)
-        rhs = hl.weighted_l1(f, vt, grid)
-        ratios.append(lhs / rhs)
-    ratios = np.array(ratios)
-    assert np.all(ratios <= 1.0 + 1e-9)
+
+    def ratios(f):
+        """||P_t f||_2 / ||f V_t||_1 for each row of f."""
+        pf = hl.apply_semigroup(dec, f, t)
+        return np.sqrt(hl.family_norms(pf, vt, op, None).l2sq) / hl.family_norms(f, vt, op, None).l1w
+
+    assert np.all(ratios(fam) <= 1.0 + 1e-9)
     # equality is approached along narrowing centered gaussians
-    prev = 0.0
-    for s in (1.0, 2.0, 5.0, 20.0):
-        f = np.exp(-s * grid.points ** 2)
-        ratio = hl.l2_norm(hl.apply_semigroup(dec, f, t), grid) / hl.weighted_l1(f, vt, grid)
-        assert ratio > prev
-        prev = ratio
-    assert prev > 0.99
+    narrowing = ratios(np.exp(-np.array([1.0, 2.0, 5.0, 20.0])[:, None] * grid.points ** 2))
+    assert np.all(np.diff(narrowing) > 0.0) and narrowing[-1] > 0.99

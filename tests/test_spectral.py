@@ -25,6 +25,11 @@ def _family(name, a):
     return hl.make_cauchy(a, 50.0) if name == "cauchy" else hl.make_ou(8.0)
 
 
+def _l2(f, op):
+    """||f||_2 of each row of f, from ``family_norms``."""
+    return np.sqrt(hl.family_norms(f, hl.unit_weight(), op, None).l2sq)
+
+
 def _raw_solve(op, dec):
     """The unfolded LAPACK call ``eigendecompose`` made before the parity
     split, for the same modes as ``dec``."""
@@ -146,11 +151,12 @@ def test_eigh_tridiagonal_is_scipys_bit_for_bit(family, n_points):
 @pytest.mark.parametrize("where", ["d", "e"])
 def test_eigh_tridiagonal_refuses_what_scipy_refused(mua_setup, monkeypatch, where):
     # eigendecompose refuses an inf, and a sym_diag one entry short, as
-    # scipy's checks did, on entry: before the Sturm count of a truncated solve
-    def sturm_count(*args):
-        raise AssertionError("Sturm count of a refused operator")
+    # scipy's checks did, on entry: before the parity blocks, which the mode
+    # count of a truncated solve reads
+    def parity_blocks(*args):
+        raise AssertionError("parity blocks of a refused operator")
 
-    monkeypatch.setattr(hl.spectral, "_sturm_count", sturm_count)
+    monkeypatch.setattr(hl.spectral, "_parity_blocks", parity_blocks)
     op = mua_setup[1]
     d, e = op.sym_diag.copy(), op.sym_offdiag.copy()
     (d if where == "d" else e)[[0, -1]] = math.inf
@@ -352,7 +358,7 @@ def test_stable_merge_is_dstedc_selection_sort(rng):
 
 def test_table_size_cap(mua_model, monkeypatch):
     # the n x k eigenfunction table may take _TABLE_MAX_BYTES, not a byte
-    # more, whether k = n (a full solve) or k is the Sturm count of a
+    # more, whether k = n (a full solve) or k is the mode count of a
     # truncated one
     monkeypatch.setattr(hl.spectral, "_TABLE_MAX_BYTES", 8 * 300 * 300)
     monkeypatch.setattr(hl.spectral, "_PARTIAL_MAX_FRAC", 1.0)
@@ -417,15 +423,14 @@ def test_grid_validation(ou_model):
 
 def test_dirichlet_energy_basics(ou_setup, rng):
     grid, op, _ = ou_setup
-    const = np.ones(grid.n_points)
-    assert hl.dirichlet_energy(const, op) == 0.0
+    weight = hl.unit_weight()
+    energy = hl.family_norms(np.stack([np.ones(grid.n_points), grid.points]), weight, op, None).energy
+    assert energy[0] == 0.0
     # E(x, x) = int 1 dgamma = 1
-    assert hl.dirichlet_energy(grid.points, op) == pytest.approx(1.0, abs=1e-2)
-    for _ in range(50):
-        f = rng.normal(size=grid.n_points)
-        assert hl.dirichlet_energy(f, op) >= 0.0
+    assert energy[1] == pytest.approx(1.0, abs=1e-2)
+    assert np.all(hl.family_norms(rng.normal(size=(50, grid.n_points)), weight, op, None).energy >= 0.0)
     with pytest.raises(ValueError):
-        hl.dirichlet_energy(np.ones(5), op)
+        hl.family_norms(np.ones(5), weight, op, None)
 
 
 def test_form_annihilates_constants(ou_setup):
@@ -535,30 +540,30 @@ def test_chapman_kolmogorov(ou_setup, mua_setup):
 
 
 def test_apply_semigroup(mua_setup, rng):
-    grid, _, dec = mua_setup
+    grid, op, dec = mua_setup
     ones = np.ones(grid.n_points)
     assert np.max(np.abs(hl.apply_semigroup(dec, ones, 0.7) - 1.0)) < 1e-10
 
     f = hl.gaussian_bump_family(grid, 1, rng)[0]
-    norms = [hl.l2_norm(hl.apply_semigroup(dec, f, t), grid) for t in np.arange(0.0, 1.01, 0.1)]
+    norms = _l2(np.stack([hl.apply_semigroup(dec, f, t) for t in np.arange(0.0, 1.01, 0.1)]), op)
     assert np.all(np.diff(norms) <= 1e-12)
 
     mean = np.sum(grid.node_masses * f)
     assert np.max(np.abs(hl.apply_semigroup(dec, f, 60.0) - mean)) < 1e-6
 
     roundtrip = hl.apply_semigroup(dec, f, 0.0)
-    assert hl.l2_norm(roundtrip - f, grid) < 1e-8
+    assert _l2(roundtrip - f, op)[0] < 1e-8
 
     with pytest.raises(ValueError):
         hl.apply_semigroup(dec, f, -0.1)
 
 
 def test_log_convexity_of_l2_decay(mua_setup, rng):
-    grid, _, dec = mua_setup
+    grid, op, dec = mua_setup
     fam = hl.gaussian_bump_family(grid, 20, rng)
     ts = np.linspace(0.05, 1.0, 10)
     for f in fam:
-        h = np.array([hl.l2_norm(hl.apply_semigroup(dec, f, t), grid) ** 2 for t in ts])
+        h = _l2(np.stack([hl.apply_semigroup(dec, f, t) for t in ts]), op) ** 2
         assert np.min(np.diff(np.log(h), 2)) >= -1e-8
 
 
@@ -581,44 +586,23 @@ def test_trace_identities(ou_setup, mua_setup):
 def test_norms(mua_setup, mua_model, rng):
     grid, op, _ = mua_setup
     ones = np.ones(grid.n_points)
-    assert hl.l2_norm(ones, grid) == pytest.approx(1.0, abs=1e-9)
+    assert _l2(ones, op)[0] == pytest.approx(1.0, abs=1e-9)
     f = hl.gaussian_bump_family(grid, 1, rng)[0]
-    assert hl.weighted_l1(f, hl.unit_weight(), grid) == pytest.approx(
+    assert hl.family_norms(f, hl.unit_weight(), op, None).l1w[0] == pytest.approx(
         float(np.sum(grid.node_masses * np.abs(f))), rel=1e-14
     )
     # refinement oracle for the quadrature norms
     fine_grid = hl.make_grid(mua_model, 2 * grid.n_points)
     w = np.exp(-((fine_grid.points - 0.7) ** 2))
-    coarse = hl.l2_norm(np.exp(-((grid.points - 0.7) ** 2)), grid)
-    fine = hl.l2_norm(w, fine_grid)
+    coarse = _l2(np.exp(-((grid.points - 0.7) ** 2)), op)[0]
+    fine = _l2(w, hl.discretize(mua_model, fine_grid))[0]
     assert coarse == pytest.approx(fine, rel=1e-4)
-    with pytest.raises(ValueError):
-        hl.l2_norm(np.ones(7), grid)
-
-
-def test_norm_helpers_take_one_function(mua_setup, rng):
-    # each helper takes one grid function and returns a float, equal to the
-    # row of ``family_norms`` up to the BLAS summation order of its
-    # matrix-vector product (the energy, a plain sum, bit for bit); a stack
-    # or a function of the wrong length is refused
-    grid, op, _ = mua_setup
-    weight = hl.weight_mu_a(1.5, 1.0)
-    bumps = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
-    stack = bumps * rng.standard_normal((3, 4, 1))
-    norms = hl.family_norms(stack, weight, op, None)
-    rows = stack.reshape(12, grid.n_points)
-    for norm, args, sums in ((hl.l2_norm, (grid,), np.sqrt(norms.l2sq)),
-                             (hl.weighted_l1, (weight, grid), norms.l1w),
-                             (hl.dirichlet_energy, (op,), norms.energy)):
-        per_row = np.array([norm(f, *args) for f in rows])
-        assert all(isinstance(norm(f, *args), float) for f in rows[:2])
-        assert np.allclose(sums, per_row, rtol=4 * np.finfo(float).eps, atol=0.0), norm.__name__
-        for bad in (stack, stack[0], rows[0, :-1]):
-            with pytest.raises(ValueError, match="family_norms"):
-                norm(bad, *args)
-    assert np.array_equal(norms.energy, per_row)
-    with pytest.raises(ValueError):
-        hl.family_norms(stack[..., :-1], weight, op, None)
+    # a (..., n) stack of any shape, one row included; any other length is refused
+    stack = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
+    assert _l2(stack, op).shape == (12,) and _l2(stack[0, 0], op).shape == (1,)
+    for bad in (np.ones(7), stack[..., :-1]):
+        with pytest.raises(ValueError):
+            _l2(bad, op)
 
 
 def test_ground_state_transform(mua_model, mua_setup):
@@ -638,6 +622,10 @@ def test_ground_state_transform(mua_model, mua_setup):
     bad = np.ones(grid.n_points)
     with pytest.raises(ValueError):
         hl.ground_state_transform_residual(mua_model, bad, grid)
+    # one grid function only: a stack or a function of the wrong length is refused
+    for shape in ((2, grid.n_points), (grid.n_points - 1,)):
+        with pytest.raises(ValueError, match="need one grid function"):
+            hl.ground_state_transform_residual(mua_model, np.zeros(shape), grid)
 
 
 def test_gaussian_bump_family_determinism(mua_setup):
@@ -707,11 +695,55 @@ def _truncated(op, t_first, monkeypatch):
     return hl.eigendecompose(op, t_first=t_first)
 
 
-def test_sturm_count_matches_eigenvalues(mua_setup, ou_fine_setup):
+def test_mode_count_matches_eigenvalues(mua_setup, ou_fine_setup, mode_count):
+    # the count at a cut midway between two full-solve eigenvalues is the
+    # number of eigenvalues below it; a pair closer than the solvers'
+    # rounding (even/odd modes at the window edges) leaves its midpoint unjudged
+    eps = np.finfo(float).eps
     for _, op, dec in (mua_setup, ou_fine_setup):
         lam = dec.eigenvalues
-        for x in (-1.0, 0.5 * (lam[0] + lam[1]), 10.0, 144.0, 1e4, 2.0 * lam[-1]):
-            assert hl.spectral._sturm_count(op.sym_diag, op.sym_offdiag, x) == np.sum(lam < x)
+        norm1 = float(np.max(np.abs(op.sym_diag) + 2.0 * np.abs(np.append(op.sym_offdiag, 0.0))))
+        mids = 0.5 * (lam[:-1] + lam[1:])
+        clear = np.diff(lam) > 64.0 * eps * norm1
+        assert np.count_nonzero(clear) > 0.9 * mids.size
+        for mid in [*mids[clear], 2.0 * lam[-1]]:
+            assert mode_count(op, hl.spectral._CUTOFF_EXPONENT / mid) == np.sum(lam < mid)
+
+
+@pytest.mark.parametrize("family", ["mu_a", "ou", "cauchy"])
+def test_subset_solve_keeps_as_many_modes_as_it_counts(family, mode_count):
+    # the bisection finds the modes the count counts, huge times included,
+    # where the rounding of the constant mode alone decides between 0 and 1
+    # (Cauchy at n = 800 and t = 1e16 keeps its one mode); a count of 0 is
+    # refused, and a count above _PARTIAL_MAX_FRAC n takes the full solve
+    model = _family(family, 1.5 if family == "mu_a" else 2.0)
+    for n_points in (5, 26, 101, 800):
+        op = hl.discretize(model, hl.make_grid(model, n_points))
+        for t_first in (1e-3, 0.25, 1e4, 1e13, 1e16, 1e20):
+            k = mode_count(op, t_first)
+            if not k:
+                with pytest.raises(hl.NumericError, match="^no mode kept"):
+                    hl.eigendecompose(op, t_first=t_first)
+                continue
+            dec = hl.eigendecompose(op, t_first=t_first)
+            subset = k <= hl.spectral._PARTIAL_MAX_FRAC * n_points
+            assert dec.eigenvalues.size == (k if subset else n_points), (n_points, t_first)
+            assert math.isinf(dec.tail_rate) != subset
+    if family == "cauchy":
+        op = hl.discretize(model, hl.make_grid(model, 800))
+        assert mode_count(op, 1e16) == hl.eigendecompose(op, t_first=1e16).eigenvalues.size == 1
+
+
+def test_one_counted_mode_of_four_takes_the_full_solve(mode_count):
+    # 1 > 0.12 n for n <= 8: a count of one mode at n = 4 is over the
+    # subset fraction, so every mode is computed, exactly as with no t_first
+    model = _family("cauchy", 2.0)
+    op = hl.discretize(model, hl.make_grid(model, 4))
+    assert mode_count(op, 1e17) == 1
+    dec, full = hl.eigendecompose(op, t_first=1e17), hl.eigendecompose(op)
+    assert math.isinf(dec.tail_rate) and dec.t_min == full.t_min
+    assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+    assert np.array_equal(dec.eigenfunctions, full.eigenfunctions)
 
 
 def test_truncated_tail_certificate(mua_setup, ou_fine_setup, monkeypatch):
@@ -856,7 +888,7 @@ def test_semigroup_norms_by_parseval(mua_model, n_points, monkeypatch):
         norms = hl.semigroup_norms(dec, hl.family_norms(fam, weight, op, dec), times)
         assert norms.shape == (len(times), fam.shape[0])
         for t, norm in zip(times, norms):
-            synthesized = np.array([hl.l2_norm(pf, grid) for pf in hl.apply_semigroup(dec, fam, t)])
+            synthesized = _l2(hl.apply_semigroup(dec, fam, t), op)
             assert np.all(np.abs(norm - synthesized) <= 1e-13 * synthesized)
         single = hl.semigroup_norms(dec, hl.family_norms(fam[0], weight, op, dec), times)
         assert single.shape == (len(times), 1)
