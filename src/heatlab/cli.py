@@ -353,13 +353,15 @@ def run_spectrum(cfg: ExperimentConfig):
     lam = dec.eigenvalues
     # math.exp per eigenvalue: numpy's vectorized exp may differ in the last ulp
     table = np.column_stack((np.arange(lam.size), lam, [math.exp(-v) for v in lam.tolist()]))
-    e0 = dec.eigenfunctions[:, 0]
     # G = B^T B with B = E sqrt(M): one dsyrk from scipy's _fblas, on the
     # OpenBLAS the LAPACK eigensolvers use, half the flops of a GEMM, and no
-    # contention with numpy's own OpenBLAS thread pool.  E is F-ordered, so
-    # trans=1 reads B in place; dsyrk fills the upper triangle of a zeroed G,
-    # so the max over G - I covers every pair (i, j).
-    b = dec.eigenfunctions * np.sqrt(grid.node_masses)[:, None]
+    # contention with numpy's own OpenBLAS thread pool.  E is unfolded from
+    # the half table F-ordered and scaled in place, so trans=1 reads B in
+    # place; dsyrk fills the upper triangle of a zeroed G, so the max over
+    # G - I covers every pair (i, j).
+    b = dec.eigenfunctions
+    e0 = b[:, 0].copy()
+    b *= np.sqrt(grid.node_masses)[:, None]
     gram = dsyrk(1.0, b, trans=1)
     gram[np.diag_indices_from(gram)] -= 1.0
     gram_defect = max(float(gram.max()), -float(gram.min()))
@@ -706,17 +708,20 @@ def _write_outputs(out_dir: str, files: dict) -> None:
         os.replace(tmp, path)
 
 
+# built once at import; ``main`` only parses with it
+_PARSER = argparse.ArgumentParser(
+    prog="heatlab",
+    description="spectral heat-kernel experiments for Sturm-Liouville semigroups",
+)
+_PARSER.add_argument("command", choices=sorted(_RUNNERS))
+_PARSER.add_argument("--config", required=False, help="key = value config file")
+_PARSER.add_argument("--out", default="heatlab-out", help="output directory")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+_PARSER.add_argument("--quiet", action="store_true")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="heatlab",
-        description="spectral heat-kernel experiments for Sturm-Liouville semigroups",
-    )
-    parser.add_argument("command", choices=sorted(_RUNNERS))
-    parser.add_argument("--config", required=False, help="key = value config file")
-    parser.add_argument("--out", default="heatlab-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         raw = parse_config(args.config) if args.config else {}

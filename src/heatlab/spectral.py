@@ -20,7 +20,8 @@ is an exact palindrome and commutes with x -> -x.  ``eigendecompose`` takes
 only such an operator and solves its even and its odd modes as two half-size
 blocks (``_solve_parity_blocks``): in one LAPACK call per block for the full
 spectrum, in one bisection and one inverse iteration on both for a truncated
-one, each block's output then written, scaled in place, into one table.
+one, each block's output then written, scaled in place, into one table of
+the rows x >= 0; the lower rows are mirrored only where a caller reads them.
 
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
@@ -110,9 +111,11 @@ _PARTIAL_MAX_FRAC = 0.12
 _FAMILY_ROWS = 20
 
 #: Largest n x k eigenfunction table (k kept modes) a decomposition may
-#: allocate: 2 GiB, n <= 16384 for a full one, which holds 1.5 n^2 doubles.
-#: At n = 51200 ``spectrum`` and ``trace`` would ask for 21 GB, and ``kernel``
-#: on Cauchy at t = 1e-3 (6079 modes) for 2.5 GB.
+#: describe: 2 GiB, n <= 16384 for a full one.  The decomposition keeps half
+#: of it, but a caller may unfold the whole table (``eigenfunctions``,
+#: ``spectrum``'s Gram check), so the cap counts all of it.  At n = 51200
+#: ``spectrum`` and ``trace`` would ask for 21 GB, and ``kernel`` on Cauchy
+#: at t = 1e-3 (6079 modes) for 2.5 GB.
 _TABLE_MAX_BYTES = 2 ** 31
 
 
@@ -183,15 +186,24 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of -L: columns of ``eigenfunctions`` are orthonormal w.r.t.
-    the node masses; ``eigenvalues`` are sorted ascending with lambda_0 ~ 0.
+    """Eigenpairs of -L: the columns of ``eigenfunctions`` are orthonormal
+    w.r.t. the node masses; ``eigenvalues`` are sorted ascending with
+    lambda_0 ~ 0.
+
+    The operator is palindromic, so each eigenfunction is exactly even or
+    exactly odd (``odd``, one flag per mode) and is stored once, at the
+    nodes x >= 0: ``half_table`` holds the center row of an odd grid and
+    the upper rows, ceil(n/2) x k, Fortran-ordered, one column per mode in
+    the order of ``eigenvalues``.  ``eigenfunctions`` unfolds the n x k
+    table on each access; the library gathers only the rows it needs.
 
     A truncated decomposition keeps k < n modes; every dropped mode has
     eigenvalue above ``tail_rate`` (inf when all n modes are kept).
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    half_table: np.ndarray
+    odd: np.ndarray
     grid: Grid
     t_min: float
     tail_rate: float
@@ -200,10 +212,40 @@ class SpectralDecomposition:
     def node_masses(self) -> np.ndarray:
         return self.grid.node_masses
 
+    @property
+    def eigenfunctions(self) -> np.ndarray:
+        """The n x k table e_n(x_i), unfolded into a new Fortran-ordered array."""
+        return _unfold(self, None)
+
     def tail(self, t: float) -> float:
         """exp(-tail_rate t), the most a dropped mode weighs at time t (0 when
         none is dropped); ||P_t f - kept-mode sum||_2 <= tail(t) ||f||_2."""
         return 0.0 if math.isinf(self.tail_rate) else math.exp(-self.tail_rate * t)
+
+
+def _unfold(dec: SpectralDecomposition, nodes) -> np.ndarray:
+    """Rows ``nodes`` (None for all, an index array or a slice) of the n x k
+    eigenfunction table, gathered from the half table into a new writable
+    array laid out as those rows of a Fortran-ordered table would be:
+    C-ordered for an index array, Fortran-ordered otherwise.
+
+    An upper row is its half-table row plus 0.0, and the center row of an
+    odd grid is taken as stored.  A lower row is its mirror's, plus -0.0 in
+    the even modes and negated plus 0.0 in the odd ones.  These are the
+    signed zeros of one LAPACK call on both parity blocks unfolded by
+    (even +- odd) * scale (see ``_solve_parity_blocks``)."""
+    nodes = slice(None) if nodes is None else nodes
+    table, odd = dec.half_table, dec.odd
+    n, size = dec.grid.n_points, table.shape[0]
+    half = n - size
+    idx = np.arange(n)[nodes]
+    below = idx < half
+    src = np.where(below, n - 1 - half - idx, idx - half)
+    rows = np.take(table.T, src, axis=1).T if isinstance(nodes, slice) else table[src]
+    np.add(rows, 0.0, out=rows, where=(idx >= size)[:, None])
+    np.multiply(rows, np.where(odd, -1.0, 1.0), out=rows, where=below[:, None])
+    np.add(rows, np.where(odd, 0.0, -0.0), out=rows, where=below[:, None])
+    return rows
 
 
 def make_grid(model: MeasureModel, n_points: int) -> Grid:
@@ -269,8 +311,9 @@ def _parity_blocks(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _solve_parity_blocks(d: np.ndarray, e: np.ndarray, masses: np.ndarray, cut: float):
-    """(eigenvalues, eigenfunctions) of the modes with lambda <= ``cut`` (all
-    for cut = inf) of a palindromic operator, from its ``_parity_blocks`` d, e.
+    """(eigenvalues, half table, odd flags) of the modes with lambda <= ``cut``
+    (all for cut = inf) of a palindromic operator, from its ``_parity_blocks``
+    d, e, as ``SpectralDecomposition`` keeps them.
 
     All modes take one divide-and-conquer call per block.  A cut takes one
     bisection (dstebz) and one inverse iteration (dstein) on both blocks, as
@@ -278,16 +321,22 @@ def _solve_parity_blocks(d: np.ndarray, e: np.ndarray, masses: np.ndarray, cut: 
     lists the even block's modes first and each dstein column vanishes off
     its block, so the blocks' eigenvectors are two views of its output.
     Either way the eigenvalues are merged stably and each block's vectors
-    are scaled in place and written into one Fortran-ordered n x k table:
-    the upper rows as they are, the lower rows mirrored (even modes) or
-    mirrored and negated (odd modes).  Above 25 nodes, and at every cut,
-    both equal, signed zeros included, what one call on both blocks
-    unfolded by (even +- odd) * scale gives: that call leaves +0.0 off each
-    block, so its sums turn an upper -0.0 and a lower odd-mode zero into
-    +0.0.  (Scaling before the sums could differ only where an entry times
-    sqrt(1/2 m_i) underflows, which needs a node mass above 1/2.)  Up to 25
-    nodes one divide-and-conquer call is one QL/QR pass, whose columns may
-    differ in sign or in the order of a tie."""
+    are scaled in place and written as they are into the Fortran-ordered
+    ceil(n/2) x k half table: the center row of an odd grid (+0.0 in the
+    odd modes) and the upper rows.  ``_unfold`` gives the
+    lower rows their mirror's entries, negated in the odd modes.  Above 25
+    nodes, and at every cut, the unfolded table equals, signed zeros
+    included, what one call on both blocks unfolded by (even +- odd) *
+    scale gives: that call leaves +0.0 off each block, so its sums turn an
+    upper -0.0 and a lower odd-mode zero into +0.0.  (Scaling before the
+    sums could differ only where an entry times sqrt(1/2 m_i) underflows,
+    which needs a node mass above 1/2.)  Up to 25 nodes one
+    divide-and-conquer call is one QL/QR pass, whose columns may differ in
+    sign or in the order of a tie.
+
+    A full solve holds the two half-size LAPACK outputs and the half table,
+    n^2 doubles at its peak; a truncated one dstein's n x k output and the
+    half table."""
     n = d.size
     half, center = divmod(n, 2)
     size = half + center
@@ -311,22 +360,17 @@ def _solve_parity_blocks(d: np.ndarray, e: np.ndarray, masses: np.ndarray, cut: 
     cols = np.empty(k, dtype=np.intp)
     cols[order] = np.arange(k)
     cols_even, cols_odd = cols[:w_even.size], cols[w_even.size:]
-    ef = np.empty((n, k), order="F")
-    upper, lower = ef[size:], ef[half - 1::-1]
+    table = np.empty((size, k), order="F")
     scale = (math.sqrt(0.5) / np.sqrt(masses[size:]))[:, None]
     if center:
-        ef[half, cols_even] = v_even[0] / math.sqrt(masses[half])
-        ef[half, cols_odd] = 0.0
+        table[0, cols_even] = v_even[0] / math.sqrt(masses[half])
+        table[0, cols_odd] = 0.0
     even = v_even[center:]
     even *= scale
-    lower[:, cols_even] = even
-    even += 0.0
-    upper[:, cols_even] = even
+    table[center:, cols_even] = even
     v_odd *= scale
-    v_odd += 0.0
-    upper[:, cols_odd] = v_odd
-    lower[:, cols_odd] = np.subtract(0.0, v_odd, out=v_odd)
-    return w[order], ef
+    table[center:, cols_odd] = v_odd
+    return w[order], table, order >= w_even.size
 
 
 def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> SpectralDecomposition:
@@ -351,12 +395,14 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
     its odd block, so eigenvalues and tail are unchanged.  The blocks are
     built once; the count is taken on them, and ``_solve_parity_blocks``
     makes every decomposition from them: all modes in one LAPACK call per
-    block (1.5 n^2 doubles), a truncated set in one bisection, which finds
-    as many modes as the count, and one inverse iteration on both.  A
-    decomposition whose n x k eigenfunction table exceeds
-    ``_TABLE_MAX_BYTES`` (k = n for all modes) is refused with a
-    NumericError before anything of its size is allocated, and so is a
-    truncated decomposition that keeps no mode at all.
+    block (a peak of n^2 doubles), a truncated set in one bisection, which
+    finds as many modes as the count, and one inverse iteration on both.
+    The decomposition keeps each mode once, on the ceil(n/2) nodes x >= 0
+    with its parity.  A decomposition whose n x k eigenfunction table,
+    which a caller may unfold, exceeds ``_TABLE_MAX_BYTES`` (k = n for all
+    modes) is refused with a NumericError before anything of its size is
+    allocated, and so is a truncated decomposition that keeps no mode at
+    all.
     """
     diag, offdiag = np.asarray_chkfinite(op.sym_diag), np.asarray_chkfinite(op.sym_offdiag)
     if diag.ndim != 1 or offdiag.ndim != 1 or diag.size != offdiag.size + 1:
@@ -386,12 +432,13 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
         raise NumericError(f"an eigensolve keeping {k} of n = {n} modes needs a {8 * n * k}-byte eigenfunction "
                            f"table (n k doubles), over the {_TABLE_MAX_BYTES}-byte cap")
     try:
-        w, ef = _solve_parity_blocks(d, e, op.grid.node_masses, cut)
+        w, table, odd = _solve_parity_blocks(d, e, op.grid.node_masses, cut)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=w,
-        eigenfunctions=ef,
+        half_table=table,
+        odd=odd,
         grid=op.grid,
         t_min=DEFAULT_T_MIN if math.isinf(cut) else max(DEFAULT_T_MIN, t_first),
         tail_rate=cut,
@@ -417,29 +464,31 @@ def kernel_matrix(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -
     p(i,j) == p(j,i) exactly.
 
     With ``nodes`` (an index array or slice) only the ``nodes x nodes``
-    block is synthesized, from the eigenfunction rows at those nodes; it
-    equals the same block of the full table up to rounding.  With ``cols``
-    as well, the rectangular ``nodes x cols`` block is returned (not
-    symmetrized; ``nodes=None`` means all rows, ``cols=slice(None)`` all
-    columns), so a caller can stream the table in row blocks.  A truncated
-    decomposition sums the kept modes only; see ``kernel_tail``.
+    block is synthesized, from the eigenfunction rows at those nodes (only
+    those are unfolded); it equals the same block of the full table up to
+    rounding.  With ``cols`` as well, the rectangular ``nodes x cols``
+    block is returned (not symmetrized; ``nodes=None`` means all rows,
+    ``cols=slice(None)`` all columns).  A truncated decomposition sums the
+    kept modes only; see ``kernel_tail``.
     """
     _check_time(dec, t)
-    ef = dec.eigenfunctions
-    rows = ef if nodes is None else ef[nodes]
+    rows = _unfold(dec, nodes)
     weighted = rows * np.exp(-dec.eigenvalues * t)
     if cols is not None:
-        return weighted @ ef[cols].T
+        return weighted @ _unfold(dec, cols).T
     raw = weighted @ rows.T
     return 0.5 * (raw + raw.T)
 
 
 def kernel_diagonal(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Kernel diagonal p_t(x_i, x_i) = sum_n exp(-lambda_n t) e_n(x_i)^2 in
-    O(nk), without the table; kept modes only, as ``kernel_matrix``."""
+    O(nk), without the table; kept modes only, as ``kernel_matrix``.  The
+    squares drop the mirror's signs, so the half table's sums are mirrored."""
     _check_time(dec, t)
-    ef = dec.eigenfunctions
-    return np.einsum("ik,k,ik->i", ef, np.exp(-dec.eigenvalues * t), ef)
+    table = dec.half_table
+    diag = np.einsum("ik,k,ik->i", table, np.exp(-dec.eigenvalues * t), table)
+    center = 2 * diag.size - dec.grid.n_points
+    return np.concatenate((diag[center:][::-1], diag))
 
 
 def kernel_tail(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -> np.ndarray:
@@ -501,9 +550,10 @@ def _check_semigroup_time(dec: SpectralDecomposition, t: float) -> None:
         _check_time(dec, t)
 
 
-def _coefficients(dec: SpectralDecomposition, f) -> np.ndarray:
-    """Spectral coefficients <f, e_n>_mu of a grid function or a stack."""
-    return (_grid_functions(f, dec.grid) * dec.node_masses) @ dec.eigenfunctions
+def _coefficients(f: np.ndarray, masses: np.ndarray, ef: np.ndarray) -> np.ndarray:
+    """Spectral coefficients <f, e_n>_mu of a grid function or a stack, from
+    the unfolded eigenfunction table ``ef``."""
+    return (f * masses) @ ef
 
 
 def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.ndarray:
@@ -515,8 +565,9 @@ def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.n
     which its dropped modes are not negligible.
     """
     _check_semigroup_time(dec, t)
-    coeff = _coefficients(dec, f)
-    return (coeff * np.exp(-dec.eigenvalues * t)) @ dec.eigenfunctions.T
+    ef = dec.eigenfunctions
+    coeff = _coefficients(_grid_functions(f, dec.grid), dec.node_masses, ef)
+    return (coeff * np.exp(-dec.eigenvalues * t)) @ ef.T
 
 
 def semigroup_norms(dec: SpectralDecomposition, norms: FamilyNorms, times) -> np.ndarray:
@@ -586,16 +637,18 @@ def family_norms(family, weight: Weight, op: TridiagonalOperator,
     never held whole; m, mV and the midpoint weights are formed once.  A
     stack is cut into the blocks a streamed family of its size comes in, so
     both give the same values to the last bit: a BLAS product's rounding may
-    depend on how many rows it is given.
+    depend on how many rows it is given.  ``dec``'s table is unfolded once
+    for all blocks.
     """
     m = op.grid.node_masses
     mv = m * weight.value(op.grid.points)
+    ef = None if dec is None else dec.eigenfunctions
     blocks = _row_blocks(family) if isinstance(family, np.ndarray) else family
     parts = []
     for block in blocks:
         block = _grid_functions(block, op.grid)
         parts.append((np.abs(block) @ mv, (block * block) @ m, _energy(block, op.midpoint_weights),
-                      None if dec is None else _coefficients(dec, block)))
+                      None if ef is None else _coefficients(block, m, ef)))
     l1w, l2sq, energy, coeff = zip(*parts)
     return FamilyNorms(np.concatenate(l1w), np.concatenate(l2sq), np.concatenate(energy),
                        None if dec is None else np.concatenate(coeff))

@@ -83,27 +83,30 @@ def test_gram_identity_matches_a_plain_reference(family, n_points):
 
 
 def _mutated_spectrum(monkeypatch, mutate):
-    """``run_spectrum``'s Gram check on the default config with the
-    eigenfunctions passed through ``mutate`` (an in-place edit of a copy)."""
+    """``run_spectrum``'s Gram check on the default config with the half
+    table of the eigenfunctions passed through ``mutate`` (an in-place edit
+    of a copy, given the parity flags)."""
     solve = hl.spectral.eigendecompose
 
     def mutated(*args, **kwargs):
         dec = solve(*args, **kwargs)
-        e = dec.eigenfunctions.copy(order="F")
-        mutate(e)
-        return dataclasses.replace(dec, eigenfunctions=e)
+        table = dec.half_table.copy(order="F")
+        mutate(table, dec.odd)
+        return dataclasses.replace(dec, half_table=table)
 
     monkeypatch.setattr(hl.spectral, "eigendecompose", mutated)
     return cli.run_spectrum(cli.ExperimentConfig())[0].checks["gram_identity"]
 
 
 def test_gram_identity_sees_a_rotated_column(monkeypatch):
-    # column i turned by 1e-6 toward column j < i keeps every norm, so only
+    # column i turned by 1e-6 toward column j < i of the same parity, so
+    # that it stays a mirror-symmetric function, keeps every norm, so only
     # the off-diagonal entry (i, j) = (j, i) of the Gram matrix moves
-    i, j, angle = 700, 3, 1e-6
+    i, j, angle = 700, 4, 1e-6
 
-    def rotate(e):
-        e[:, i] = math.cos(angle) * e[:, i] + math.sin(angle) * e[:, j]
+    def rotate(table, odd):
+        assert odd[i] == odd[j]
+        table[:, i] = math.cos(angle) * table[:, i] + math.sin(angle) * table[:, j]
 
     check = _mutated_spectrum(monkeypatch, rotate)
     assert not check["pass"]
@@ -111,8 +114,8 @@ def test_gram_identity_sees_a_rotated_column(monkeypatch):
 
 
 def test_gram_identity_sees_a_scaled_last_column(monkeypatch):
-    def scale(e):
-        e[:, -1] *= 1.0 + 1e-6
+    def scale(table, odd):
+        table[:, -1] *= 1.0 + 1e-6
 
     check = _mutated_spectrum(monkeypatch, scale)
     assert not check["pass"]

@@ -65,14 +65,73 @@ def _one_call_solve(op, cut=math.inf):
     return w, ef
 
 
+def _fold(ef):
+    """(half table, odd flags) of an n x k table of exactly even or odd
+    columns, whose ``SpectralDecomposition`` unfolds to ``ef``: the odd
+    modes' upper rows, the even modes' mirrored lower rows, which keep the
+    signs of the stored entries, and the center row of an odd grid."""
+    n = ef.shape[0]
+    half, center = divmod(n, 2)
+    odd = np.all(ef == -ef[::-1], axis=0)
+    table = np.asfortranarray(ef[half:])
+    table[center:, ~odd] = ef[half - 1::-1, ~odd]
+    return table, odd
+
+
+def _table_values(w, ef, masses, t, nodes, rows, f):
+    """What heatlab computed from an n x k table ``ef`` before it kept half
+    of it: ``kernel_matrix`` at ``nodes``, at ``rows`` x all columns and on
+    the whole grid, ``kernel_diagonal``, and ``f``'s coefficients and
+    ``apply_semigroup``."""
+    decay = np.exp(-w * t)
+
+    def kernel(r, c):
+        weighted = r * decay
+        if c is not None:
+            return weighted @ c.T
+        raw = weighted @ r.T
+        return 0.5 * (raw + raw.T)
+
+    coeff = (f * masses) @ ef
+    yield kernel(ef[nodes], None)
+    yield kernel(ef[rows], ef)
+    yield kernel(ef, None)
+    yield np.einsum("ik,k,ik->i", ef, decay, ef)
+    yield coeff
+    yield (coeff * decay) @ ef.T
+
+
+def _dec_values(op, dec, t, nodes, rows, f):
+    """The values of ``_table_values``, from ``dec`` by heatlab."""
+    yield hl.kernel_matrix(dec, t, nodes)
+    yield hl.kernel_matrix(dec, t, rows, slice(None))
+    yield hl.kernel_matrix(dec, t)
+    yield hl.kernel_diagonal(dec, t)
+    yield hl.family_norms(f, hl.unit_weight(), op, dec).coefficients
+    yield hl.apply_semigroup(dec, f, t)
+
+
 def assert_one_call_bits(op, dec):
     """``dec`` holds the eigenvalues and eigenfunctions of ``_one_call_solve``
     with its cut, bit for bit, signed zeros included, in a Fortran-ordered
-    table."""
+    table; and every kernel, diagonal, coefficient and semigroup value it
+    gives is the one that table gives, bit for bit, signed zeros included."""
     w, ef = _one_call_solve(op, dec.tail_rate)
-    for got, want in ((dec.eigenvalues, w), (dec.eigenfunctions, ef)):
+    got_ef = dec.eigenfunctions
+    for got, want in ((dec.eigenvalues, w), (got_ef, ef)):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    assert dec.eigenfunctions.flags.f_contiguous
+    assert got_ef.flags.f_contiguous
+    n, k = ef.shape
+    assert dec.half_table.shape == ((n + 1) // 2, k) and dec.half_table.flags.f_contiguous
+    # rows of both halves and the center, in no order; every third row
+    nodes, rows = np.r_[n - 1, 0:n:5, n // 2], slice(1, n, 3)
+    for some in (nodes, rows):
+        got = hl.spectral._unfold(dec, some)
+        assert_same_bits([got], [ef[some]])
+        assert got.flags.f_contiguous if isinstance(some, slice) else got.flags.c_contiguous
+    f = np.cos(np.outer([0.5, 1.0, 1.5], op.grid.points) + [[0.0], [1.0], [2.0]])
+    assert_same_bits(_dec_values(op, dec, dec.t_min, nodes, rows, f),
+                     _table_values(w, ef, op.grid.node_masses, dec.t_min, nodes, rows, f))
 
 
 def assert_one_call_bits_up_to_sign(op, dec):
@@ -299,15 +358,15 @@ def test_small_full_solve_matches_one_call(n_points):
         dec = hl.eigendecompose(op)
         w, ef = _one_call_solve(op)
         assert np.array_equal(dec.eigenvalues, w) and np.array_equal(np.signbit(dec.eigenvalues), np.signbit(w))
-        one = hl.SpectralDecomposition(w, ef, dec.grid, dec.t_min, dec.tail_rate)
+        one = hl.SpectralDecomposition(w, *_fold(ef), dec.grid, dec.t_min, dec.tail_rate)
         got, want = hl.kernel_matrix(dec, 0.25), hl.kernel_matrix(one, 0.25)
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(got - want) <= n_points * np.finfo(float).eps * scale), (family, a)
 
 
 @pytest.mark.parametrize("model, n_points", [
-    (hl.make_mu_a(1.9, 20.0), 1601), (hl.make_ou(8.0), 800),
-], ids=["mu_a1.9-R20-n1601", "ou-n800"])
+    (hl.make_mu_a(1.9, 20.0), 1601), (hl.make_mu_a(1.9, 20.0), 1600), (hl.make_ou(8.0), 800),
+], ids=["mu_a1.9-R20-n1601", "mu_a1.9-R20-n1600", "ou-n800"])
 def test_full_solve_keeps_ties_and_signed_zeros(model, n_points):
     # exact even/odd eigenvalue ties at the top of both spectra, and at
     # a = 1.9, R = 20 eigenfunction entries that are exactly zero
@@ -330,7 +389,11 @@ def test_full_solve_zero_signs_follow_the_one_call_sums(monkeypatch):
 
     monkeypatch.setattr(hl.spectral, "eigh_tridiagonal", negative_zeros)
     model = hl.make_mu_a(1.9, 20.0)
-    ef = hl.eigendecompose(hl.discretize(model, hl.make_grid(model, 1600))).eigenfunctions
+    dec = hl.eigendecompose(hl.discretize(model, hl.make_grid(model, 1600)))
+    ef = dec.eigenfunctions
+    # the rows kernel_matrix gathers carry the same signed zeros
+    for rows in (np.arange(1600)[::-1], slice(None, None, 2)):
+        assert_same_bits([hl.spectral._unfold(dec, rows)], [ef[rows]])
     even = np.all(ef == ef[::-1], axis=0)
     upper, lower = ef[800:], ef[:800]
     assert not np.any(np.signbit(upper[upper == 0.0]))
@@ -397,23 +460,27 @@ def test_non_palindromic_operator_is_refused(mua_setup, monkeypatch, name, moved
 
 
 def test_eigendecompose_memory(mua_model, mua_setup, ou_fine_setup):
-    # full: the n x n table and the two half-size LAPACK outputs, 1.5 n^2
-    # doubles (29.4 MiB at n = 1600; one call on both blocks took 39.3 MiB);
-    # truncated: two n x k arrays, dstein's output, whose two parity halves
-    # are column views scaled in place, and the table: a traced peak of
-    # 2.16 x 8nk at mu_a, n = 3200, k = 76, the rest the folded operator,
-    # dstebz's outputs and other O(n) vectors; plus numpy's iteration buffers
+    # full: the two half-size LAPACK outputs and the ceil(n/2) x n half
+    # table, n^2 doubles (19.7 MiB at n = 1600, where the n x n table
+    # beside both outputs took 29.4 MiB); truncated: dstein's n x k output,
+    # whose two parity halves are column views scaled in place, and the half
+    # table: a traced peak of 1.66 x 8nk at mu_a, n = 3200, k = 76, the rest
+    # the folded operator, dstebz's outputs and other O(n) vectors.  Either
+    # way the decomposition keeps the half table, the eigenvalues and one
+    # parity flag per mode
     big = hl.discretize(mua_model, hl.make_grid(mua_model, 3200))
     for op, t_first in ((mua_setup[1], None), (ou_fine_setup[1], None), (big, 0.25)):
         tracemalloc.start()
         try:
             dec = hl.eigendecompose(op, t_first=t_first)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        n, k = dec.eigenfunctions.shape
+        n, k = op.grid.n_points, dec.eigenvalues.size
         assert k < n or t_first is None
-        assert peak <= 8 * ((1.5 * n * n if t_first is None else 2 * n * k) + 16 * n) + 2 ** 19
+        assert peak <= (1.05 * 8 * n * n if t_first is None else 8 * (1.5 * n * k + 16 * n) + 2 ** 19)
+        half_table = 8 * ((n + 1) // 2) * k
+        assert dec.half_table.nbytes == half_table and half_table <= kept <= half_table + 9 * k + 2 ** 12
 
 
 def test_grid_validation(ou_model):
