@@ -62,7 +62,6 @@ __all__ = [
 #: A finite grid makes the result a certified lower bound on the true sup.
 DEFAULT_CONVERSE_TIMES = np.geomspace(1e-3, 1e2, 64)
 
-_X_CAP = 1e250  # beyond this, U^{-1} is reported as inf
 _L2_ROUNDING = 1e-9  # how far below -1 the L^2 tail slope must be
 
 
@@ -200,28 +199,16 @@ def is_integrable(rate: RateFunction) -> bool:
     return rate.closed[0]
 
 
-def _closed_form(rate: RateFunction) -> tuple[Callable, Callable]:
-    """The closed (U, U^{-1}) of a rate; IntegrabilityError when it has none
-    or its criterion says 1/phi is not integrable at infinity."""
+def u_integral(rate: RateFunction, x: float) -> float:
+    """U(x) = int_x^inf du/phi(u), strictly decreasing, in closed form;
+    IntegrabilityError for a rate without one or whose criterion says 1/phi
+    is not integrable at infinity."""
     if not is_integrable(rate):
         raise IntegrabilityError(
             f"1/phi not integrable at infinity for rate kind {rate.kind!r}: "
             "no decay profile exists"
         )
-    return rate.closed[1:]
-
-
-def u_integral(rate: RateFunction, x: float) -> float:
-    """U(x) = int_x^inf du/phi(u), strictly decreasing; closed forms only (``_closed_form``)."""
-    return _closed_form(rate)[0](x)
-
-
-def _cap_point(rate: RateFunction) -> float:
-    """The largest max(1, 2M) 2^k, k >= 0, that is at most ``_X_CAP``."""
-    h = max(1.0, 2.0 * rate.domain_floor)
-    while 2.0 * h <= _X_CAP:
-        h *= 2.0
-    return h
+    return rate.closed[1](x)
 
 
 @dataclass(frozen=True)
@@ -229,13 +216,11 @@ class KProfile:
     """Decay profile K(t) = sqrt(U^{-1}(t)) for t < U(M), sqrt(M) afterwards.
 
     U and U^{-1} are the closed forms the rate carries.  U^{-1}(t) is
-    reported as inf, not as an overflow, for t <= ``u_at_cap``, U at
-    ``_cap_point`` (the last point max(1, 2M) 2^k below ~1e250).
+    reported as inf exactly where its closed form leaves the float range.
     """
 
     rate: RateFunction
     u_at_floor: float
-    u_at_cap: float
 
     def evaluate(self, t: float) -> float:
         if not t > 0:
@@ -248,22 +233,17 @@ class KProfile:
 
     def inverse(self, t: float) -> float:
         """U^{-1}(t) for 0 < t < U(M)."""
-        if t <= self.u_at_cap:
-            return math.inf
         try:
-            return _closed_form(self.rate)[1](float(t))  # a numpy scalar would warn, not raise
+            return self.rate.closed[2](float(t))  # a numpy scalar would warn, not raise
         except (OverflowError, ZeroDivisionError):  # a power overflowing, or 0 ** negative
             return math.inf
 
 
 def k_profile(rate: RateFunction) -> KProfile:
     """Build the decay profile of a rate; ``u_integral`` raises
-    IntegrabilityError for a rate without one, when the profile is built."""
-    return KProfile(
-        rate=rate,
-        u_at_floor=u_integral(rate, rate.domain_floor),
-        u_at_cap=u_integral(rate, _cap_point(rate)),
-    )
+    IntegrabilityError for a rate without one, when the profile is built,
+    so this is the one place integrability is checked."""
+    return KProfile(rate=rate, u_at_floor=u_integral(rate, rate.domain_floor))
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +268,12 @@ def l2_bound(kp: KProfile, cert: LyapunovCertificate, t: float) -> float:
 
 
 def kernel_bound(kp: KProfile, cert: LyapunovCertificate, t: float, x, y):
-    """Kernel bound K(2t)^2 e^{2ct} V(x) V(y) dominating p_{2t}(x, y)."""
+    """Kernel bound K(2t)^2 e^{2ct} V(x) V(y) dominating p_{2t}(x, y); +inf,
+    without a warning, where the product overflows."""
     growth = _growth(2.0, cert.constant, t)
     k, v = kp.evaluate(2.0 * t), cert.weight.value
-    return _scalar_or_array(k * k * growth * np.asarray(v(x)) * np.asarray(v(y)))
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(k * k * growth * np.asarray(v(x)) * np.asarray(v(y)))
 
 
 def weight_squared_mass(model: MeasureModel, weight: Weight, grid: Grid) -> float:

@@ -188,10 +188,6 @@ def _json_safe(obj):
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if math.isfinite(f) else repr(f)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -257,8 +253,6 @@ def _build_weight(cfg: ExperimentConfig, model: measures.MeasureModel) -> measur
         return measures.universal_weight(model)
     if cfg.weight == "unit":
         return measures.unit_weight()
-    if cfg.family != "mu_a":
-        raise ConfigError("the exponential-power weight requires the mu_a family")
     return measures.weight_mu_a(cfg.a, cfg.beta)
 
 

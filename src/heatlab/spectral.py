@@ -70,8 +70,9 @@ __all__ = [
     "gaussian_bump_blocks",
 ]
 
-#: Pointwise kernel evaluations below this time are refused: the truncated
-#: spectral sum oscillates before enough modes have decayed.
+#: Pointwise kernel evaluations below this time are refused: the grid's
+#: error grows as t falls (OU at n = 800 deviates from Mehler's kernel by
+#: 2.9e-2 of sqrt(p(x,x) p(y,y)) at t = 1e-3, by 1.4e-5 at t = 1).
 DEFAULT_T_MIN = 1e-3
 
 #: A truncated decomposition keeps the modes with lambda t_first <= 52 ln 2,
@@ -195,7 +196,8 @@ class SpectralDecomposition:
     nodes x >= 0: ``half_table`` holds the center row of an odd grid and
     the upper rows, ceil(n/2) x k, Fortran-ordered, one column per mode in
     the order of ``eigenvalues``.  ``eigenfunctions`` unfolds the n x k
-    table on each access; the library gathers only the rows it needs.
+    table on each access, each lower row its mirror row negated in the odd
+    modes; the library gathers only the rows it needs.
 
     A truncated decomposition keeps k < n modes; every dropped mode has
     eigenvalue above ``tail_rate`` (inf when all n modes are kept).
@@ -229,11 +231,8 @@ def _unfold(dec: SpectralDecomposition, nodes) -> np.ndarray:
     array laid out as those rows of a Fortran-ordered table would be:
     C-ordered for an index array, Fortran-ordered otherwise.
 
-    An upper row is its half-table row plus 0.0, and the center row of an
-    odd grid is taken as stored.  A lower row is its mirror's, plus -0.0 in
-    the even modes and negated plus 0.0 in the odd ones.  These are the
-    signed zeros of one LAPACK call on both parity blocks unfolded by
-    (even +- odd) * scale (see ``_solve_parity_blocks``)."""
+    A row x >= 0 is its half-table row as stored; a lower row is its mirror
+    row, negated in the odd modes, signed zeros included."""
     nodes = slice(None) if nodes is None else nodes
     table, odd = dec.half_table, dec.odd
     n, size = dec.grid.n_points, table.shape[0]
@@ -242,9 +241,7 @@ def _unfold(dec: SpectralDecomposition, nodes) -> np.ndarray:
     below = idx < half
     src = np.where(below, n - 1 - half - idx, idx - half)
     rows = np.take(table.T, src, axis=1).T if isinstance(nodes, slice) else table[src]
-    np.add(rows, 0.0, out=rows, where=(idx >= size)[:, None])
     np.multiply(rows, np.where(odd, -1.0, 1.0), out=rows, where=below[:, None])
-    np.add(rows, np.where(odd, 0.0, -0.0), out=rows, where=below[:, None])
     return rows
 
 
@@ -325,14 +322,12 @@ def _solve_parity_blocks(d: np.ndarray, e: np.ndarray, masses: np.ndarray, cut: 
     ceil(n/2) x k half table: the center row of an odd grid (+0.0 in the
     odd modes) and the upper rows.  ``_unfold`` gives the
     lower rows their mirror's entries, negated in the odd modes.  Above 25
-    nodes, and at every cut, the unfolded table equals, signed zeros
-    included, what one call on both blocks unfolded by (even +- odd) *
-    scale gives: that call leaves +0.0 off each block, so its sums turn an
-    upper -0.0 and a lower odd-mode zero into +0.0.  (Scaling before the
-    sums could differ only where an entry times sqrt(1/2 m_i) underflows,
-    which needs a node mass above 1/2.)  Up to 25 nodes one
-    divide-and-conquer call is one QL/QR pass, whose columns may differ in
-    sign or in the order of a tie.
+    nodes, and at every cut, the unfolded table equals, up to the sign of
+    an exact zero, what one call on both blocks unfolded by (even +- odd) *
+    scale gives.  (Scaling before the sums could differ only where an entry
+    times sqrt(1/2 m_i) underflows, which needs a node mass above 1/2.)  Up
+    to 25 nodes one divide-and-conquer call is one QL/QR pass, whose columns
+    may differ in sign or in the order of a tie.
 
     A full solve holds the two half-size LAPACK outputs and the half table,
     n^2 doubles at its peak; a truncated one dstein's n x k output and the
@@ -448,7 +443,7 @@ def eigendecompose(op: TridiagonalOperator, t_first: float | None = None) -> Spe
 def _check_time(dec: SpectralDecomposition, t: float) -> None:
     if t < dec.t_min:
         raise ValueError(
-            f"t={t} below t_min={dec.t_min}: truncated spectral sum unreliable"
+            f"t={t} below t_min={dec.t_min}, the least time this decomposition evaluates at"
         )
 
 

@@ -1,11 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import heatlab as hl
-from heatlab.bounds import _X_CAP, u_integral
+from heatlab.bounds import u_integral
 from heatlab.errors import CalibrationError, IntegrabilityError
 
 
@@ -204,7 +205,7 @@ def _check_profile_iff_integrable(rate, expected):
     assert hl.is_integrable(rate) is expected
     if expected:
         kp = hl.k_profile(rate)
-        assert kp.u_at_floor > kp.u_at_cap > 0.0
+        assert kp.u_at_floor > u_integral(rate, sys.float_info.max) > 0.0
     else:
         with pytest.raises(IntegrabilityError, match="not integrable"):
             hl.k_profile(rate)
@@ -276,35 +277,38 @@ def test_k_profile_flat_after_u_floor():
     assert kp.evaluate(kp.u_at_floor * 0.5) > math.sqrt(math.e)
 
 
-# the bisection that inverted U for kinds without a closed form, kept
-# verbatim as the reference for the closed inverses
+# the bisection that inverted U for kinds without a closed form, the
+# reference for the closed inverses; its doubling runs to the float maximum
 _UINV_REL_TOL = 1e-12
 
 
 def _bisect_inverse(rate: hl.RateFunction, t: float) -> float:
     """U^{-1}(t) by bisection on the strictly decreasing U (relative tolerance
-    1e-12); inf when U stays >= t at every doubling point up to ~1e250."""
+    1e-12); inf when U stays >= t at every doubling point up to the float
+    maximum, and at that maximum."""
     m = rate.domain_floor
     hi = max(1.0, 2.0 * m)
     while u_integral(rate, hi) >= t:
-        hi *= 2.0
-        if hi > _X_CAP:
+        if hi == sys.float_info.max:
             return math.inf
+        hi = min(2.0 * hi, sys.float_info.max)
     lo = m
     for _ in range(400):
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)  # lo + hi may overflow
         if u_integral(rate, mid) > t:
             lo = mid
         else:
             hi = mid
         if hi - lo <= _UINV_REL_TOL * max(abs(hi), 1.0):
             break
-    return 0.5 * (lo + hi)
+    return lo + 0.5 * (hi - lo)
 
 
 def test_k_profile_closed_inverse_matches_bisection(mua_pipeline):
-    # log_rate(2.5, 2.0) has U = 0.70 at the bisection's last doubling point,
-    # so the log grid covers its inf region and the step out of it
+    # log_rate(2.5, 2.0) has U = 0.67254 at the float maximum and U = 0.70131
+    # at 1e250, so the log grid covers its inf region, the band (0.67254,
+    # 0.70131] up to 1e250, which a cap on U^{-1} once read as inf, and the
+    # step out of the inf region at a relative 1e-9 either side
     _, _, _, empirical, _, _, _ = mua_pipeline
     capped = hl.log_rate(2.5, 2.0)
     rates = [
@@ -318,18 +322,23 @@ def test_k_profile_closed_inverse_matches_bisection(mua_pipeline):
     ts = np.geomspace(1e-6, 1e3, 181)
     for rate in rates:
         kp = hl.k_profile(rate)
+        u_max = u_integral(rate, sys.float_info.max)
         grid = list(ts[ts < kp.u_at_floor])
-        if kp.u_at_cap > 0.0:
-            grid += [kp.u_at_cap, float(np.nextafter(kp.u_at_cap, np.inf))]
+        grid += [u_max * (1.0 - 1e-9), u_max * (1.0 + 1e-9)]
+        grid += list(np.linspace(0.67255, 0.70131, 25))
         for t in grid:
+            if not 0.0 < t < kp.u_at_floor:
+                continue
             closed = kp.inverse(t)
             bisected = _bisect_inverse(rate, t)
             assert math.isinf(closed) == math.isinf(bisected), (rate.kind, t)
             if math.isfinite(closed):
                 assert abs(closed - bisected) <= 1e-10 * max(bisected, 1.0), (rate.kind, t)
     kp = hl.k_profile(capped)
-    assert 0.69 < kp.u_at_cap < 0.71
-    assert kp.evaluate(0.5) == math.inf
+    assert 0.67253 < u_integral(capped, sys.float_info.max) < 0.67254
+    assert kp.inverse(0.67253) == math.inf and kp.evaluate(0.5) == math.inf
+    assert all(math.isfinite(kp.inverse(t)) for t in np.linspace(0.67254, 0.70131, 101))
+    assert kp.inverse(0.7013) > 1e250
     assert math.isfinite(kp.evaluate(1.0))
 
 
@@ -459,6 +468,17 @@ def test_kernel_bound_closed_form():
     assert hl.kernel_bound(kp, cert0, 0.25, 1.0, 2.0) == hl.kernel_bound(
         kp, cert0, 0.25, 2.0, 1.0
     )
+
+
+def test_kernel_bound_overflows_to_inf_silently():
+    # K(2t)^2 = 1/(2t) = 5e289 is finite, and V(20)^2 = 5.1e33, so the bound
+    # at x = y = 20 overflows to +inf, with no numpy warning
+    kp = hl.k_profile(hl.power_rate(1.0, 2.0))
+    cert = hl.LyapunovCertificate(hl.weight_mu_a(1.5, 2.0), 0.0, np.zeros(3))
+    t = 1e-290
+    bound = hl.kernel_bound(kp, cert, t, np.array([0.0, 20.0]), np.array([0.0, 20.0]))
+    assert math.isfinite(bound[0]) and bound[1] == math.inf
+    assert hl.kernel_bound(kp, cert, t, 20.0, 20.0) == math.inf
 
 
 def test_trace_bound_integrability(mua_model, mua_setup, mua_pipeline):

@@ -367,6 +367,24 @@ def test_unrepresentable_window_radius_exits_3(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_vanishing_node_mass_exits_3(tmp_path, capsys):
+    # on mu_a(2.5) the density underflows to 0 before |x| = 16
+    cfg = write_config(tmp_path / "cfg.txt", "a = 2.5\nradius = 16\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["spectrum", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "numeric error: degenerate grid: vanishing node mass (density underflow)\n"
+    assert not os.path.exists(out)
+
+
+def test_time_below_t_min_exits_3(tmp_path, capsys):
+    # trace solves every mode, and still refuses a time below the floor
+    cfg = write_config(tmp_path / "cfg.txt", "times = 0.0001\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["trace", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: t=0.0001 below t_min=0.001")
+    assert not os.path.exists(out)
+
+
 def test_verify_degenerate_family_exits_4(tmp_path, monkeypatch):
     # a floor far above every training quotient; kernel certifies from the
     # same uncalibrated envelope, so it refuses too
@@ -1165,6 +1183,16 @@ def test_bad_k_samples_file_exits_2(tmp_path, capsys, rows, message):
         assert cli.main(["converse", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: K samples file {sample}") and message in err, err
+    assert not os.path.exists(out)
+
+
+def test_missing_k_samples_file_exits_2(tmp_path, capsys):
+    # the file is read even when a rate is configured too
+    sample = tmp_path / "missing.csv"
+    cfg = write_config(tmp_path / "cfg.txt", f"rate = classical\nk_samples_csv = {sample}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["converse", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read K samples file {sample}: ")
     assert not os.path.exists(out)
 
 

@@ -21,10 +21,10 @@ fractions = st.floats(1e-3, 1.0 - 1e-3)
 
 
 def assert_round_trip(rate: hl.RateFunction, q: float, x_lo: float) -> None:
-    """U(U^{-1}(t)) = t at the log-fraction q of the way from U at the cap
-    (at least 1e-6) up to U(x_lo)."""
+    """U(U^{-1}(t)) = t at the log-fraction q of the way from U(1e300) (at
+    least 1e-6) up to U(x_lo)."""
     kp = hl.k_profile(rate)
-    lo, hi = max(kp.u_at_cap, 1e-6), hl.u_integral(rate, x_lo)
+    lo, hi = max(hl.u_integral(rate, 1e300), 1e-6), hl.u_integral(rate, x_lo)
     t = lo * (hi / lo) ** q
     x = kp.inverse(t)
     assert math.isfinite(x) and x > rate.domain_floor

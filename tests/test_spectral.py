@@ -67,15 +67,11 @@ def _one_call_solve(op, cut=math.inf):
 
 def _fold(ef):
     """(half table, odd flags) of an n x k table of exactly even or odd
-    columns, whose ``SpectralDecomposition`` unfolds to ``ef``: the odd
-    modes' upper rows, the even modes' mirrored lower rows, which keep the
-    signs of the stored entries, and the center row of an odd grid."""
-    n = ef.shape[0]
-    half, center = divmod(n, 2)
+    columns, whose ``SpectralDecomposition`` unfolds to ``ef`` up to the
+    sign of an exact zero in the lower rows: the center row of an odd grid
+    and the upper rows."""
     odd = np.all(ef == -ef[::-1], axis=0)
-    table = np.asfortranarray(ef[half:])
-    table[center:, ~odd] = ef[half - 1::-1, ~odd]
-    return table, odd
+    return np.asfortranarray(ef[ef.shape[0] // 2:]), odd
 
 
 def _table_values(w, ef, masses, t, nodes, rows, f):
@@ -111,15 +107,24 @@ def _dec_values(op, dec, t, nodes, rows, f):
     yield hl.apply_semigroup(dec, f, t)
 
 
+def _plus_zero(values):
+    """Each array plus 0.0, which makes every exact zero +0.0 and leaves
+    every other bit: the one call and the half table may give a zero the
+    other sign."""
+    return [v + 0.0 for v in values]
+
+
 def assert_one_call_bits(op, dec):
-    """``dec`` holds the eigenvalues and eigenfunctions of ``_one_call_solve``
-    with its cut, bit for bit, signed zeros included, in a Fortran-ordered
-    table; and every kernel, diagonal, coefficient and semigroup value it
-    gives is the one that table gives, bit for bit, signed zeros included."""
+    """``dec`` holds the eigenvalues of ``_one_call_solve`` with its cut, bit
+    for bit, and its eigenfunctions, bit for bit up to the sign of an exact
+    zero, in a Fortran-ordered table; every gathered row is that table's
+    row, signed zeros included; and every kernel, diagonal, coefficient and
+    semigroup value it gives is the one the one-call table gives, bit for
+    bit up to the sign of an exact zero."""
     w, ef = _one_call_solve(op, dec.tail_rate)
     got_ef = dec.eigenfunctions
-    for got, want in ((dec.eigenvalues, w), (got_ef, ef)):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert_same_bits([dec.eigenvalues], [w])
+    assert_same_bits(_plus_zero([got_ef]), _plus_zero([ef]))
     assert got_ef.flags.f_contiguous
     n, k = ef.shape
     assert dec.half_table.shape == ((n + 1) // 2, k) and dec.half_table.flags.f_contiguous
@@ -127,34 +132,31 @@ def assert_one_call_bits(op, dec):
     nodes, rows = np.r_[n - 1, 0:n:5, n // 2], slice(1, n, 3)
     for some in (nodes, rows):
         got = hl.spectral._unfold(dec, some)
-        assert_same_bits([got], [ef[some]])
+        assert_same_bits([got], [got_ef[some]])
         assert got.flags.f_contiguous if isinstance(some, slice) else got.flags.c_contiguous
     f = np.cos(np.outer([0.5, 1.0, 1.5], op.grid.points) + [[0.0], [1.0], [2.0]])
-    assert_same_bits(_dec_values(op, dec, dec.t_min, nodes, rows, f),
-                     _table_values(w, ef, op.grid.node_masses, dec.t_min, nodes, rows, f))
+    assert_same_bits(_plus_zero(_dec_values(op, dec, dec.t_min, nodes, rows, f)),
+                     _plus_zero(_table_values(w, ef, op.grid.node_masses, dec.t_min, nodes, rows, f)))
 
 
 def assert_one_call_bits_up_to_sign(op, dec):
     """As ``assert_one_call_bits``, but each eigenfunction may be the one-call
-    column of the same eigenvalue times -1, exact ties may come in the other
-    order, and the center of an odd grid is +0.0 in every odd mode: the
-    freedom one QL/QR pass on both blocks has below ``dstedc``'s divide
-    size, where its center zero may come out -0.0."""
+    column of the same eigenvalue times -1 and exact ties may come in the
+    other order: the freedom one QL/QR pass on both blocks has below
+    ``dstedc``'s divide size.  The center of an odd grid is +0.0 in every
+    odd mode."""
     w, ef = _one_call_solve(op)
     got = dec.eigenfunctions
-    assert np.array_equal(dec.eigenvalues, w) and np.array_equal(np.signbit(dec.eigenvalues), np.signbit(w))
+    assert_same_bits([dec.eigenvalues], [w])
     n, half = w.size, w.size // 2
     unmatched = set(range(n))
     for j in range(n):
         col = got[:, j]
-        signs = np.signbit(col)
         if n % 2 and np.all(col == -col[::-1]):
-            assert col[half] == 0.0 and not signs[half]
-            signs = np.delete(signs, half)
-        i, s = next((i, s) for i in sorted(unmatched) if w[i] == w[j] for s in (1.0, -1.0)
-                    if np.array_equal(col, s * ef[:, i]))
-        want = np.signbit(s * ef[:, i])
-        assert np.array_equal(signs, want if signs.size == n else np.delete(want, half))
+            assert col[half] == 0.0 and not np.signbit(col[half])
+        # == compares every bit but a zero's sign
+        i = next(i for i in sorted(unmatched) if w[i] == w[j] for s in (1.0, -1.0)
+                 if np.array_equal(col, s * ef[:, i]))
         unmatched.remove(i)
     assert got.flags.f_contiguous
 
@@ -369,7 +371,8 @@ def test_small_full_solve_matches_one_call(n_points):
 ], ids=["mu_a1.9-R20-n1601", "mu_a1.9-R20-n1600", "ou-n800"])
 def test_full_solve_keeps_ties_and_signed_zeros(model, n_points):
     # exact even/odd eigenvalue ties at the top of both spectra, and at
-    # a = 1.9, R = 20 eigenfunction entries that are exactly zero
+    # a = 1.9, R = 20 eigenfunction entries that are exactly zero, whose
+    # sign the one call may give the other way
     op = hl.discretize(model, hl.make_grid(model, n_points))
     dec = hl.eigendecompose(op)
     assert np.any(np.diff(dec.eigenvalues) == 0)
@@ -377,11 +380,10 @@ def test_full_solve_keeps_ties_and_signed_zeros(model, n_points):
     assert_one_call_bits(op, dec)
 
 
-def test_full_solve_zero_signs_follow_the_one_call_sums(monkeypatch):
-    # one call leaves +0.0 off each block, so (even + odd) * scale makes an
-    # upper zero +0.0, and (even - odd) * scale keeps the sign of an even
-    # mode's lower zero but makes an odd mode's +0.0; here each block's
-    # LAPACK output has its exact zeros turned into -0.0
+def test_full_solve_zero_signs_follow_the_mirror_rule(monkeypatch):
+    # a row x >= 0 is the half table's row as stored, and a lower row its
+    # mirror row, times -1 in the odd modes, bit for bit, zeros included;
+    # here each block's LAPACK output has its exact zeros turned into -0.0
     def negative_zeros(d, e):
         w, v = eigh_tridiagonal(d, e)
         v[v == 0.0] = -0.0
@@ -391,15 +393,16 @@ def test_full_solve_zero_signs_follow_the_one_call_sums(monkeypatch):
     model = hl.make_mu_a(1.9, 20.0)
     dec = hl.eigendecompose(hl.discretize(model, hl.make_grid(model, 1600)))
     ef = dec.eigenfunctions
+    sign = np.where(dec.odd, -1.0, 1.0)
+    upper, lower = ef[800:], ef[:800]
+    assert_same_bits([upper, lower], [dec.half_table, dec.half_table[::-1] * sign])
     # the rows kernel_matrix gathers carry the same signed zeros
     for rows in (np.arange(1600)[::-1], slice(None, None, 2)):
         assert_same_bits([hl.spectral._unfold(dec, rows)], [ef[rows]])
-    even = np.all(ef == ef[::-1], axis=0)
-    upper, lower = ef[800:], ef[:800]
-    assert not np.any(np.signbit(upper[upper == 0.0]))
-    assert np.all(np.signbit(lower[:, even][lower[:, even] == 0.0]))
-    assert not np.any(np.signbit(lower[:, ~even][lower[:, ~even] == 0.0]))
-    assert min(np.sum(upper == 0.0), np.sum(lower[:, even] == 0.0), np.sum(lower[:, ~even] == 0.0)) > 1000
+    assert np.all(np.signbit(upper[upper == 0.0]))
+    assert np.all(np.signbit(lower[:, ~dec.odd][lower[:, ~dec.odd] == 0.0]))
+    assert not np.any(np.signbit(lower[:, dec.odd][lower[:, dec.odd] == 0.0]))
+    assert min(np.sum(upper == 0.0), np.sum(lower[:, ~dec.odd] == 0.0), np.sum(lower[:, dec.odd] == 0.0)) > 1000
 
 
 def test_stable_merge_is_dstedc_selection_sort(rng):
