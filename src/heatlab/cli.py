@@ -330,7 +330,7 @@ def _pipeline(cfg: ExperimentConfig, model, grid, op, rng):
     train = spectral.gaussian_bump_blocks(grid, _TRAIN_SIZE, rng)
     rate, exps = _closed_rate(cfg), None
     if rate is None:
-        xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op, None))
+        xq, yq = bounds.nash_quotients(spectral.family_norms(train, weight, op))
         rate, exps = _fit_envelope(cfg, grid, weight, xq, yq)
         if rate.meta["degenerate"]:
             raise CalibrationError("empirical rate degenerate: no training sample above the floor")
@@ -468,9 +468,10 @@ def _kernel_scan(dec, kp, cert, t: float):
         yield slack
 
 
-def _kernel_domination(dec, kp, cert, times) -> dict:
+def _kernel_domination(dec, kp, cert, times, diagonals) -> dict:
     """The check p_{2t}(x, y) + tail <= kernel bound over all grid pairs and
-    times, certified from the kernel diagonal when it can be.
+    times, certified from the kernel diagonal when it can be; ``diagonals``
+    holds, per time, the q of ``spectral.k_star``.
 
     Write b_i = K(2t) e^{ct} V(x_i), s_i = 1/sqrt(m_i), tau = tail(2t) and
     q_i = p_ii + tau s_i^2; the pair slack is b_i b_j - p_ij - tau s_i s_j.
@@ -485,13 +486,13 @@ def _kernel_domination(dec, kp, cert, times) -> dict:
     spectral sums, which the scan carries as well, is outside the argument.
     Otherwise the table is scanned (``_kernel_scan``), so a failing run
     keeps its exact violation count.
+
+    Since b_i^2 = l2_bound(t)^2 V_i^2, every d_i >= 0 says, up to rounding,
+    max_i sqrt(q_i) / V_i = K*(t) <= l2_bound(t): the diagonal certificate
+    is ``l2_domination`` in squared form.
     """
-    x, inv_m = dec.grid.points, 1.0 / dec.node_masses
-    diagonal = [
-        bounds.kernel_bound(kp, cert, t, x, x)
-        - (spectral.kernel_diagonal(dec, 2.0 * t) + dec.tail(2.0 * t) * inv_m)
-        for t in times
-    ]
+    x = dec.grid.points
+    diagonal = [bounds.kernel_bound(kp, cert, t, x, x) - q for t, q in zip(times, diagonals)]
     if all(np.all(d >= 0.0) for d in diagonal):
         return _domination(diagonal)
     return _domination(slab for t in times for slab in _kernel_scan(dec, kp, cert, t))
@@ -503,24 +504,22 @@ def run_verify(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     cert, exps, kp = _pipeline(cfg, model, grid, op, rng)
     weight, rate = cert.weight, kp.rate
-    # one pass over the held-out rows gives every per-row value used below
-    heldout = spectral.family_norms(
-        spectral.gaussian_bump_blocks(grid, _HELDOUT_SIZE, rng), weight, op, dec)
+    # the held-out rows serve heldout_envelope alone
+    heldout = spectral.family_norms(spectral.gaussian_bump_blocks(grid, _HELDOUT_SIZE, rng), weight, op)
 
     # every spectral value below is compared against a bound together with
     # the certified tail of the modes a truncated decomposition dropped
 
-    # (a) semigroup norm domination on held-out functions, the norms by
-    # Parseval from their spectral coefficients
-    f_l2 = np.sqrt(heldout.l2sq)
-    norms = spectral.semigroup_norms(dec, heldout, cfg.times)
-    checks = {"l2_domination": _domination(
-        bounds.l2_bound(kp, cert, t) * heldout.l1w - (norm + dec.tail(t) * f_l2)
-        for t, norm in zip(cfg.times, norms)
-    )}
+    # (a) the L1(V) -> L2 norm of P_t at its worst case, a delta: K*(t) <=
+    # l2_bound(t), one slack per time, from the kernel diagonal that (b)
+    # reads as well
+    v = weight.value(grid.points)
+    stars = [spectral.k_star(dec, v, t) for t in cfg.times]
+    l2_bounds = [bounds.l2_bound(kp, cert, t) for t in cfg.times]
+    checks = {"l2_domination": _domination(b - k for b, (k, _, _) in zip(l2_bounds, stars))}
 
     # (b) kernel domination over all grid pairs
-    checks["kernel_domination"] = _kernel_domination(dec, kp, cert, cfg.times)
+    checks["kernel_domination"] = _kernel_domination(dec, kp, cert, cfg.times, [q for _, _, q in stars])
 
     # (c) trace domination, which the kernel bound gives only for V in
     # L2(mu); for any other V the report gives the reason it is left out
@@ -540,7 +539,6 @@ def run_verify(cfg: ExperimentConfig):
     xq, yq = bounds.nash_quotients(heldout)
     checks["heldout_envelope"] = _domination([bounds.envelope_slack(rate, xq, yq)])
 
-    k_table = [[t, bounds.l2_bound(kp, cert, t)] for t in cfg.times]
     record = ReportRecord(
         experiment="verify",
         inputs={
@@ -557,9 +555,11 @@ def run_verify(cfg: ExperimentConfig):
             "theta": None if exps is None else exps.theta,
             "delta": None if exps is None else exps.delta,
             "rate_floor": rate.domain_floor,
-            "k_times_exp_ct": k_table,
+            "k_times_exp_ct": [[t, b] for t, b in zip(cfg.times, l2_bounds)],
+            "k_star": [[t, k, grid.points[i]] for t, (k, i, _) in zip(cfg.times, stars)],
+            "log10_l2_bound_over_k_star": [[t, math.log10(b) - math.log10(k)]
+                                           for t, b, (k, _, _) in zip(cfg.times, l2_bounds, stars)],
             "ultracontractive": bounds.is_integrable(bounds.log_rate(cfg.a)),
-            "degenerate_rate": rate.meta.get("degenerate", False),
             **not_applicable,
         },
         checks=checks,
@@ -630,7 +630,7 @@ def run_nash_scan(cfg: ExperimentConfig):
         family = np.ones((_TRAIN_SIZE, grid.n_points))
     else:
         family = spectral.gaussian_bump_blocks(grid, _TRAIN_SIZE, np.random.default_rng(cfg.seed))
-    xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op, None))
+    xq, yq = bounds.nash_quotients(spectral.family_norms(family, weight, op))
     rate, _ = _fit_envelope(cfg, grid, weight, xq, yq)
     xs = np.geomspace(max(rate.domain_floor * 1.001, 1e-6), max(float(xq.max()) * 2.0, 1.0), 100)
     env = np.asarray(rate.evaluate(xs))

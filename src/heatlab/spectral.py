@@ -26,9 +26,9 @@ the rows x >= 0; the lower rows are mirrored only where a caller reads them.
 A decomposition may keep only the modes below a cutoff lambda_cut (see
 ``eigendecompose``).  The dropped modes are then bounded, not assumed
 away: completeness gives sum_n e_n(x_i)^2 = 1/m_i, so by Cauchy-Schwarz
-they add at most exp(-lambda_cut t)/sqrt(m_i m_j) to a kernel entry,
-(n-k) exp(-lambda_cut t) to the trace, and exp(-lambda_cut t) ||f||_2 to
-||P_t f||_2 (``kernel_tail``, ``trace_tail``, ``SpectralDecomposition.tail``).
+they add at most exp(-lambda_cut t)/sqrt(m_i m_j) to a kernel entry and
+(n-k) exp(-lambda_cut t) to the trace (``kernel_tail``, ``k_star``,
+``trace_tail``, ``SpectralDecomposition.tail``).
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ __all__ = [
     "trace_tail",
     "chapman_kolmogorov_residual",
     "stochasticity_defect",
-    "apply_semigroup",
-    "semigroup_norms",
+    "k_star",
     "trace",
     "diagonal_trace_quadrature",
     "family_norms",
@@ -104,11 +103,12 @@ _PARTIAL_MAX_FRAC = 0.12
 #:               peak MiB      3.65   3.65   3.65   3.65   4.39   6.81   11.69
 #:     n = 800   ms            23.0   20.9   21.0   18.5   18.8   19.6   21.8
 #:
-#: A BLAS product may round a row differently with another row count.  With
-#: 20 rows every ||fV||_1, ||f||_2^2 and coefficient of a 200-bump family
-#: equals the one a single 200-row product gives, at n = 800 to 6400 (k = 67
-#: and k = n); 25 changes the matrix-vector sums, and 24, 32, 40, 48 and 64
-#: some coefficients.  So 20, not the marginally faster 32.
+#: (The timings include a coefficient GEMM per held-out block, since
+#: removed.)  A BLAS product may round a row differently with another row
+#: count, so the count fixes the rounding of every ``heldout_envelope`` and
+#: ``nash-scan`` value: with 20 rows every ||fV||_1 and ||f||_2^2 of a
+#: 200-bump family equals the one a single 200-row product gives, at n =
+#: 800 to 6400, and 25 changes these matrix-vector sums.
 _FAMILY_ROWS = 20
 
 #: Largest n x k eigenfunction table (k kept modes) a decomposition may
@@ -496,6 +496,21 @@ def kernel_tail(dec: SpectralDecomposition, t: float, nodes=None, cols=None) -> 
     return (dec.tail(t) * r)[:, None] * c[None, :]
 
 
+def k_star(dec: SpectralDecomposition, v: np.ndarray, t: float) -> tuple[float, int, np.ndarray]:
+    """(K*, i, q) in O(nk): q_i = p_{2t}(x_i, x_i) + tail(2t)/m_i, the kernel
+    diagonal with the certified bound on what the dropped modes add to it
+    (``kernel_tail``), and K* = max_i sqrt(q_i) / v_i at its first argmax i.
+
+    K* is the norm of P_t from L^1(v mu) to L^2(mu) on grid functions, ||P_t
+    f||_2 <= K* ||f v||_1 for every f: P_t f = sum_i f_i m_i p_t(., x_i) and
+    ||p_t(., x_i)||_2^2 = p_{2t}(x_i, x_i) <= q_i.  A full decomposition
+    attains it, up to rounding, at the normalized delta at node i."""
+    q = kernel_diagonal(dec, 2.0 * t) + dec.tail(2.0 * t) / dec.node_masses
+    ratio = np.sqrt(q) / v
+    i = int(np.argmax(ratio))
+    return float(ratio[i]), i, q
+
+
 def trace_tail(dec: SpectralDecomposition, t: float) -> float:
     """Certified bound (n-k) exp(-tail_rate t) on what the dropped modes add
     to ``trace(dec, t)`` (0 for a full decomposition)."""
@@ -538,51 +553,6 @@ def stochasticity_defect(dec: SpectralDecomposition, t: float) -> float:
     return float(np.max(np.abs(rows - 1.0)))
 
 
-def _check_semigroup_time(dec: SpectralDecomposition, t: float) -> None:
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if not math.isinf(dec.tail_rate):
-        _check_time(dec, t)
-
-
-def _coefficients(f: np.ndarray, masses: np.ndarray, ef: np.ndarray) -> np.ndarray:
-    """Spectral coefficients <f, e_n>_mu of a grid function or a stack, from
-    the unfolded eigenfunction table ``ef``."""
-    return (f * masses) @ ef
-
-
-def apply_semigroup(dec: SpectralDecomposition, f: np.ndarray, t: float) -> np.ndarray:
-    """Spectral synthesis of P_t f, one GEMM each way.
-
-    ``f`` is one grid function or a stack of them (shape ``(..., n)``);
-    the result has the shape of ``f``.  A full decomposition accepts t = 0
-    (f up to round-trip error); a truncated one refuses t < t_min, below
-    which its dropped modes are not negligible.
-    """
-    _check_semigroup_time(dec, t)
-    ef = dec.eigenfunctions
-    coeff = _coefficients(_grid_functions(f, dec.grid), dec.node_masses, ef)
-    return (coeff * np.exp(-dec.eigenvalues * t)) @ ef.T
-
-
-def semigroup_norms(dec: SpectralDecomposition, norms: FamilyNorms, times) -> np.ndarray:
-    """||P_t f||_2 over the kept modes for each row f of a family and each t
-    in ``times``, by Parseval: sqrt(sum_n c_n^2 exp(-2 lambda_n t)) with the
-    coefficients c = <f, e_n>_mu in ``norms``, which ``family_norms(..., dec)``
-    reduced; a ValueError without them.
-
-    Nothing is synthesized on the grid.  Each value equals the square root
-    of ``family_norms(apply_semigroup(dec, f, t), ...).l2sq`` up to the Gram
-    defect of the computed eigenbasis.  Returns shape ``(len(times), rows)``;
-    times are checked as in ``apply_semigroup``."""
-    for t in times:
-        _check_semigroup_time(dec, t)
-    if getattr(norms, "coefficients", None) is None:
-        raise ValueError("semigroup_norms needs a family's coefficients: reduce it with family_norms(..., dec)")
-    c2 = norms.coefficients ** 2
-    return np.stack([np.sqrt(c2 @ np.exp(-2.0 * t * dec.eigenvalues)) for t in times])
-
-
 def trace(dec: SpectralDecomposition, t: float) -> float:
     """Trace of P_t: sum_n exp(-lambda_n t); trace(dec, 2t) is the squared
     Hilbert-Schmidt norm of P_t."""
@@ -612,19 +582,15 @@ def _energy(f: np.ndarray, c: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FamilyNorms:
     """Per-row sums of a function family, from one pass over its rows
-    (``family_norms``): ||fV||_1, ||f||_2^2, E_h(f,f) and, when the pass was
-    given a decomposition, the coefficients <f, e_n>_mu (rows x k; else None)."""
+    (``family_norms``): ||fV||_1, ||f||_2^2 and E_h(f,f)."""
 
     l1w: np.ndarray
     l2sq: np.ndarray
     energy: np.ndarray
-    coefficients: np.ndarray | None
 
 
-def family_norms(family, weight: Weight, op: TridiagonalOperator,
-                 dec: SpectralDecomposition | None) -> FamilyNorms:
-    """The ``FamilyNorms`` of a family, with the coefficients in ``dec``'s
-    eigenbasis unless ``dec`` is None.
+def family_norms(family, weight: Weight, op: TridiagonalOperator) -> FamilyNorms:
+    """The ``FamilyNorms`` of a family.
 
     ``family`` is a (..., n) stack, taken ``_FAMILY_ROWS`` rows at a time, or
     an iterable of (rows, n) blocks such as ``gaussian_bump_blocks`` returns.
@@ -632,21 +598,17 @@ def family_norms(family, weight: Weight, op: TridiagonalOperator,
     never held whole; m, mV and the midpoint weights are formed once.  A
     stack is cut into the blocks a streamed family of its size comes in, so
     both give the same values to the last bit: a BLAS product's rounding may
-    depend on how many rows it is given.  ``dec``'s table is unfolded once
-    for all blocks.
+    depend on how many rows it is given.
     """
     m = op.grid.node_masses
     mv = m * weight.value(op.grid.points)
-    ef = None if dec is None else dec.eigenfunctions
     blocks = _row_blocks(family) if isinstance(family, np.ndarray) else family
     parts = []
     for block in blocks:
         block = _grid_functions(block, op.grid)
-        parts.append((np.abs(block) @ mv, (block * block) @ m, _energy(block, op.midpoint_weights),
-                      None if ef is None else _coefficients(block, m, ef)))
-    l1w, l2sq, energy, coeff = zip(*parts)
-    return FamilyNorms(np.concatenate(l1w), np.concatenate(l2sq), np.concatenate(energy),
-                       None if dec is None else np.concatenate(coeff))
+        parts.append((np.abs(block) @ mv, (block * block) @ m, _energy(block, op.midpoint_weights)))
+    l1w, l2sq, energy = zip(*parts)
+    return FamilyNorms(np.concatenate(l1w), np.concatenate(l2sq), np.concatenate(energy))
 
 
 def ground_state_transform_residual(model: MeasureModel, g: np.ndarray, grid: Grid) -> float:

@@ -90,3 +90,31 @@ def mode_count(monkeypatch):
         return stopped.value.args[0]
 
     return count
+
+
+def _check_semigroup_time(dec, t: float) -> None:
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if not math.isinf(dec.tail_rate):
+        hl.spectral._check_time(dec, t)
+
+
+def _coefficients(f: np.ndarray, masses: np.ndarray, ef: np.ndarray) -> np.ndarray:
+    """Spectral coefficients <f, e_n>_mu of a grid function or a stack, from
+    the unfolded eigenfunction table ``ef``."""
+    return (f * masses) @ ef
+
+
+def apply_semigroup(dec, f: np.ndarray, t: float) -> np.ndarray:
+    """P_t f by spectral synthesis on the unfolded table, one GEMM each way:
+    the tests' oracle for the semigroup itself.
+
+    ``f`` is one grid function or a stack of them (shape ``(..., n)``);
+    the result has the shape of ``f``.  A full decomposition accepts t = 0
+    (f up to round-trip error); a truncated one refuses t < t_min, below
+    which its dropped modes are not negligible.
+    """
+    _check_semigroup_time(dec, t)
+    ef = dec.eigenfunctions
+    coeff = _coefficients(hl.spectral._grid_functions(f, dec.grid), dec.node_masses, ef)
+    return (coeff * np.exp(-dec.eigenvalues * t)) @ ef.T

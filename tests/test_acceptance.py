@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import heatlab as hl
+from conftest import apply_semigroup
 
 TIMES = (0.25, 0.5, 1.0)
 
@@ -85,8 +86,8 @@ def test_criterion_04_log_convexity(mua_setup, capsys):
     ts = np.linspace(0.05, 1.0, 10)
     worst = math.inf
     for f in bumps:
-        pf = np.stack([hl.apply_semigroup(dec, f, t) for t in ts])
-        h = hl.family_norms(pf, hl.unit_weight(), op, None).l2sq
+        pf = np.stack([apply_semigroup(dec, f, t) for t in ts])
+        h = hl.family_norms(pf, hl.unit_weight(), op).l2sq
         worst = min(worst, float(np.min(np.diff(np.log(h), 2))))
     assert worst >= -1e-8
     _announce(
@@ -137,7 +138,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     rng = np.random.default_rng(7)
     train = hl.gaussian_bump_family(grid, 200, rng)
     heldout = hl.gaussian_bump_family(grid, 200, rng)
-    xq, yq = hl.nash_quotients(hl.family_norms(train, weight, op, None))
+    xq, yq = hl.nash_quotients(hl.family_norms(train, weight, op))
     floor = 1.5 * (1.0 / float(np.sum(grid.node_masses * weight.value(grid.points))) ** 2)
     rate = hl.empirical_rate(xq, yq, exps.lam, floor, safety=1.5)
     kp = hl.k_profile(rate)
@@ -147,7 +148,7 @@ def test_criterion_07_full_pipeline(mua_model, mua_setup, capsys):
     viol_a = viol_b = viol_c = 0
     min_a = min_b = min_c = math.inf
     for t in TIMES:
-        pf = np.vstack([hl.apply_semigroup(dec, f, t) for f in heldout])
+        pf = np.vstack([apply_semigroup(dec, f, t) for f in heldout])
         l2 = np.sqrt((pf * pf) @ grid.node_masses)
         l1w = np.abs(heldout) @ (grid.node_masses * v)
         slack_a = hl.l2_bound(kp, cert, t) * l1w - l2

@@ -8,6 +8,7 @@ import pytest
 import heatlab as hl
 from heatlab.bounds import u_integral
 from heatlab.errors import CalibrationError, IntegrabilityError
+from conftest import apply_semigroup
 
 
 def _floor(grid, weight, floor_scale=1.5):
@@ -18,7 +19,7 @@ def _floor(grid, weight, floor_scale=1.5):
 
 def _quotients(family, weight, op):
     """The quotient pairs of a family, reduced by ``family_norms``."""
-    return hl.nash_quotients(hl.family_norms(family, weight, op, None))
+    return hl.nash_quotients(hl.family_norms(family, weight, op))
 
 
 def _fit(family, weight, op, lam, safety=1.0):
@@ -763,10 +764,28 @@ def test_mehler_contraction_oracle(ou_setup, rng):
 
     def ratios(f):
         """||P_t f||_2 / ||f V_t||_1 for each row of f."""
-        pf = hl.apply_semigroup(dec, f, t)
-        return np.sqrt(hl.family_norms(pf, vt, op, None).l2sq) / hl.family_norms(f, vt, op, None).l1w
+        pf = apply_semigroup(dec, f, t)
+        return np.sqrt(hl.family_norms(pf, vt, op).l2sq) / hl.family_norms(f, vt, op).l1w
 
     assert np.all(ratios(fam) <= 1.0 + 1e-9)
     # equality is approached along narrowing centered gaussians
     narrowing = ratios(np.exp(-np.array([1.0, 2.0, 5.0, 20.0])[:, None] * grid.points ** 2))
     assert np.all(np.diff(narrowing) > 0.0) and narrowing[-1] > 0.99
+
+
+def test_mehler_k_star_is_one_to_second_order(ou_model):
+    # ||P_t f||_2 <= ||f V_t||_1 is sharp at the deltas, so the certified
+    # L1(V_t) -> L2 norm K* of the discrete P_t is 1 + O(h^2): K* - 1 reads
+    # 1.74e-5 / 7.1e-6 / 2.4e-6 at t = 0.25 / 0.5 / 1 on n = 800 (h = 0.02),
+    # C = (K* - 1) / h^2 = 0.0433 / 0.0178 / 0.0060 at n = 800, 1600 and
+    # 3200, so each doubling of n divides K* - 1 by 4.00-4.01
+    times = (0.25, 0.5, 1.0)
+    errors = []
+    for n_points in (800, 1600, 3200):
+        grid = hl.make_grid(ou_model, n_points)
+        dec = hl.eigendecompose(hl.discretize(ou_model, grid), t_first=0.25)
+        k_stars = [hl.k_star(dec, hl.mehler_weight(t).value(grid.points), t)[0] for t in times]
+        errors.append(np.abs(np.array(k_stars) - 1.0))
+        assert np.all(errors[-1] <= 0.05 * grid.spacing ** 2), n_points
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all((3.9 <= coarse / fine) & (coarse / fine <= 4.1))

@@ -735,6 +735,11 @@ def _full_table_slack(dec, prof, cert, t):
     return hl.kernel_bound(prof, cert, t, x[:, None], x[None, :]) - p
 
 
+def _diagonals(dec, cert, times):
+    """The q of ``spectral.k_star`` at each time, as ``verify`` hands them on."""
+    return [hl.k_star(dec, cert.weight.value(dec.grid.points), t)[2] for t in times]
+
+
 def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
     x = grid.points
     unit = types.SimpleNamespace(evaluate=lambda s: 1.0)
@@ -747,7 +752,7 @@ def _check_kernel_scan_against_full_table(cfg, grid, dec, cert, kp):
             # the scan, and the check that certifies from the diagonal or
             # falls back to the scan
             for chk in (cli._domination(cli._kernel_scan(dec, prof, cert, t)),
-                        cli._kernel_domination(dec, prof, cert, [t])):
+                        cli._kernel_domination(dec, prof, cert, [t], _diagonals(dec, cert, [t]))):
                 assert chk["min_slack"] == pytest.approx(float(slack.min()), rel=1e-12)
                 assert chk["violations"] == int(np.sum(slack < -1e-9))
         assert chk["violations"] > grid.n_points
@@ -788,7 +793,7 @@ def test_kernel_domination_from_the_diagonal(overrides, monkeypatch):
     cfg, grid, dec, cert, kp = _scan_setup(seed=7, **overrides)
     want = cli._domination(_full_table_slack(dec, kp, cert, t) for t in cfg.times)
     monkeypatch.setattr(cli, "_kernel_scan", _no_scan)
-    chk = cli._kernel_domination(dec, kp, cert, cfg.times)
+    chk = cli._kernel_domination(dec, kp, cert, cfg.times, _diagonals(dec, cert, cfg.times))
     assert chk["pass"] and chk["violations"] == want["violations"] == 0
     assert chk["min_slack"] == pytest.approx(want["min_slack"], rel=1e-12)
 
@@ -976,6 +981,20 @@ def test_verify_memory_at_n3200():
     assert peak < cli._HELDOUT_SIZE * cfg.n_points * 8
 
 
+@pytest.mark.parametrize("n_points", [800, 3200])
+def test_passing_verify_unfolds_no_table(monkeypatch, n_points):
+    # a passing verify reads the half table only through kernel_diagonal and
+    # trace: the L2 check through K*, the kernel check through its diagonal
+    # certificate; so it gathers no eigenfunction row, and a table cap that
+    # counts the half table would serve it
+    def refuse(dec, nodes):
+        raise AssertionError("verify unfolded eigenfunction rows")
+
+    monkeypatch.setattr(hl.spectral, "_unfold", refuse)
+    record, _ = cli.run_verify(cli.ExperimentConfig.from_mapping({"n_points": n_points}))
+    assert record.checks and all(chk["pass"] for chk in record.checks.values())
+
+
 @pytest.mark.parametrize("command, text, kept", [
     ("spectrum", "", 51200), ("trace", "", 51200),
     ("kernel", "family = cauchy\nradius = 60.0\ntimes = 0.001\n", 51200),
@@ -1080,13 +1099,13 @@ def test_partly_infinite_bound_checks_are_flagged(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
     status = capsys.readouterr().out
-    heldout = cli._HELDOUT_SIZE
-    assert status.startswith(f"verify: ok; unbounded in part: l2_domination ({heldout} inf slacks), "
+    assert status.startswith("verify: ok; unbounded in part: l2_domination (1 inf slacks), "
                              "kernel_domination (300 inf slacks), trace_domination (1 inf slacks);")
     report = read_report(out, "verify_report.json")
     assert report["results"]["k_times_exp_ct"][0] == [0.5, "inf"]
+    assert report["results"]["log10_l2_bound_over_k_star"][0] == [0.5, "inf"]
     checks = report["checks"]
-    expected = {"l2_domination": heldout, "kernel_domination": 300, "trace_domination": 1}
+    expected = {"l2_domination": 1, "kernel_domination": 300, "trace_domination": 1}
     for name, count in expected.items():
         assert checks[name]["pass"] and checks[name]["unbounded"] == count, name
         assert "vacuous" not in checks[name] and checks[name]["min_slack"] != "inf", name

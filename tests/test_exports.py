@@ -53,10 +53,9 @@ LIBRARY_ONLY = {
     "spectral.chapman_kolmogorov_residual": "acceptance 3 (item 6)",
     "spectral.stochasticity_defect": "acceptance 3 (item 6)",
     "spectral.ground_state_transform_residual": "acceptance 9 (item 6)",
-    "spectral.apply_semigroup": "the reference semigroup_norms is checked against",
     "spectral.gaussian_bump_family": "how the tests build a stack of bumps",
 }
-LIBRARY_ONLY_MAX = 9
+LIBRARY_ONLY_MAX = 8
 
 
 def _golden_reach() -> set:

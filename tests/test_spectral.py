@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import heatlab as hl
+from conftest import apply_semigroup
 
 #: How far, in eps ||T||_1, the parity-block eigenvalues may lie from the raw
 #: LAPACK call on the whole matrix.  Both solves are backward stable, but
@@ -27,7 +28,7 @@ def _family(name, a):
 
 def _l2(f, op):
     """||f||_2 of each row of f, from ``family_norms``."""
-    return np.sqrt(hl.family_norms(f, hl.unit_weight(), op, None).l2sq)
+    return np.sqrt(hl.family_norms(f, hl.unit_weight(), op).l2sq)
 
 
 def _raw_solve(op, dec):
@@ -77,8 +78,8 @@ def _fold(ef):
 def _table_values(w, ef, masses, t, nodes, rows, f):
     """What heatlab computed from an n x k table ``ef`` before it kept half
     of it: ``kernel_matrix`` at ``nodes``, at ``rows`` x all columns and on
-    the whole grid, ``kernel_diagonal``, and ``f``'s coefficients and
-    ``apply_semigroup``."""
+    the whole grid, ``kernel_diagonal``, and P_t f by synthesis, as the
+    tests' ``apply_semigroup`` makes it."""
     decay = np.exp(-w * t)
 
     def kernel(r, c):
@@ -93,18 +94,16 @@ def _table_values(w, ef, masses, t, nodes, rows, f):
     yield kernel(ef[rows], ef)
     yield kernel(ef, None)
     yield np.einsum("ik,k,ik->i", ef, decay, ef)
-    yield coeff
     yield (coeff * decay) @ ef.T
 
 
-def _dec_values(op, dec, t, nodes, rows, f):
+def _dec_values(dec, t, nodes, rows, f):
     """The values of ``_table_values``, from ``dec`` by heatlab."""
     yield hl.kernel_matrix(dec, t, nodes)
     yield hl.kernel_matrix(dec, t, rows, slice(None))
     yield hl.kernel_matrix(dec, t)
     yield hl.kernel_diagonal(dec, t)
-    yield hl.family_norms(f, hl.unit_weight(), op, dec).coefficients
-    yield hl.apply_semigroup(dec, f, t)
+    yield apply_semigroup(dec, f, t)
 
 
 def _plus_zero(values):
@@ -118,9 +117,9 @@ def assert_one_call_bits(op, dec):
     """``dec`` holds the eigenvalues of ``_one_call_solve`` with its cut, bit
     for bit, and its eigenfunctions, bit for bit up to the sign of an exact
     zero, in a Fortran-ordered table; every gathered row is that table's
-    row, signed zeros included; and every kernel, diagonal, coefficient and
-    semigroup value it gives is the one the one-call table gives, bit for
-    bit up to the sign of an exact zero."""
+    row, signed zeros included; and every kernel, diagonal and semigroup
+    value it gives is the one the one-call table gives, bit for bit up to
+    the sign of an exact zero."""
     w, ef = _one_call_solve(op, dec.tail_rate)
     got_ef = dec.eigenfunctions
     assert_same_bits([dec.eigenvalues], [w])
@@ -135,7 +134,7 @@ def assert_one_call_bits(op, dec):
         assert_same_bits([got], [got_ef[some]])
         assert got.flags.f_contiguous if isinstance(some, slice) else got.flags.c_contiguous
     f = np.cos(np.outer([0.5, 1.0, 1.5], op.grid.points) + [[0.0], [1.0], [2.0]])
-    assert_same_bits(_plus_zero(_dec_values(op, dec, dec.t_min, nodes, rows, f)),
+    assert_same_bits(_plus_zero(_dec_values(dec, dec.t_min, nodes, rows, f)),
                      _plus_zero(_table_values(w, ef, op.grid.node_masses, dec.t_min, nodes, rows, f)))
 
 
@@ -494,13 +493,13 @@ def test_grid_validation(ou_model):
 def test_dirichlet_energy_basics(ou_setup, rng):
     grid, op, _ = ou_setup
     weight = hl.unit_weight()
-    energy = hl.family_norms(np.stack([np.ones(grid.n_points), grid.points]), weight, op, None).energy
+    energy = hl.family_norms(np.stack([np.ones(grid.n_points), grid.points]), weight, op).energy
     assert energy[0] == 0.0
     # E(x, x) = int 1 dgamma = 1
     assert energy[1] == pytest.approx(1.0, abs=1e-2)
-    assert np.all(hl.family_norms(rng.normal(size=(50, grid.n_points)), weight, op, None).energy >= 0.0)
+    assert np.all(hl.family_norms(rng.normal(size=(50, grid.n_points)), weight, op).energy >= 0.0)
     with pytest.raises(ValueError):
-        hl.family_norms(np.ones(5), weight, op, None)
+        hl.family_norms(np.ones(5), weight, op)
 
 
 def test_form_annihilates_constants(ou_setup):
@@ -612,20 +611,20 @@ def test_chapman_kolmogorov(ou_setup, mua_setup):
 def test_apply_semigroup(mua_setup, rng):
     grid, op, dec = mua_setup
     ones = np.ones(grid.n_points)
-    assert np.max(np.abs(hl.apply_semigroup(dec, ones, 0.7) - 1.0)) < 1e-10
+    assert np.max(np.abs(apply_semigroup(dec, ones, 0.7) - 1.0)) < 1e-10
 
     f = hl.gaussian_bump_family(grid, 1, rng)[0]
-    norms = _l2(np.stack([hl.apply_semigroup(dec, f, t) for t in np.arange(0.0, 1.01, 0.1)]), op)
+    norms = _l2(np.stack([apply_semigroup(dec, f, t) for t in np.arange(0.0, 1.01, 0.1)]), op)
     assert np.all(np.diff(norms) <= 1e-12)
 
     mean = np.sum(grid.node_masses * f)
-    assert np.max(np.abs(hl.apply_semigroup(dec, f, 60.0) - mean)) < 1e-6
+    assert np.max(np.abs(apply_semigroup(dec, f, 60.0) - mean)) < 1e-6
 
-    roundtrip = hl.apply_semigroup(dec, f, 0.0)
+    roundtrip = apply_semigroup(dec, f, 0.0)
     assert _l2(roundtrip - f, op)[0] < 1e-8
 
     with pytest.raises(ValueError):
-        hl.apply_semigroup(dec, f, -0.1)
+        apply_semigroup(dec, f, -0.1)
 
 
 def test_log_convexity_of_l2_decay(mua_setup, rng):
@@ -633,7 +632,7 @@ def test_log_convexity_of_l2_decay(mua_setup, rng):
     fam = hl.gaussian_bump_family(grid, 20, rng)
     ts = np.linspace(0.05, 1.0, 10)
     for f in fam:
-        h = _l2(np.stack([hl.apply_semigroup(dec, f, t) for t in ts]), op) ** 2
+        h = _l2(np.stack([apply_semigroup(dec, f, t) for t in ts]), op) ** 2
         assert np.min(np.diff(np.log(h), 2)) >= -1e-8
 
 
@@ -658,7 +657,7 @@ def test_norms(mua_setup, mua_model, rng):
     ones = np.ones(grid.n_points)
     assert _l2(ones, op)[0] == pytest.approx(1.0, abs=1e-9)
     f = hl.gaussian_bump_family(grid, 1, rng)[0]
-    assert hl.family_norms(f, hl.unit_weight(), op, None).l1w[0] == pytest.approx(
+    assert hl.family_norms(f, hl.unit_weight(), op).l1w[0] == pytest.approx(
         float(np.sum(grid.node_masses * np.abs(f))), rel=1e-14
     )
     # refinement oracle for the quadrature norms
@@ -732,30 +731,23 @@ def test_heldout_family_follows_unbuilt_training_draws(mua_setup):
 
 @pytest.mark.parametrize("count", [1, hl.spectral._FAMILY_ROWS, hl.spectral._FAMILY_ROWS + 1, 200])
 def test_blocked_family_pass_is_exact(mua_model, count):
-    # one pass over the streamed blocks gives the quotients, norms and
-    # coefficients of a pass over the same functions as one array, bit for
-    # bit, a short last block included
+    # one pass over the streamed blocks gives the quotients and norms of a
+    # pass over the same functions as one array, bit for bit, a short last
+    # block included
     grid = hl.make_grid(mua_model, 3200)
     op = hl.discretize(mua_model, grid)
-    dec = hl.eigendecompose(op, t_first=0.25)
     weight = hl.weight_mu_a(1.5, 1.0)
-    times = (0.25, 0.5, 1.0)
     blocks = list(hl.gaussian_bump_blocks(grid, count, np.random.default_rng(count)))
     fam = hl.gaussian_bump_family(grid, count, np.random.default_rng(count))
     assert max(len(b) for b in blocks) <= hl.spectral._FAMILY_ROWS
     assert np.array_equal(np.concatenate(blocks), fam)
-    norms = hl.family_norms(iter(blocks), weight, op, dec)
-    whole = hl.family_norms(fam, weight, op, dec)
-    for field in ("l1w", "l2sq", "energy", "coefficients"):
+    norms = hl.family_norms(iter(blocks), weight, op)
+    whole = hl.family_norms(fam, weight, op)
+    for field in ("l1w", "l2sq", "energy"):
         assert np.array_equal(getattr(norms, field), getattr(whole, field)), field
     assert norms.l1w.shape == (count,)
-    assert norms.coefficients.shape == (count, dec.eigenvalues.size)
-    assert np.array_equal(hl.semigroup_norms(dec, norms, times), hl.semigroup_norms(dec, whole, times))
     for blocked, array in zip(hl.nash_quotients(norms), hl.nash_quotients(whole)):
         assert np.array_equal(blocked, array)
-    without = hl.family_norms(fam, weight, op, None)
-    assert without.coefficients is None
-    assert np.array_equal(without.l1w, whole.l1w) and np.array_equal(without.energy, whole.energy)
 
 
 def _truncated(op, t_first, monkeypatch):
@@ -848,7 +840,7 @@ def test_truncated_tail_certificate(mua_setup, ou_fine_setup, monkeypatch):
             assert np.all(diff <= tail + eps * norm_t * inv_sqrt)
             tr_diff = abs(hl.trace(full, t) - hl.trace(part, t))
             assert tr_diff <= hl.trace_tail(part, t) + k * eps * norm_t
-            pf_diff = hl.apply_semigroup(full, f, t) - hl.apply_semigroup(part, f, t)
+            pf_diff = apply_semigroup(full, f, t) - apply_semigroup(part, f, t)
             pf_bound = (part.tail(t) + math.sqrt(k) * eps * norm_t) * f_norm
             assert np.all(np.sqrt((pf_diff * pf_diff) @ m) <= pf_bound)
 
@@ -862,8 +854,8 @@ def test_truncated_refuses_times_below_t_first(ou_fine_setup):
         with pytest.raises(ValueError):
             hl.kernel_matrix(part, t)
         with pytest.raises(ValueError):
-            hl.apply_semigroup(part, f, t)
-    assert np.max(np.abs(hl.apply_semigroup(part, f, 0.25) - 1.0)) < 1e-10
+            apply_semigroup(part, f, t)
+    assert np.max(np.abs(apply_semigroup(part, f, 0.25) - 1.0)) < 1e-10
     with pytest.raises(ValueError):
         hl.eigendecompose(op, t_first=0.0)
 
@@ -901,16 +893,16 @@ def test_apply_semigroup_on_stacks(mua_setup, ou_fine_setup, rng):
         fam = hl.gaussian_bump_family(grid, 12, rng).reshape(3, 4, grid.n_points)
         for dec in (full, part):
             for t in (0.25, 1.0):
-                batched = hl.apply_semigroup(dec, fam, t)
+                batched = apply_semigroup(dec, fam, t)
                 assert batched.shape == fam.shape
-                rows = np.array([[hl.apply_semigroup(dec, f, t) for f in grp] for grp in fam])
+                rows = np.array([[apply_semigroup(dec, f, t) for f in grp] for grp in fam])
                 # in L2(mu): edge nodes amplify the GEMM/GEMV summation-order
                 # difference by 1/sqrt(m_i), as they do all eigenbasis rounding
                 diff = batched - rows
                 m = grid.node_masses
                 assert np.all(np.sqrt((diff * diff) @ m) <= 1e-13 * np.sqrt((fam * fam) @ m))
     with pytest.raises(ValueError):
-        hl.apply_semigroup(full, np.ones((3, 7)), 0.5)
+        apply_semigroup(full, np.ones((3, 7)), 0.5)
 
 
 def test_kernel_matrix_rectangular_blocks(mua_setup, ou_fine_setup):
@@ -944,31 +936,38 @@ def test_kernel_diagonal(mua_setup, ou_fine_setup, monkeypatch):
             hl.kernel_diagonal(part, 0.2)
 
 
-@pytest.mark.parametrize("n_points", [800, 3200])
-def test_semigroup_norms_by_parseval(mua_model, n_points, monkeypatch):
-    grid = hl.make_grid(mua_model, n_points)
-    op = hl.discretize(mua_model, grid)
-    fam = hl.gaussian_bump_family(grid, 40, np.random.default_rng(n_points))
-    times = (0.25, 0.5, 1.0)
+def _lowest_modes(dec, k):
+    """``dec`` cut to its k lowest modes, the dropped ones certified above
+    eigenvalue k: a truncation whose tail is far from negligible."""
+    return dataclasses.replace(dec, eigenvalues=dec.eigenvalues[:k], half_table=dec.half_table[:, :k],
+                               odd=dec.odd[:k], tail_rate=float(dec.eigenvalues[k]), t_min=0.25)
+
+
+@pytest.mark.parametrize("family", ["mu_a", "ou", "cauchy"])
+def test_k_star_bounds_the_semigroup_from_l1v_to_l2(family, monkeypatch):
+    # ||P_t f||_2 <= K* ||fV||_1 for bumps, nonnegative vectors and the
+    # normalized deltas f = 1_i / (m_i V_i), P_t f synthesized on the full
+    # decomposition and K* taken on it, on a truncation at t_first = 0.25
+    # and on the 12 lowest modes, where only the tail term covers what the
+    # dropped modes add; the full decomposition attains K* at its argmax delta
+    model = _family(family, 1.5 if family == "mu_a" else 2.0)
+    weight = hl.weight_mu_a(1.5, 1.0) if family == "mu_a" else hl.universal_weight(model)
+    grid = hl.make_grid(model, 800)
+    op = hl.discretize(model, grid)
+    m, v = grid.node_masses, weight.value(grid.points)
     full = hl.eigendecompose(op)
-    part = _truncated(op, 0.25, monkeypatch)
-    assert math.isinf(full.tail_rate) and math.isfinite(part.tail_rate)
-    weight = hl.unit_weight()
-    for dec in (full, part):
-        norms = hl.semigroup_norms(dec, hl.family_norms(fam, weight, op, dec), times)
-        assert norms.shape == (len(times), fam.shape[0])
-        for t, norm in zip(times, norms):
-            synthesized = _l2(hl.apply_semigroup(dec, fam, t), op)
-            assert np.all(np.abs(norm - synthesized) <= 1e-13 * synthesized)
-        single = hl.semigroup_norms(dec, hl.family_norms(fam[0], weight, op, dec), times)
-        assert single.shape == (len(times), 1)
-        assert np.allclose(single[:, 0], norms[:, 0], rtol=1e-14, atol=0.0)
-    reduced = hl.family_norms(fam, weight, op, part)
-    with pytest.raises(ValueError):
-        hl.semigroup_norms(part, reduced, (0.2, 0.5))
-    with pytest.raises(ValueError):
-        hl.semigroup_norms(full, hl.family_norms(fam, weight, op, full), (-1.0,))
-    # the coefficients come only from a pass given the decomposition
-    for no_coefficients in (hl.family_norms(fam, weight, op, None), fam):
-        with pytest.raises(ValueError, match=r"family_norms\(\.\.\., dec\)"):
-            hl.semigroup_norms(full, no_coefficients, times)
+    decs = {"full": full, "truncated": _truncated(op, 0.25, monkeypatch), "lowest": _lowest_modes(full, 12)}
+    rng = np.random.default_rng(31)
+    fam = np.concatenate([hl.gaussian_bump_family(grid, 40, rng), rng.random((40, grid.n_points)),
+                          np.diag(1.0 / (m * v))])
+    l1w = hl.family_norms(fam, weight, op).l1w
+    for t in (0.25, 0.5, 1.0):
+        pf = apply_semigroup(full, fam, t)
+        ratio = np.sqrt((pf * pf) @ m) / l1w
+        for name, dec in decs.items():
+            k_star, i, q = hl.k_star(dec, v, t)
+            assert np.array_equal(q, hl.kernel_diagonal(dec, 2.0 * t) + dec.tail(2.0 * t) / m)
+            # the two eigensolves differ by up to 1.3e-12 relative at a delta
+            assert np.all(ratio <= k_star * (1.0 + 1e-11)), (name, t)
+        k_star, i, _ = hl.k_star(full, v, t)
+        assert abs(ratio[80 + i] / k_star - 1.0) <= 1e-13, t
