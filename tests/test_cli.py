@@ -724,7 +724,7 @@ def test_seed_flag_overrides_config(tmp_path):
 def _scan_setup(**raw):
     cfg = cli.ExperimentConfig.from_mapping(raw or {"n_points": 800, "seed": 3})
     model = cli._build_model(cfg)
-    grid, op, dec = cli._decompose(cfg, model, t_first=min(cfg.times))
+    grid, op, dec = cli._decompose(cfg, model, t_first=2.0 * min(cfg.times))
     cert, _, kp = cli._pipeline(cfg, model, grid, op, np.random.default_rng(cfg.seed))
     return cfg, grid, dec, cert, kp
 
@@ -824,7 +824,7 @@ def test_failing_kernel_check_scans_the_table(monkeypatch):
     assert len(scans) == 1
     assert not chk["pass"]
     assert chk["violations"] == 55148
-    assert chk["min_slack"] == -383073855.30925167
+    assert chk["min_slack"] == -383073855.3096341
 
 
 @pytest.mark.parametrize("text,kept,subset", [
@@ -847,6 +847,37 @@ def test_kernel_solve_path(tmp_path, mode_count, text, kept, subset):
         assert dec.tail_rate == cut and dec.eigenvalues.size == kept
     else:
         assert math.isinf(dec.tail_rate) and dec.eigenvalues.size == grid.n_points
+
+
+@pytest.mark.parametrize("raw,kept,t_first", [
+    ({}, 47, 0.5),
+    ({"n_points": 3200}, 47, 0.5),
+    ({"n_points": 3200, "times": 0.01}, 237, 0.02),
+    ({"times": 0.001}, 800, None),
+], ids=["default", "n3200", "n3200-t1e-2", "t1e-3"])
+def test_verify_solve_path(monkeypatch, raw, kept, t_first):
+    # verify reads every spectral sum at 2t, so it keeps the modes that weigh
+    # at least 2^-52 at 2 min(times): 47 of 800 at the default, where kernel
+    # keeps 67; a full solve when they exceed _PARTIAL_MAX_FRAC of the grid
+    decs, solve = [], hl.spectral.eigendecompose
+    monkeypatch.setattr(hl.spectral, "eigendecompose", lambda *a, **kw: decs.append(solve(*a, **kw)) or decs[-1])
+    cli.run_verify(cli.ExperimentConfig.from_mapping(raw))
+    (dec,) = decs
+    assert dec.eigenvalues.size == kept
+    if t_first is None:
+        assert math.isinf(dec.tail_rate)
+    else:
+        assert dec.tail_rate == hl.spectral._CUTOFF_EXPONENT / t_first and dec.t_min == t_first
+
+
+def test_verify_keeping_no_mode_exits_3(tmp_path, capsys):
+    # verify's t_first is 2 min(times), and its refusal names it
+    cfg = write_config(tmp_path / "cfg.txt", "times = 1e16\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == ("numeric error: no mode kept: every computed eigenvalue exceeds lambda_cut "
+                                       "= 52 ln2 / t_first = 1.8021826694558575e-15 at t_first = 2e+16\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("text", [
